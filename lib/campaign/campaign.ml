@@ -148,70 +148,24 @@ let () =
 
 (* Coordinator-side Algorithm-1 replay of one input: its probe-set
    bitmap (the dedup fingerprint) and its Iteration Difference
-   Coverage metric (the tie-break between representatives). Runs on
-   the same backend the workers use; the VM path works off dirty
-   lists instead of scanning every probe cell per step. *)
-let make_replayer (prog : Ir.program) ~backend ~max_tuples =
+   Coverage metric (the tie-break between representatives). It is the
+   fuzzer's own executor, over the campaign's prepared code, run
+   against a bitmap zeroed per input — so every probe the input fires
+   counts as fresh and lands in the bitmap. *)
+let make_replayer ?code (prog : Ir.program) ~backend ~max_tuples =
   let layout = Layout.of_program prog in
   let n_probes = max prog.Ir.n_probes 1 in
-  match (backend : Fuzzer.backend) with
-  | Fuzzer.Vm ->
-    let vm = Ir_vm.compile prog in
-    let pa = Ir_vm.probes vm in
-    let pb = Ir_vm.fresh_probes vm in
-    fun data ->
-      let bitmap = Bytes.make n_probes '\000' in
-      Ir_vm.set_probes vm pa;
-      Ir_vm.reset vm;
-      Ir_vm.clear_probes pa;
-      let curr = ref pa in
-      let last = ref pb in
-      let n = min (Layout.n_tuples layout data) max_tuples in
-      let metric = ref 0 in
-      for tuple = 0 to n - 1 do
-        let c = !curr in
-        let l = !last in
-        Ir_vm.set_probes vm c;
-        Layout.load_tuple_vm layout data ~tuple vm;
-        Ir_vm.step vm;
-        for k = 0 to c.Ir_vm.p_n - 1 do
-          let id = Array.unsafe_get c.Ir_vm.p_dirty k in
-          Bytes.unsafe_set bitmap id '\001';
-          if Bytes.unsafe_get l.Ir_vm.p_fired id = '\000' then incr metric
-        done;
-        for k = 0 to l.Ir_vm.p_n - 1 do
-          if Bytes.unsafe_get c.Ir_vm.p_fired (Array.unsafe_get l.Ir_vm.p_dirty k) = '\000' then
-            incr metric
-        done;
-        Ir_vm.clear_probes l;
-        curr := l;
-        last := c
-      done;
-      Ir_vm.clear_probes !last;
-      (bitmap, !metric)
-  | Fuzzer.Closures ->
-    let curr = Bytes.make n_probes '\000' in
-    let last = Bytes.make n_probes '\000' in
-    let hooks = Hooks.probes_only (fun id -> Bytes.unsafe_set curr id '\001') in
-    let compiled = Ir_compile.compile ~hooks prog in
-    fun data ->
-      let bitmap = Bytes.make n_probes '\000' in
-      Bytes.fill last 0 n_probes '\000';
-      Ir_compile.reset compiled;
-      let n = min (Layout.n_tuples layout data) max_tuples in
-      let metric = ref 0 in
-      for tuple = 0 to n - 1 do
-        Bytes.fill curr 0 n_probes '\000';
-        Layout.load_tuple layout data ~tuple compiled;
-        Ir_compile.step compiled;
-        for i = 0 to n_probes - 1 do
-          let c = Bytes.unsafe_get curr i in
-          if c <> '\000' then Bytes.unsafe_set bitmap i '\001';
-          if c <> Bytes.unsafe_get last i then incr metric
-        done;
-        Bytes.blit curr 0 last 0 n_probes
-      done;
-      (bitmap, !metric)
+  let bitmap = Bytes.make n_probes '\000' in
+  let run_input =
+    Fuzzer.make_executor ?code ~backend ~layout ~prog ~g_total:bitmap ~max_tuples
+      ~use_metric:true ()
+  in
+  let fresh_cells = ref [] in
+  fun data ->
+    Bytes.fill bitmap 0 n_probes '\000';
+    fresh_cells := [];
+    let metric, _, _ = run_input ~fresh_cells data in
+    (Bytes.copy bitmap, metric)
 
 let count_covered bitmap =
   let n = ref 0 in
@@ -229,6 +183,9 @@ let fingerprint bitmap = Bytecodec.hex_of_int64 (Bytecodec.fnv64 bitmap)
 type state = {
   st_config : config;
   st_prog : Ir.program;
+  st_code : Ir_vm.code option;
+      (* prepared once at [start] (Vm backend) and shared read-only by
+         the replayer and every worker domain of every epoch *)
   st_n_probes : int;
   st_replay : Bytes.t -> Bytes.t * int;
   st_emit : Telemetry.event -> unit;
@@ -282,10 +239,13 @@ let start ?(config = default_config) (prog : Ir.program) =
   if (Layout.of_program prog).Layout.tuple_len = 0 then
     invalid_arg "Campaign.start: model has no inports";
   let n_probes = max prog.Ir.n_probes 1 in
-  let replay =
-    make_replayer prog ~backend:config.fuzzer.Fuzzer.backend
-      ~max_tuples:config.fuzzer.Fuzzer.max_tuples
+  let backend = config.fuzzer.Fuzzer.backend in
+  let code =
+    match backend with
+    | Fuzzer.Vm -> Some (Ir_vm.prepare ~optimize:config.fuzzer.Fuzzer.optimize prog)
+    | Fuzzer.Closures -> None
   in
+  let replay = make_replayer ?code prog ~backend ~max_tuples:config.fuzzer.Fuzzer.max_tuples in
   let emit = config.sink.Telemetry.emit in
   let store =
     match config.store with
@@ -299,6 +259,7 @@ let start ?(config = default_config) (prog : Ir.program) =
     {
       st_config = config;
       st_prog = prog;
+      st_code = code;
       st_n_probes = n_probes;
       st_replay = replay;
       st_emit = emit;
@@ -529,7 +490,7 @@ let step ?workers ?max_execs ?(should_stop = fun () -> false) ?pool st =
       ~args:[ ("worker", string_of_int ix); ("epoch", string_of_int this_epoch) ]
     @@ fun () ->
     let r =
-      Fuzzer.run ~config:fcfg ~on_test_case ~on_progress
+      Fuzzer.run ~config:fcfg ?code:st.st_code ~on_test_case ~on_progress
         ~should_stop:(fun () -> Atomic.get abort || should_stop ())
         st.st_prog (budget_for ix)
     in

@@ -150,17 +150,29 @@ let run_one_vm ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells
   Ir_vm.clear_probes !last;
   (!metric, !fresh, n)
 
+(* The VM code an executor runs: the caller's prepared code (checked
+   against [prog], so a mismatched pair fails here rather than
+   fuzzing the wrong program), else a fresh [Ir_vm.prepare]. *)
+let code_for ~fn ~optimize ?code (prog : Ir.program) =
+  match code with
+  | Some c ->
+    if (c : Ir_vm.code :> Ir_linearize.t).Ir_linearize.l_prog != prog then
+      invalid_arg (fn ^ ": code was prepared from a different program");
+    c
+  | None -> Ir_vm.prepare ~optimize prog
+
 (* Builds the per-input execution function for the configured
    backend; each returns (metric, fresh, iterations). *)
-let make_executor ?(optimize = true) ~backend ~layout ~(prog : Ir.program) ~g_total ~max_tuples
-    ~use_metric () =
-  (* the trailing [()] makes the one-time compile happen at this
-     application even when [?optimize] is omitted — otherwise OCaml
-     defers optional-argument discharge (and this whole body) to the
-     first positional application, i.e. to every input *)
+let make_executor ?(optimize = true) ?code ~backend ~layout ~(prog : Ir.program) ~g_total
+    ~max_tuples ~use_metric () =
+  (* the trailing [()] makes the one-time set-up happen at this
+     application even when the optional arguments are omitted —
+     otherwise OCaml defers optional-argument discharge (and this
+     whole body) to the first positional application, i.e. to every
+     input *)
   match backend with
   | Vm ->
-    let vm = Ir_vm.compile ~optimize prog in
+    let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.make_executor" ~optimize ?code prog) in
     let pa = Ir_vm.probes vm in
     let pb = Ir_vm.fresh_probes vm in
     fun ~fresh_cells data ->
@@ -201,8 +213,8 @@ type batch_exec = {
   bx_lane_of : int array;  (* chunk draft index -> lane *)
 }
 
-let make_batch_exec ~optimize ~k prog =
-  let bvm = Ir_vm_batch.compile ~optimize ~k prog in
+let make_batch_exec ~k code =
+  let bvm = Ir_vm_batch.of_code ~k code in
   {
     bx_vm = bvm;
     bx_pa = Ir_vm_batch.probes bvm;
@@ -290,13 +302,15 @@ let run_chunk bx ~layout ~max_tuples ~use_metric (children : Bytes.t array) ~off
    same coverage accounting a campaign performs (iteration metric,
    fresh-coverage replay against [g_total] in draft order) and
    returns the summed (metric, fresh, iterations). *)
-let make_batch_executor ?(optimize = true) ~k ~layout ~(prog : Ir.program) ~g_total ~max_tuples
-    ~use_metric () =
-  (* the trailing [()] pins the compile here: without it a partial
-     application that omits [?optimize] would defer the whole body —
-     including [Ir_vm_batch.compile] — to every per-call positional
-     application *)
-  let bx = make_batch_exec ~optimize ~k prog in
+let make_batch_executor ?(optimize = true) ?code ~k ~layout ~(prog : Ir.program) ~g_total
+    ~max_tuples ~use_metric () =
+  (* the trailing [()] pins the set-up here: without it a partial
+     application that omits the optional arguments would defer the
+     whole body — including the instance build — to every per-call
+     positional application *)
+  let bx =
+    make_batch_exec ~k (code_for ~fn:"Fuzzer.make_batch_executor" ~optimize ?code prog)
+  in
   fun (children : Bytes.t array) ->
     let n = Array.length children in
     if n > k then invalid_arg "Fuzzer.make_batch_executor: more inputs than lanes";
@@ -414,9 +428,9 @@ let () =
         (Atomic.get batch_fallbacks_total)
         (Atomic.get batch_divergence_total))
 
-let run ?(config = default_config) ?(on_test_case = fun _ -> ()) ?(on_progress = fun _ -> ())
-    ?(progress_every = 1024) ?(should_stop = fun () -> false) ?coverage_series
-    (prog : Ir.program) budget =
+let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
+    ?(on_progress = fun _ -> ()) ?(progress_every = 1024) ?(should_stop = fun () -> false)
+    ?coverage_series (prog : Ir.program) budget =
   Trace.with_span "fuzzer.run" @@ fun () ->
   let layout = Layout.with_ranges (Layout.of_program prog) config.ranges in
   if layout.Layout.tuple_len = 0 then invalid_arg "Fuzzer.run: model has no inports";
@@ -434,9 +448,21 @@ let run ?(config = default_config) ?(on_test_case = fun _ -> ()) ?(on_progress =
     | Vm -> max 1 (min config.batch draft_size)
     | Closures -> 1
   in
+  (* One code for the whole run: the batched executor and its scalar
+     fallback are both instances over it, so the optimizer runs at
+     most once per run — and not at all when the caller (a campaign)
+     hands its own prepared code in. *)
+  let code =
+    match config.backend with
+    | Closures -> None
+    | Vm ->
+      Some
+        (Trace.with_span "fuzzer.compile" @@ fun () ->
+         code_for ~fn:"Fuzzer.run" ~optimize:config.optimize ?code prog)
+  in
   let make_seq () =
     `Seq
-      (make_executor ~optimize:config.optimize ~backend:config.backend ~layout ~prog ~g_total
+      (make_executor ?code ~backend:config.backend ~layout ~prog ~g_total
          ~max_tuples:config.max_tuples ~use_metric:config.iteration_metric ())
   in
   (* Lockstep execution only pays off when lanes mostly agree on
@@ -450,9 +476,9 @@ let run ?(config = default_config) ?(on_test_case = fun _ -> ()) ?(on_progress =
      only change throughput. *)
   let executor =
     ref
-      (Trace.with_span "fuzzer.compile" @@ fun () ->
-       if batch_k > 1 then `Batch (make_batch_exec ~optimize:config.optimize ~k:batch_k prog)
-       else make_seq ())
+      (match code with
+      | Some code when batch_k > 1 -> `Batch (make_batch_exec ~k:batch_k code)
+      | _ -> make_seq ())
   in
   let divergence_decided = ref (batch_k <= 1) in
   if batch_k > 1 then Atomic.incr batch_runs_total;

@@ -53,7 +53,8 @@ type config = {
   backend : backend;  (** execution backend (default {!Vm}) *)
   optimize : bool;
       (** run {!Ir_opt.optimize_bytecode} on the {!Vm} backend's
-          bytecode (default true; no effect on {!Closures}). Same
+          bytecode (default true; no effect on {!Closures}, and not
+          consulted when {!run} is handed prepared code). Same
           campaigns either way — CLI [--no-opt] is the escape hatch *)
   batch : int;
       (** lanes of the batched lockstep VM ({!Ir_vm_batch}) the {!Vm}
@@ -129,6 +130,7 @@ type result = {
 
 val run :
   ?config:config ->
+  ?code:Ir_vm.code ->
   ?on_test_case:(test_case -> unit) ->
   ?on_progress:(stats -> unit) ->
   ?progress_every:int ->
@@ -147,6 +149,14 @@ val run :
     hook perturbs the RNG stream, so enabling them does not change
     what a run finds.
 
+    Code: the {!Vm} backend runs [code] when given — it must have been
+    prepared from [prog] itself (a different program raises
+    [Invalid_argument]), and then [config.optimize] is not consulted.
+    Without it the run calls {!Ir_vm.prepare} once and builds both
+    the batched executor and its scalar fallback from that one code,
+    so the optimizer runs at most once per run. A campaign passes the
+    code it prepared at start, so its workers never optimize.
+
     Observability: when {!Cftcg_obs.Metrics.collecting} is on, the run
     maintains per-strategy effectiveness counters (picked / new
     coverage / kept — Table 1), execution totals and gauges, and
@@ -163,6 +173,7 @@ val replay_metric : ?config:config -> Ir.program -> Bytes.t -> int
 
 val make_executor :
   ?optimize:bool ->
+  ?code:Ir_vm.code ->
   backend:backend ->
   layout:Layout.t ->
   prog:Ir.program ->
@@ -176,14 +187,19 @@ val make_executor :
 (** The fuzzer's inner loop for one backend, as used by {!run}:
     executes one input against the campaign-global coverage bytes
     [g_total] and returns (iteration-difference metric, newly covered
-    probes, model iterations). Compiles the program once at the [()]
-    application — apply through [()] once and reuse the result per
-    input; the explicit [unit] stops an omitted [?optimize] from
-    silently deferring the compile to every input. Exposed for benchmarks and tooling that
-    need per-execution costs without a whole campaign. *)
+    probes, model iterations). The {!Vm} backend runs a fresh
+    {!Ir_vm} instance over [code] when given (prepared from [prog];
+    [optimize] is then not consulted), else over
+    [Ir_vm.prepare ~optimize prog]. The set-up happens once at the
+    [()] application — apply through [()] once and reuse the result
+    per input; the explicit [unit] stops omitted optional arguments
+    from silently deferring the set-up to every input. Exposed for
+    benchmarks and tooling that need per-execution costs without a
+    whole campaign. *)
 
 val make_batch_executor :
   ?optimize:bool ->
+  ?code:Ir_vm.code ->
   k:int ->
   layout:Layout.t ->
   prog:Ir.program ->
@@ -197,7 +213,8 @@ val make_batch_executor :
     [k] inputs in lockstep through {!Ir_vm_batch} with the campaign's
     full coverage accounting (iteration metric, fresh replay against
     [g_total] in input order) and returns the summed
-    (metric, fresh, iterations). The trailing [unit] closes the
-    compile-time partial application — apply through [()] once and
+    (metric, fresh, iterations). [code] and [optimize] as in
+    {!make_executor}. The trailing [unit] closes the set-up
+    partial application — apply through [()] once and
     reuse the returned function per chunk. The number the batch
     scheduler's throughput gate measures. *)

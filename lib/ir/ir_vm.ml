@@ -15,8 +15,16 @@ type probes = {
   mutable p_n : int;
 }
 
+(* Compiled code, kept apart from any run state so one (expensive)
+   optimization serves every instance a run or campaign makes.
+   Invariant: nothing writes a [code]'s arrays after [prepare_with]
+   returns — the VM only reads [l_init]/[l_step], and [reset] blits
+   [l_consts] *into* the register file — so instances on different
+   domains can share one [code] without synchronization. *)
+type code = Ir_linearize.t
+
 type t = {
-  lin : Ir_linearize.t;
+  lin : code;
   regs : float array;
   mutable probes : probes;
   on_probe : int -> unit;
@@ -33,19 +41,19 @@ let clear_probes p =
   done;
   p.p_n <- 0
 
-let compile ?(hooks = Hooks.none) ?(optimize = true) (prog : Ir.program) =
-  let instrument =
-    {
-      Ir_linearize.probe_hook = Option.is_some hooks.Hooks.on_probe;
-      cond = Option.is_some hooks.Hooks.on_cond;
-      decision = Option.is_some hooks.Hooks.on_decision;
-      branch = Option.is_some hooks.Hooks.on_branch;
-    }
-  in
+let prepare_with ~instrument ~optimize (prog : Ir.program) : code =
   let lin =
     Cftcg_obs.Trace.with_span "ir.linearize" (fun () -> Ir_linearize.linearize ~instrument prog)
   in
-  let lin = if optimize then Ir_opt.optimize_bytecode lin else lin in
+  if optimize then Ir_opt.optimize_bytecode lin else lin
+
+let prepare ?(optimize = true) prog =
+  prepare_with ~instrument:Ir_linearize.no_instrumentation ~optimize prog
+
+(* A fresh instance over [lin]: its own registers and probe buffer.
+   Branch hooks close over the instance's registers, so they are built
+   here rather than stored in the code. *)
+let instantiate ~(hooks : Hooks.t) (lin : code) =
   let regs = Array.make (max lin.Ir_linearize.l_n_regs 1) 0.0 in
   let branch_hooks =
     match hooks.Hooks.on_branch with
@@ -62,7 +70,7 @@ let compile ?(hooks = Hooks.none) ?(optimize = true) (prog : Ir.program) =
   {
     lin;
     regs;
-    probes = make_probes (max prog.Ir.n_probes 1);
+    probes = make_probes (max lin.Ir_linearize.l_prog.Ir.n_probes 1);
     on_probe = (match hooks.Hooks.on_probe with Some f -> f | None -> ignore);
     on_cond =
       (match hooks.Hooks.on_cond with Some f -> f | None -> fun _ _ _ -> ());
@@ -70,6 +78,19 @@ let compile ?(hooks = Hooks.none) ?(optimize = true) (prog : Ir.program) =
       (match hooks.Hooks.on_decision with Some f -> f | None -> fun _ _ -> ());
     branch_hooks;
   }
+
+let of_code code = instantiate ~hooks:Hooks.none code
+
+let compile ?(hooks = Hooks.none) ?(optimize = true) (prog : Ir.program) =
+  let instrument =
+    {
+      Ir_linearize.probe_hook = Option.is_some hooks.Hooks.on_probe;
+      cond = Option.is_some hooks.Hooks.on_cond;
+      decision = Option.is_some hooks.Hooks.on_decision;
+      branch = Option.is_some hooks.Hooks.on_branch;
+    }
+  in
+  instantiate ~hooks (prepare_with ~instrument ~optimize prog)
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch loop                                                       *)

@@ -24,20 +24,47 @@ type probes = private {
   mutable p_n : int;
 }
 
+(** {1 Code and instances}
+
+    Compiled code and run state are separate values. A {!code} is the
+    linearized, optionally optimized bytecode of one program — the
+    expensive part, built once by {!prepare}. An instance ({!t}) is
+    cheap: a register file and a probe buffer over some code. A
+    standalone [Fuzzer.run] prepares its code once and
+    builds every executor from it; a campaign prepares once at start
+    and hands the same code to its merge replayer and to every worker
+    of every epoch.
+
+    Sharing is safe across domains: nothing writes a code's arrays
+    after {!prepare} returns (execution only reads the instruction
+    streams, and {!reset} copies the constant pool {e into} the
+    instance's registers), so any number of instances — scalar or
+    {!Ir_vm_batch} — may run over one code concurrently. *)
+
+type code = private Ir_linearize.t
+(** Probe-only bytecode (no hook instructions): what the fuzzing
+    loop, the campaign replayer and {!Ir_vm_batch} execute. *)
+
 type t
 
-val compile : ?hooks:Hooks.t -> ?optimize:bool -> Ir.program -> t
-(** Linearizes and prepares the program. Instrumentation bytecode is
-    emitted only for the hooks that are present ([on_probe] adds a
-    hook call on top of the always-on buffer write). The returned
-    instance owns its register file and probe buffer; compile again
-    for an independent instance.
+val prepare : ?optimize:bool -> Ir.program -> code
+(** Linearizes the program with probe-only instrumentation and, when
+    [optimize] (default [true]), runs {!Ir_opt.optimize_bytecode} on
+    it. Observable behaviour — outputs, states, probe sets — is the
+    same either way; with it on, [get_var] / [read_raw] of scratch
+    variables outside the I/O + state + read set may see stale
+    values. *)
 
-    [optimize] (default [true]) runs {!Ir_opt.optimize_bytecode} on
-    the linearized code. Observable behaviour — outputs, states,
-    probe sets, hook events — is unchanged; with it on, [get_var] /
-    [read_raw] of scratch variables outside the I/O + state + read
-    set may see stale values. *)
+val of_code : code -> t
+(** A fresh instance over [code], with its own register file and
+    probe buffer. Costs an allocation, not a compile. *)
+
+val compile : ?hooks:Hooks.t -> ?optimize:bool -> Ir.program -> t
+(** [of_code] of a freshly prepared code, for callers that need
+    hooks. Instrumentation bytecode is emitted only for the hooks
+    that are present ([on_probe] adds a hook call on top of the
+    always-on buffer write); without hooks this is
+    [of_code (prepare ?optimize prog)]. *)
 
 val program : t -> Ir.program
 

@@ -73,10 +73,10 @@ let clear_probes p =
     clear_lane p ~lane:l
   done
 
-let compile ?(optimize = true) ~k (prog : Ir.program) =
-  if k < 1 || k > 64 then invalid_arg "Ir_vm_batch.compile: k must be in 1..64";
-  let lin = L.linearize ~instrument:L.no_instrumentation prog in
-  let lin = if optimize then Ir_opt.optimize_bytecode lin else lin in
+let of_code ~k (code : Ir_vm.code) =
+  if k < 1 || k > 64 then invalid_arg "Ir_vm_batch: k must be in 1..64";
+  let lin = (code :> L.t) in
+  let prog = lin.L.l_prog in
   let n_regs = max lin.L.l_n_regs 1 in
   let regs = Array.make (n_regs * k) 0.0 in
   Array.fill regs 0 (Array.length regs) 0.0;
@@ -90,6 +90,8 @@ let compile ?(optimize = true) ~k (prog : Ir.program) =
     d_init = Array.make (max (Array.length lin.L.l_init) 1) 0;
     d_step = Array.make (max (Array.length lin.L.l_step) 1) 0;
   }
+
+let compile ?optimize ~k prog = of_code ~k (Ir_vm.prepare ?optimize prog)
 
 let k bvm = bvm.k
 let program bvm = bvm.lin.L.l_prog

@@ -42,12 +42,15 @@ type probes = private {
 
 type t
 
+val of_code : k:int -> Ir_vm.code -> t
+(** A K-lane instance over prepared code: the same code value a
+    scalar {!Ir_vm} instance runs, so the two backends execute
+    identical bytecode and share one optimization. The instance owns
+    its lane registers, probe buffers and divergence counters; the
+    code is only read. [k] must be in 1..64. *)
+
 val compile : ?optimize:bool -> k:int -> Ir.program -> t
-(** Linearizes the program with probe-only instrumentation (no hooks)
-    and prepares a K-lane instance. [optimize] (default [true]) runs
-    {!Ir_opt.optimize_bytecode} — the same pipeline as {!Ir_vm}, so
-    the two backends execute identical bytecode. [k] must be in
-    1..64. *)
+(** [of_code ~k (Ir_vm.prepare ?optimize prog)]. *)
 
 val k : t -> int
 val program : t -> Ir.program

@@ -23,13 +23,24 @@ let handle_connection srv client =
   Fun.protect
     ~finally:(fun () -> try Unix.close client with Unix.Unix_error _ -> ())
     (fun () ->
-      match Wire.read_request ic with
+      let response =
+        match Wire.read_request ic with
+        | None -> None
+        | Some (Error e) ->
+          let status = Wire.request_error_status e in
+          let (Wire.Bad_request msg | Wire.Too_large msg) = e in
+          Log.debug "request refused: %d %s" status msg;
+          Some (Wire.error_response status msg)
+        | Some (Ok rq) ->
+          let response = Router.dispatch ~resolve:srv.sv_resolve srv.sv_sched rq in
+          Log.debug
+            ~fields:[ ("method", rq.Wire.rq_method); ("path", rq.Wire.rq_path) ]
+            "request: %d" response.Wire.rs_status;
+          Some response
+      in
+      match response with
       | None -> ()
-      | Some rq -> (
-        let response = Router.dispatch ~resolve:srv.sv_resolve srv.sv_sched rq in
-        Log.debug
-          ~fields:[ ("method", rq.Wire.rq_method); ("path", rq.Wire.rq_path) ]
-          "request: %d" response.Wire.rs_status;
+      | Some response -> (
         try Wire.write_response oc response with
         | Sys_error _ | Unix.Unix_error _ -> () (* client went away; nothing to salvage *)))
 

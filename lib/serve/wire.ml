@@ -361,32 +361,58 @@ let reason_of = function
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
   | 409 -> "Conflict"
+  | 413 -> "Content Too Large"
   | 500 -> "Internal Server Error"
   | 503 -> "Service Unavailable"
   | _ -> "Unknown"
 
 let max_body = 16 * 1024 * 1024
 
+type request_error =
+  | Bad_request of string
+  | Too_large of string
+
+let request_error_status = function Bad_request _ -> 400 | Too_large _ -> 413
+
+let strip_cr line =
+  if String.length line > 0 && line.[String.length line - 1] = '\r' then
+    String.sub line 0 (String.length line - 1)
+  else line
+
+(* Only these methods carry a body; a request without Content-Length
+   for any other method has none (RFC 9112 §6.3), which is how curl
+   and most clients send GETs. *)
+let body_methods = [ "POST"; "PUT"; "PATCH" ]
+
+(* The declared body length: one or more decimal digits, the same
+   value if the header repeats, at most [max_body]. *)
+let body_length meth headers =
+  let is_digit c = c >= '0' && c <= '9' in
+  match List.filter_map (fun (n, v) -> if n = "content-length" then Some v else None) headers with
+  | [] ->
+    if List.mem meth body_methods then Error (Bad_request "Content-Length required") else Ok 0
+  | v :: rest ->
+    if List.exists (fun v' -> v' <> v) rest then
+      Error (Bad_request "conflicting Content-Length headers")
+    else if v = "" || not (String.for_all is_digit v) then
+      Error (Bad_request (Printf.sprintf "invalid Content-Length %S" v))
+    else (
+      match int_of_string_opt v with
+      | Some n when n <= max_body -> Ok n
+      | _ ->
+        Error
+          (Too_large (Printf.sprintf "Content-Length %s exceeds the %d-byte limit" v max_body)))
+
 let read_request ic =
   match input_line ic with
   | exception End_of_file -> None
   | line -> (
-    let line =
-      if String.length line > 0 && line.[String.length line - 1] = '\r' then
-        String.sub line 0 (String.length line - 1)
-      else line
-    in
-    match String.split_on_char ' ' line with
+    match String.split_on_char ' ' (strip_cr line) with
     | meth :: path :: _ ->
       let headers = ref [] in
       (try
          let rec loop () =
-           let h = input_line ic in
-           let h =
-             if String.length h > 0 && h.[String.length h - 1] = '\r' then
-               String.sub h 0 (String.length h - 1)
-             else h
-           in
+           let h = strip_cr (input_line ic) in
            if h <> "" then begin
              (match String.index_opt h ':' with
              | Some i ->
@@ -399,14 +425,13 @@ let read_request ic =
          in
          loop ()
        with End_of_file -> ());
-      let len =
-        match List.assoc_opt "content-length" !headers with
-        | Some v -> ( match int_of_string_opt v with Some n when n >= 0 && n <= max_body -> n | _ -> 0)
-        | None -> 0
-      in
-      let body = really_input_string ic len in
-      Some { rq_method = meth; rq_path = path; rq_headers = List.rev !headers; rq_body = body }
-    | _ -> None)
+      let headers = List.rev !headers in
+      Some
+        (Result.bind (body_length meth headers) (fun len ->
+             match really_input_string ic len with
+             | body -> Ok { rq_method = meth; rq_path = path; rq_headers = headers; rq_body = body }
+             | exception End_of_file -> Error (Bad_request "body shorter than Content-Length")))
+    | _ -> Some (Error (Bad_request "malformed request line")))
 
 let write_response oc r =
   Printf.fprintf oc "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"
@@ -439,12 +464,7 @@ let http_request addr ~meth ~path ?(body = "") () =
       let len = ref (-1) in
       (try
          let rec headers () =
-           let h = input_line ic in
-           let h =
-             if String.length h > 0 && h.[String.length h - 1] = '\r' then
-               String.sub h 0 (String.length h - 1)
-             else h
-           in
+           let h = strip_cr (input_line ic) in
            if h <> "" then begin
              (match String.index_opt h ':' with
              | Some i

@@ -73,9 +73,24 @@ type response = {
   rs_body : string;
 }
 
-val read_request : in_channel -> request option
-(** [None] on EOF or an unparseable request line. Bodies above 16 MiB
-    are truncated to zero length (the protocol never needs them). *)
+val max_body : int
+(** Largest request body accepted (16 MiB). *)
+
+(** Why a request was refused before it reached the router. *)
+type request_error =
+  | Bad_request of string
+      (** malformed: a bad request line; a [Content-Length] that is
+          not decimal digits, repeats with another value, or is
+          missing on a POST/PUT/PATCH; a body shorter than declared *)
+  | Too_large of string  (** declared body above {!max_body} *)
+
+val request_error_status : request_error -> int
+(** 400 for {!Bad_request}, 413 for {!Too_large}. *)
+
+val read_request : in_channel -> (request, request_error) result option
+(** [None] on EOF before a request line. Requests of other methods
+    without [Content-Length] have an empty body. A refused request's
+    body is not read. *)
 
 val write_response : out_channel -> response -> unit
 

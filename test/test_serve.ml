@@ -111,6 +111,57 @@ let test_json_qcheck =
        (make ~print:(fun j -> Wire.to_string j) value)
        (fun j -> Wire.of_string (Wire.to_string j) = j))
 
+(* --- Wire: HTTP request framing ------------------------------------- *)
+
+(* [Wire.read_request] over the raw bytes [raw] *)
+let read_raw raw =
+  let path = Filename.temp_file "cftcg_wire" ".http" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc raw);
+      In_channel.with_open_bin path Wire.read_request)
+
+let refused raw =
+  match read_raw raw with
+  | Some (Error e) -> Some (Wire.request_error_status e)
+  | Some (Ok _) | None -> None
+
+let test_request_framing () =
+  (match read_raw "POST /campaigns HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody" with
+  | Some (Ok rq) ->
+    Alcotest.(check string) "method" "POST" rq.Wire.rq_method;
+    Alcotest.(check string) "body" "body" rq.Wire.rq_body
+  | _ -> Alcotest.fail "well-formed POST must parse");
+  (match read_raw "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" with
+  | Some (Ok rq) -> Alcotest.(check string) "GET without length has no body" "" rq.Wire.rq_body
+  | _ -> Alcotest.fail "GET without Content-Length must parse");
+  (match read_raw "POST /c HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nok" with
+  | Some (Ok rq) -> Alcotest.(check string) "repeated equal length" "ok" rq.Wire.rq_body
+  | _ -> Alcotest.fail "a repeated, equal Content-Length must parse");
+  Alcotest.(check bool) "EOF before a request line" true (read_raw "" = None)
+
+let test_request_bad_length () =
+  let post len = Printf.sprintf "POST /campaigns HTTP/1.1\r\n%s\r\n{}" len in
+  List.iter
+    (fun (what, raw, status) ->
+      Alcotest.(check (option int)) what (Some status) (refused raw))
+    [
+      ("missing on POST", post "", 400);
+      ("non-numeric", post "Content-Length: abc\r\n", 400);
+      ("hex", post "Content-Length: 0x2\r\n", 400);
+      ("signed", post "Content-Length: +2\r\n", 400);
+      ("negative", post "Content-Length: -1\r\n", 400);
+      ("empty", post "Content-Length:\r\n", 400);
+      ("conflicting", post "Content-Length: 2\r\nContent-Length: 3\r\n", 400);
+      ("body shorter than declared", post "Content-Length: 10\r\n", 400);
+      ("malformed request line", "GARBAGE\r\n\r\n", 400);
+      ( "over max_body",
+        post (Printf.sprintf "Content-Length: %d\r\n" (Wire.max_body + 1)),
+        413 );
+      ("beyond int range", post "Content-Length: 99999999999999999999999\r\n", 413);
+    ]
+
 let test_addr_parse () =
   (match Wire.addr_of_string "unix:/tmp/x.sock" with
   | Ok (Wire.Unix_path "/tmp/x.sock") -> ()
@@ -263,8 +314,14 @@ let test_scheduler_cancel () =
   let prog = solar_pv () in
   let pool = Worker_pool.create 2 in
   let sched = Scheduler.create ~quantum:100 ~pool () in
+  (* a campaign that only a cancel can end: a huge budget and no
+     plateau stop (SolarPV plateaus within a fraction of a second) *)
   let config =
-    { base_config with Campaign.total_execs = 10_000_000; execs_per_epoch = 100 }
+    { base_config with
+      Campaign.total_execs = 10_000_000;
+      execs_per_epoch = 100;
+      plateau_epochs = max_int
+    }
   in
   let id =
     match Scheduler.submit sched (submission ~config ()) prog with
@@ -356,6 +413,21 @@ let with_daemon body =
 
 let request addr ~meth ~path ?body () = Wire.http_request addr ~meth ~path ?body ()
 
+(* one hand-framed request; returns the response's status code *)
+let raw_status addr raw =
+  let fd = Wire.connect addr in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let oc = Unix.out_channel_of_descr fd in
+      output_string oc raw;
+      flush oc;
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      let ic = Unix.in_channel_of_descr fd in
+      match String.split_on_char ' ' (input_line ic) with
+      | _ :: code :: _ -> int_of_string code
+      | _ -> Alcotest.fail "no status line")
+
 let test_http_end_to_end () =
   with_daemon @@ fun addr ->
   (* bad submissions are 400s with a reason *)
@@ -366,6 +438,15 @@ let test_http_end_to_end () =
   Alcotest.(check int) "unknown model is a 400" 400 status;
   let status, _ = request addr ~meth:"GET" ~path:"/campaigns/c999" () in
   Alcotest.(check int) "unknown id is a 404" 404 status;
+  (* bad framing is refused before routing *)
+  Alcotest.(check int) "non-numeric Content-Length is a 400" 400
+    (raw_status addr "POST /campaigns HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n{}");
+  Alcotest.(check int) "POST without Content-Length is a 400" 400
+    (raw_status addr "POST /campaigns HTTP/1.1\r\n\r\n");
+  Alcotest.(check int) "oversized body is a 413" 413
+    (raw_status addr
+       (Printf.sprintf "POST /campaigns HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+          (Wire.max_body + 1)));
   (* submit and run to completion *)
   let submit_body =
     Wire.to_string
@@ -609,6 +690,8 @@ let suites =
         Alcotest.test_case "json errors" `Quick test_json_errors;
         test_json_qcheck;
         Alcotest.test_case "addr parse" `Quick test_addr_parse;
+        Alcotest.test_case "request framing" `Quick test_request_framing;
+        Alcotest.test_case "bad Content-Length refused" `Quick test_request_bad_length;
       ] );
     ( "serve.pool",
       [

@@ -711,7 +711,7 @@ let ir_cmd =
     Arg.(value & flag & info [ "dump-bytecode" ] ~doc:"Print the full disassembly before and after the optimizer pipeline.")
   in
   let instrumented =
-    Arg.(value & flag & info [ "instrumented" ] ~doc:"Linearize the fuzzing build (probe/branch-hook instructions included) instead of the plain build.")
+    Arg.(value & flag & info [ "instrumented" ] ~doc:"Linearize the fuzzing build with every hook instruction (probe hooks, condition and decision records, branch distances) instead of the plain build.")
   in
   let profile =
     Arg.(value & flag & info [ "profile" ] ~doc:"Execute the optimized bytecode on random inputs and print the dynamic opcode histogram; with $(b,--dump-bytecode), annotate each instruction with its hit count.")

@@ -27,19 +27,20 @@ type result = {
    accurate picture of what fuzzing already covered. *)
 let coverage_bitmap (prog : Ir.program) suite =
   let layout = Layout.of_program prog in
-  let bitmap = Bytes.make (max prog.Ir.n_probes 1) '\000' in
-  let hooks = Hooks.probes_only (fun id -> Bytes.unsafe_set bitmap id '\001') in
-  let compiled = Ir_compile.compile ~hooks prog in
+  (* unoptimized for the reason given in [Minimize.suite] *)
+  let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false prog) in
+  (* the probe buffer is never cleared: its fired bytes accumulate the
+     whole suite's coverage *)
   List.iter
     (fun data ->
-      Ir_compile.reset compiled;
+      Ir_vm.reset vm;
       let n = min (Layout.n_tuples layout data) 4096 in
       for tuple = 0 to n - 1 do
-        Layout.load_tuple layout data ~tuple compiled;
-        Ir_compile.step compiled
+        Layout.load_tuple_vm layout data ~tuple vm;
+        Ir_vm.step vm
       done)
     suite;
-  bitmap
+  Bytes.copy (Ir_vm.probes vm).Ir_vm.p_fired
 
 let run ?(config = default_config) (prog : Ir.program) ~time_budget =
   let fuzz_budget = time_budget *. config.fuzz_fraction in

@@ -9,23 +9,26 @@ type stats = {
 let suite ?(max_tuples = 4096) (prog : Ir.program) cases =
   let layout = Layout.of_program prog in
   let n_probes = max prog.Ir.n_probes 1 in
-  let curr = Bytes.make n_probes '\000' in
-  let hooks = Hooks.probes_only (fun id -> Bytes.unsafe_set curr id '\001') in
-  let compiled = Ir_compile.compile ~hooks prog in
+  (* Unoptimized: a fuzz suite replays in under a millisecond, while
+     the optimizer alone takes 1–13 ms (DESIGN §3 "Code vs
+     instance") *)
+  let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false prog) in
+  let curr = Ir_vm.probes vm in
   let kept_cov = Bytes.make n_probes '\000' in
   let run data =
-    Bytes.fill curr 0 n_probes '\000';
-    Ir_compile.reset compiled;
+    Ir_vm.clear_probes curr;
+    Ir_vm.reset vm;
     let n = min (Layout.n_tuples layout data) max_tuples in
     for tuple = 0 to n - 1 do
-      Layout.load_tuple layout data ~tuple compiled;
-      Ir_compile.step compiled
+      Layout.load_tuple_vm layout data ~tuple vm;
+      Ir_vm.step vm
     done
   in
   let adds_coverage () =
     let fresh = ref false in
-    for i = 0 to n_probes - 1 do
-      if Bytes.unsafe_get curr i <> '\000' && Bytes.unsafe_get kept_cov i = '\000' then begin
+    for k = 0 to curr.Ir_vm.p_n - 1 do
+      let i = curr.Ir_vm.p_dirty.(k) in
+      if Bytes.unsafe_get kept_cov i = '\000' then begin
         Bytes.unsafe_set kept_cov i '\001';
         fresh := true
       end

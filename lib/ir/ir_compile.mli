@@ -37,9 +37,3 @@ val get_output : t -> int -> Value.t
 val get_var : t -> Ir.var -> Value.t
 val read_raw : t -> int -> float
 (** Raw store access by variable id. *)
-
-val compile_distance : float array -> Ir.expr -> unit -> float * float
-(** Compiles a branch condition into a (distance-to-true,
-    distance-to-false) thunk over the given store (Korel-style, K=1).
-    Shared with {!Ir_vm}, whose register file places variables at
-    their [vid] just like the closure store. *)

@@ -64,7 +64,7 @@ let op_probe = 41
 let op_probe_h = 42
 let op_cond = 43
 let op_decision = 44
-let op_branch_h = 45
+let op_branch = 45
 let op_halt = 46
 
 (* Superinstructions 47..57 are never emitted by the linearizer —
@@ -111,13 +111,28 @@ let op_jge_p = 65
 let op_jz_p = 66
 let op_jnz_p = 67
 
-let n_opcodes = 68
+(* branch-distance opcodes 68..74, emitted only under [branch]
+   instrumentation: each computes one side of a comparison's Korel
+   distance (K = 1) into a single register, bit-for-bit the formula
+   Ir_eval.branch_distances uses, so they are pure ALU ops to the
+   optimizer. [gt]/[ge] reuse [lt]/[le] with swapped operands, [ne]
+   swaps [eq]'s two sides, and [min.f] (Float.min, NaN-propagating)
+   combines conjunctions and disjunctions. *)
+let op_dt_eq = 68 (* |a-b| *)
+let op_df_eq = 69 (* 1 if |a-b| = 0 else 0 *)
+let op_dt_lt = 70 (* d = a-b: 0 if d < 0 else d+1 *)
+let op_df_lt = 71 (* d = a-b: -d if d < 0 else 0 *)
+let op_dt_le = 72 (* d = a-b: 0 if d <= 0 else d *)
+let op_df_le = 73 (* d = a-b: -d+1 if d <= 0 else 0 *)
+let op_min_f = 74
+
+let n_opcodes = 75
 
 type instrumentation = {
   probe_hook : bool;  (** emit [op_probe_h] (buffer write + hook call) per probe *)
   cond : bool;  (** emit [op_cond] for [Record_cond] *)
   decision : bool;  (** emit [op_decision] for [Record_decision] *)
-  branch : bool;  (** emit [op_branch_h] before every [If] *)
+  branch : bool;  (** emit distance code + [op_branch] before every [If] *)
 }
 
 let no_instrumentation = { probe_hook = false; cond = false; decision = false; branch = false }
@@ -129,7 +144,7 @@ type t = {
   l_n_regs : int;
   l_const_base : int;
   l_consts : float array;
-  l_ifs : Ir.expr array;  (** cond expr per [If], depth-first; index = branch-hook site *)
+  l_branch_sites : int;  (** [If]s carrying an [op_branch] record: all or none *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -147,7 +162,6 @@ type emitter = {
   mutable n_consts : int;
   mutable cur_temp : int;
   mutable max_temp : int;
-  mutable ifs_rev : Ir.expr list;
   mutable n_ifs : int;
 }
 
@@ -163,7 +177,6 @@ let create_emitter n_vars instrument =
     n_consts = 0;
     cur_temp = 0;
     max_temp = 0;
-    ifs_rev = [];
     n_ifs = 0;
   }
 
@@ -439,6 +452,52 @@ and emit_jmp em =
 
 and patch em at = em.code.(at) <- em.len
 
+(* An [If] condition under branch instrumentation: lowers the
+   condition exactly as [lower_expr] would, and alongside it the
+   registers holding its (distance-to-true, distance-to-false) pair —
+   the rules of Ir_eval.branch_distances. Comparison operands are
+   lowered once and shared by the compare and its distance ops. *)
+and lower_cond em (e : Ir.expr) : int * int * int =
+  (* one register each for the condition and its two distances, in
+     that emission order *)
+  let triple (c_op, c_a, c_b) (t_op, t_a, t_b) (f_op, f_a, f_b) =
+    let rc = emit_2 em c_op c_a c_b in
+    let rt = emit_2 em t_op t_a t_b in
+    let rf = emit_2 em f_op f_a f_b in
+    (rc, rt, rf)
+  in
+  let leaf ~cmp ~dt ~df ~swap a b =
+    let ra = lower_expr em a in
+    let rb = lower_expr em b in
+    let x, y = if swap then (rb, ra) else (ra, rb) in
+    triple (cmp, ra, rb) (dt, x, y) (df, x, y)
+  in
+  match e with
+  | Ir.Binop (Ir.B_and, _, a, b) ->
+    let ca, ta, fa = lower_cond em a in
+    let cb, tb, fb = lower_cond em b in
+    triple (op_and, ca, cb) (op_add_f, ta, tb) (op_min_f, fa, fb)
+  | Ir.Binop (Ir.B_or, _, a, b) ->
+    let ca, ta, fa = lower_cond em a in
+    let cb, tb, fb = lower_cond em b in
+    triple (op_or, ca, cb) (op_min_f, ta, tb) (op_add_f, fa, fb)
+  | Ir.Unop (Ir.U_not, a) ->
+    let c, t, f = lower_cond em a in
+    (emit_1 em op_not c, f, t)
+  | Ir.Binop (Ir.B_eq, _, a, b) -> leaf ~cmp:op_cmp_eq ~dt:op_dt_eq ~df:op_df_eq ~swap:false a b
+  | Ir.Binop (Ir.B_ne, _, a, b) -> leaf ~cmp:op_cmp_ne ~dt:op_df_eq ~df:op_dt_eq ~swap:false a b
+  | Ir.Binop (Ir.B_lt, _, a, b) -> leaf ~cmp:op_cmp_lt ~dt:op_dt_lt ~df:op_df_lt ~swap:false a b
+  | Ir.Binop (Ir.B_le, _, a, b) -> leaf ~cmp:op_cmp_le ~dt:op_dt_le ~df:op_df_le ~swap:false a b
+  | Ir.Binop (Ir.B_gt, _, a, b) -> leaf ~cmp:op_cmp_gt ~dt:op_dt_lt ~df:op_df_lt ~swap:true a b
+  | Ir.Binop (Ir.B_ge, _, a, b) -> leaf ~cmp:op_cmp_ge ~dt:op_dt_le ~df:op_df_le ~swap:true a b
+  | e ->
+    (* opaque boolean: (0, K) when true, (K, 0) when false — with
+       K = 1 that is exactly [not] and [to_bool] of the value *)
+    let r = lower_expr em e in
+    let rt = emit_1 em op_not r in
+    let rf = emit_1 em op_to_bool r in
+    (r, rt, rf)
+
 (* ------------------------------------------------------------------ *)
 (* Statement lowering                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -458,13 +517,18 @@ let rec lower_stmt em (s : Ir.stmt) =
   | Ir.If { cond; dec = _; then_; else_ } ->
     let if_ix = em.n_ifs in
     em.n_ifs <- if_ix + 1;
-    em.ifs_rev <- cond :: em.ifs_rev;
-    let rc = lower_expr em cond in
-    if em.instrument.branch then begin
-      push em op_branch_h;
-      push em if_ix;
-      push_reg em rc
-    end;
+    let rc =
+      if em.instrument.branch then begin
+        let rc, dt, df = lower_cond em cond in
+        push em op_branch;
+        push em if_ix;
+        push_reg em rc;
+        push_reg em dt;
+        push_reg em df;
+        rc
+      end
+      else lower_expr em cond
+    in
     let jz_at = emit_jz em rc in
     List.iter (lower_stmt em) then_;
     let jmp_at = emit_jmp em in
@@ -514,7 +578,7 @@ let linearize ?(instrument = no_instrumentation) (prog : Ir.program) =
     l_n_regs = const_base + em.n_consts;
     l_const_base = const_base;
     l_consts = Array.of_list (List.rev em.consts_rev);
-    l_ifs = Array.of_list (List.rev em.ifs_rev);
+    l_branch_sites = (if instrument.branch then em.n_ifs else 0);
   }
 
 let code_size t = Array.length t.l_init + Array.length t.l_step

@@ -10,12 +10,16 @@
     - probe / condition / decision records become dedicated
       instructions (emitted only when the chosen instrumentation
       needs them, so uninstrumented execution pays nothing);
+    - under [branch] instrumentation every [If] condition is lowered
+      together with its Korel branch distances as register code
+      (pure distance opcodes), closed by one [op_branch] record;
     - dtype-dependent semantics (integer wrap masks, saturation
       bounds, float32 rounding) are baked into operand slots at
       lowering time.
 
-    Semantics are bit-identical to {!Ir_compile} and {!Ir_eval}; the
-    differential test suite enforces this on random programs. *)
+    Semantics are bit-identical to the closure backend and
+    {!Ir_eval}; the differential test suite enforces this on random
+    programs. *)
 
 type instrumentation = {
   probe_hook : bool;
@@ -23,7 +27,9 @@ type instrumentation = {
           write happens either way) *)
   cond : bool;  (** emit [Record_cond] instructions *)
   decision : bool;  (** emit [Record_decision] instructions *)
-  branch : bool;  (** emit a branch-hook instruction before every [If] *)
+  branch : bool;
+      (** lower every [If]'s branch distances and emit an [op_branch]
+          record before its jump *)
 }
 
 val no_instrumentation : instrumentation
@@ -35,10 +41,11 @@ type t = {
   l_n_regs : int;  (** register-file size: vars + temps + consts *)
   l_const_base : int;  (** first constant register *)
   l_consts : float array;  (** pool values, blitted in at reset *)
-  l_ifs : Ir.expr array;
-      (** condition expression of every [If] in depth-first order
-          (init before step, then-arm before else-arm) — the same
-          numbering {!Ir_compile} and {!Ir_eval} report through
+  l_branch_sites : int;
+      (** number of [If]s carrying an [op_branch] record: every [If]
+          under [branch] instrumentation, none otherwise. Sites are
+          numbered depth-first (init before step, then-arm before
+          else-arm) — the numbering {!Ir_eval} reports through
           [Hooks.on_branch] *)
 }
 
@@ -95,7 +102,12 @@ val op_probe : int
 val op_probe_h : int
 val op_cond : int
 val op_decision : int
-val op_branch_h : int
+
+val op_branch : int
+(** Branch record [op_branch, if_ix, cond, dt, df]: the only
+    side-effecting instruction of branch instrumentation. [cond] is
+    the [If]'s condition register, [dt]/[df] its distances. *)
+
 val op_halt : int
 
 (** Superinstructions — emitted only by {!Ir_opt}'s bytecode fusion
@@ -130,6 +142,22 @@ val op_jgt_p : int
 val op_jge_p : int
 val op_jz_p : int
 val op_jnz_p : int
+
+(** Branch-distance opcodes (layout [op, dst, a, b]), emitted only
+    under [branch] instrumentation. Each writes one side of a
+    comparison's distance (K = 1) with the formulas of
+    {!Ir_eval.branch_distances}: [dt_eq] = |a-b|, [df_eq] = 1 when
+    |a-b| = 0 else 0; with d = a-b, [dt_lt] = 0 when d < 0 else d+1,
+    [df_lt] = -d when d < 0 else 0, [dt_le] = 0 when d <= 0 else d,
+    [df_le] = -d+1 when d <= 0 else 0. [min_f] is {!Float.min}. *)
+
+val op_dt_eq : int
+val op_df_eq : int
+val op_dt_lt : int
+val op_df_lt : int
+val op_dt_le : int
+val op_df_le : int
+val op_min_f : int
 
 val n_opcodes : int
 (** One past the highest opcode number. *)

@@ -332,7 +332,7 @@ let shapes : shape array =
   def L.op_probe_h "probe.h" 2 false [] (-1);
   def L.op_cond "cond" 4 false [ 3 ] (-1);
   def L.op_decision "decision" 3 false [] (-1);
-  def L.op_branch_h "branch.h" 3 false [ 2 ] (-1);
+  def L.op_branch "branch" 5 false [ 2; 3; 4 ] (-1);
   def L.op_halt "halt" 1 false [] (-1);
   def L.op_jlt "jlt" 4 false [ 1; 2 ] 3;
   def L.op_jle "jle" 4 false [ 1; 2 ] 3;
@@ -355,6 +355,13 @@ let shapes : shape array =
   def L.op_jge_p "jge.p" 5 false [ 1; 2 ] 4;
   def L.op_jz_p "jz.p" 4 false [ 1 ] 3;
   def L.op_jnz_p "jnz.p" 4 false [ 1 ] 3;
+  def L.op_dt_eq "dt.eq" 4 true [ 2; 3 ] (-1);
+  def L.op_df_eq "df.eq" 4 true [ 2; 3 ] (-1);
+  def L.op_dt_lt "dt.lt" 4 true [ 2; 3 ] (-1);
+  def L.op_df_lt "df.lt" 4 true [ 2; 3 ] (-1);
+  def L.op_dt_le "dt.le" 4 true [ 2; 3 ] (-1);
+  def L.op_df_le "df.le" 4 true [ 2; 3 ] (-1);
+  def L.op_min_f "min.f" 4 true [ 2; 3 ] (-1);
   t
 
 (* --- decoded form ------------------------------------------------- *)
@@ -549,6 +556,21 @@ let eval_pure op (a : int array) (v : int -> float) : float =
   | 57 (* div_f32 *) ->
     let y = v a.(2) in
     Value.normalize_float Dtype.Float32 (if y = 0.0 then 0.0 else v a.(1) /. y)
+  | 68 (* dt_eq *) -> Float.abs (v a.(1) -. v a.(2))
+  | 69 (* df_eq *) -> if Float.abs (v a.(1) -. v a.(2)) = 0.0 then 1.0 else 0.0
+  | 70 (* dt_lt *) ->
+    let d = v a.(1) -. v a.(2) in
+    if d < 0.0 then 0.0 else d +. 1.0
+  | 71 (* df_lt *) ->
+    let d = v a.(1) -. v a.(2) in
+    if d < 0.0 then -.d else 0.0
+  | 72 (* dt_le *) ->
+    let d = v a.(1) -. v a.(2) in
+    if d <= 0.0 then 0.0 else d
+  | 73 (* df_le *) ->
+    let d = v a.(1) -. v a.(2) in
+    if d <= 0.0 then -.d +. 1.0 else 0.0
+  | 74 (* min_f *) -> Float.min (v a.(1)) (v a.(2))
   | _ -> assert false
 
 (* ops whose result is known to be exactly 0.0 or 1.0 *)
@@ -721,14 +743,17 @@ let unreachable_pass insts =
 
 (* --- liveness + dead-write elimination ---------------------------- *)
 
+(* The registers an instruction reads: its register source slots —
+   every read is explicit, branch distances included. *)
+let reads_of b =
+  Array.fold_left (fun acc slot -> b.b_args.(slot - 1) :: acc) [] shapes.(b.b_op).s_srcs
+
 (* Per-instruction backward dataflow over the runtime registers
    (r < const_base; pool registers are read-only and excluded). Roots
-   at HALT are the caller-supplied [roots] bytes. [reads_of] yields
-   the registers an instruction reads, including the branch-hook
-   expressions' hidden variable reads. Returns [live_in] (the driver
-   roots block ends on the step block's entry set) and [live_out] per
-   instruction (for the fusion pass). *)
-let compute_liveness insts ~nbytes ~roots ~reads_of =
+   at HALT are the caller-supplied [roots] bytes. Returns [live_in]
+   (the driver roots block ends on the step block's entry set) and
+   [live_out] per instruction (for the fusion pass). *)
+let compute_liveness insts ~nbytes ~roots =
   let n = Array.length insts in
   let live_in = Array.init n (fun _ -> Bytes.make nbytes '\000') in
   let out = Bytes.create nbytes in
@@ -776,8 +801,8 @@ let compute_liveness insts ~nbytes ~roots ~reads_of =
   done;
   (live_in, live_out)
 
-let dce_pass insts ~nbytes ~roots ~reads_of =
-  let _, live_out = compute_liveness insts ~nbytes ~roots ~reads_of in
+let dce_pass insts ~nbytes ~roots =
+  let _, live_out = compute_liveness insts ~nbytes ~roots in
   let changed = ref false in
   Array.iteri
     (fun i b ->
@@ -870,8 +895,8 @@ let fused_of_arith op =
   else if op = L.op_mul_f then L.op_mul_f32
   else L.op_div_f32
 
-let fuse_pass insts ~nbytes ~roots ~reads_of =
-  let _, live_out = compute_liveness insts ~nbytes ~roots ~reads_of in
+let fuse_pass insts ~nbytes ~roots =
+  let _, live_out = compute_liveness insts ~nbytes ~roots in
   let leaders = compute_leaders insts in
   let changed = ref false in
   let n = Array.length insts in
@@ -1021,24 +1046,14 @@ let optimize_bytecode (lin : L.t) : L.t =
   let prog = lin.L.l_prog in
   let nbytes = max const_base 1 in
   let pool = pool_of lin.L.l_consts in
-  let hook_reads = Array.map (fun e -> expr_reads [] e) lin.L.l_ifs in
-  let reads_of b =
-    let sh = shapes.(b.b_op) in
-    let acc = ref [] in
-    Array.iter (fun slot -> acc := b.b_args.(slot - 1) :: !acc) sh.s_srcs;
-    if b.b_op = L.op_branch_h then acc := hook_reads.(b.b_args.(0)) @ !acc;
-    !acc
-  in
   let init_i = decode lin.L.l_init in
   let step_i = decode lin.L.l_step in
   (* DCE roots at block end: I/O and state variables, plus whatever
      the next step iteration reads before writing — the entry-live set
      of the current step code, taken to a fixpoint since rooting a
-     register can extend liveness back to the entry. Branch-hook
-     distance expressions read registers at dispatch time, which
-     [reads_of] charges to the branch_h instruction, so they need no
-     separate rooting. After both init and step the next thing to run
-     is step, so the same set roots both blocks. *)
+     register can extend liveness back to the entry. After both init
+     and step the next thing to run is step, so the same set roots
+     both blocks. *)
   let base_roots = Bytes.make nbytes '\000' in
   let add_var (v : Ir.var) =
     if v.Ir.vid < nbytes then Bytes.set base_roots v.Ir.vid '\001'
@@ -1049,7 +1064,7 @@ let optimize_bytecode (lin : L.t) : L.t =
   let compute_roots () =
     let roots = Bytes.copy base_roots in
     let rec grow () =
-      let live_in, _ = compute_liveness step_i ~nbytes ~roots ~reads_of in
+      let live_in, _ = compute_liveness step_i ~nbytes ~roots in
       let entry = live_in.(first_live step_i 0) in
       let grew = ref false in
       for k = 0 to nbytes - 1 do
@@ -1067,7 +1082,7 @@ let optimize_bytecode (lin : L.t) : L.t =
     let c1 = span "ir_opt.bc.const_prop" (fun () -> const_prop_pass ~pool ~const_base insts) in
     let c2 = span "ir_opt.bc.copy_prop" (fun () -> copy_prop_pass insts) in
     let c3 = span "ir_opt.bc.unreachable" (fun () -> unreachable_pass insts) in
-    let c4 = span "ir_opt.bc.dce" (fun () -> dce_pass insts ~nbytes ~roots ~reads_of) in
+    let c4 = span "ir_opt.bc.dce" (fun () -> dce_pass insts ~nbytes ~roots) in
     let c5 = span "ir_opt.bc.thread" (fun () -> thread_pass insts) in
     let c6 = span "ir_opt.bc.probe_dedup" (fun () -> probe_dedup_pass insts) in
     c1 || c2 || c3 || c4 || c5 || c6
@@ -1087,8 +1102,8 @@ let optimize_bytecode (lin : L.t) : L.t =
         end
       in
       rounds 8;
-      let fa = span "ir_opt.bc.fuse" (fun () -> fuse_pass init_i ~nbytes ~roots ~reads_of) in
-      let fb = span "ir_opt.bc.fuse" (fun () -> fuse_pass step_i ~nbytes ~roots ~reads_of) in
+      let fa = span "ir_opt.bc.fuse" (fun () -> fuse_pass init_i ~nbytes ~roots) in
+      let fb = span "ir_opt.bc.fuse" (fun () -> fuse_pass step_i ~nbytes ~roots) in
       if fa then ignore (thread_pass init_i);
       if fb then ignore (thread_pass step_i);
       let roots' = compute_roots () in
@@ -1207,7 +1222,7 @@ let dynamic_count (lin : L.t) (rows : float array array) : int =
         regs.(b.b_args.(0)) <- eval_pure op b.b_args (fun r -> regs.(r));
         go (i + 1)
       end
-      else go (i + 1) (* probe / cond / decision / branch hook *)
+      else go (i + 1) (* probe / cond / decision / branch record *)
     in
     go 0
   in
@@ -1295,7 +1310,7 @@ let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
         regs.(b.b_args.(0)) <- eval_pure op b.b_args (fun r -> regs.(r));
         go (i + 1)
       end
-      else go (i + 1) (* probe / cond / decision / branch hook *)
+      else go (i + 1) (* probe / cond / decision / branch record *)
     in
     go 0;
     !dispatched

@@ -49,12 +49,12 @@ val stats : Ir.program -> Ir.program -> string
     + {b copy propagation / move elimination} within basic blocks;
     + {b unreachable-code elimination};
     + {b dead-register-write elimination} — roots are probe / cond /
-      decision / branch-hook instructions (never removed), jumps, and
-      at block end the I/O + state variables plus the entry-live set
-      of the step block (whatever the next iteration reads before
-      writing — exact cross-iteration and init->step dataflow). The
-      hidden variable reads of branch-hook distance expressions are
-      charged to their branch-hook instruction;
+      decision / branch-record instructions (never removed), jumps,
+      and at block end the I/O + state variables plus the entry-live
+      set of the step block (whatever the next iteration reads before
+      writing — exact cross-iteration and init->step dataflow).
+      Branch distances are ordinary pure ops whose results the branch
+      record reads, so they fold, propagate and die like any ALU op;
     + {b jump threading} — branch-to-branch chains are shortcut,
       jumps to the fall-through are elided, jumps to HALT become
       HALT;

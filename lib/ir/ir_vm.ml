@@ -3,7 +3,7 @@ open Cftcg_model
 (* Flat bytecode VM over an unboxed float register file — the third
    execution backend, built for the fuzzing inner loop.
 
-   Versus the closure backend ({!Ir_compile}), each expression node
+   Versus the closure backend, each expression node
    costs one dispatch on an immediate int instead of an indirect call
    returning a boxed float, and probe fires write straight into a
    coverage byte buffer while recording a dirty list — so the fuzzer
@@ -13,6 +13,12 @@ type probes = {
   p_fired : Bytes.t;  (* 0/1 membership per probe cell *)
   p_dirty : int array;  (* cells fired, deduplicated, insertion order *)
   mutable p_n : int;
+}
+
+type branches = {
+  b_reached : Bytes.t;
+  b_min_dt : float array;
+  b_min_df : float array;
 }
 
 (* Compiled code, kept apart from any run state so one (expensive)
@@ -30,7 +36,8 @@ type t = {
   on_probe : int -> unit;
   on_cond : int -> int -> bool -> unit;
   on_decision : int -> int -> unit;
-  branch_hooks : (bool -> unit) array;
+  on_branch : (int -> bool -> float -> float -> unit) option;
+  branches : branches;
 }
 
 let make_probes n = { p_fired = Bytes.make n '\000'; p_dirty = Array.make n 0; p_n = 0 }
@@ -47,36 +54,30 @@ let prepare_with ~instrument ~optimize (prog : Ir.program) : code =
   in
   if optimize then Ir_opt.optimize_bytecode lin else lin
 
-let prepare ?(optimize = true) prog =
-  prepare_with ~instrument:Ir_linearize.no_instrumentation ~optimize prog
+let prepare ?(optimize = true) ?(branches = false) prog =
+  let instrument = { Ir_linearize.no_instrumentation with Ir_linearize.branch = branches } in
+  prepare_with ~instrument ~optimize prog
 
-(* A fresh instance over [lin]: its own registers and probe buffer.
-   Branch hooks close over the instance's registers, so they are built
-   here rather than stored in the code. *)
+(* a fresh instance over [lin]: its own registers, probe buffer and
+   branch minima (empty unless the code records branches) *)
 let instantiate ~(hooks : Hooks.t) (lin : code) =
-  let regs = Array.make (max lin.Ir_linearize.l_n_regs 1) 0.0 in
-  let branch_hooks =
-    match hooks.Hooks.on_branch with
-    | None -> [||]
-    | Some report ->
-      Array.mapi
-        (fun if_ix cond ->
-          let dist = Ir_compile.compile_distance regs cond in
-          fun taken ->
-            let dt, df = dist () in
-            report if_ix taken dt df)
-        lin.Ir_linearize.l_ifs
-  in
+  let n_sites = lin.Ir_linearize.l_branch_sites in
   {
     lin;
-    regs;
+    regs = Array.make (max lin.Ir_linearize.l_n_regs 1) 0.0;
     probes = make_probes (max lin.Ir_linearize.l_prog.Ir.n_probes 1);
     on_probe = (match hooks.Hooks.on_probe with Some f -> f | None -> ignore);
     on_cond =
       (match hooks.Hooks.on_cond with Some f -> f | None -> fun _ _ _ -> ());
     on_decision =
       (match hooks.Hooks.on_decision with Some f -> f | None -> fun _ _ -> ());
-    branch_hooks;
+    on_branch = hooks.Hooks.on_branch;
+    branches =
+      {
+        b_reached = Bytes.make n_sites '\000';
+        b_min_dt = Array.make n_sites Float.infinity;
+        b_min_df = Array.make n_sites Float.infinity;
+      };
   }
 
 let of_code code = instantiate ~hooks:Hooks.none code
@@ -101,7 +102,7 @@ let[@inline] wrap n mask half =
   let m = n land mask in
   if m >= half then m - (mask + 1) else m
 
-(* Opcode numbers match Ir_linearize.op_* (dense 0..67, so the match
+(* Opcode numbers match Ir_linearize.op_* (dense 0..74, so the match
    compiles to a jump table). All register and code accesses are
    unsafe: the linearizer only ever emits in-range indices, and every
    block ends in HALT so dispatch needs no bounds check — each arm
@@ -418,10 +419,25 @@ let exec vm code =
     | 44 (* decision *) ->
       vm.on_decision (Array.unsafe_get code (i + 1)) (Array.unsafe_get code (i + 2));
       go (i + 3)
-    | 45 (* branch hook *) ->
-      (Array.unsafe_get vm.branch_hooks (Array.unsafe_get code (i + 1)))
-        (Array.unsafe_get regs (Array.unsafe_get code (i + 2)) <> 0.0);
-      go (i + 3)
+    | 45 (* branch record: fold this visit's distances into the minima *) ->
+      (* read through [vm], not hoisted beside [regs]/[pb]: [go] is a
+         closure allocated per call, and every captured value costs
+         each call a word *)
+      let br = vm.branches in
+      let ix = Array.unsafe_get code (i + 1) in
+      let dt = Array.unsafe_get regs (Array.unsafe_get code (i + 3)) in
+      let df = Array.unsafe_get regs (Array.unsafe_get code (i + 4)) in
+      Bytes.unsafe_set br.b_reached ix '\001';
+      if dt < Array.unsafe_get br.b_min_dt ix then Array.unsafe_set br.b_min_dt ix dt;
+      if df < Array.unsafe_get br.b_min_df ix then Array.unsafe_set br.b_min_df ix df;
+      (match vm.on_branch with
+      | None -> ()
+      | Some report ->
+        report ix
+          (Array.unsafe_get regs (Array.unsafe_get code (i + 2)) <> 0.0)
+          (Array.unsafe_get regs (Array.unsafe_get code (i + 3)))
+          (Array.unsafe_get regs (Array.unsafe_get code (i + 4))));
+      go (i + 5)
     | 46 (* halt *) -> ()
     (* superinstructions 47..57, emitted only by Ir_opt's fusion pass.
        The compare-and-jump arms take the branch when the comparison
@@ -622,17 +638,81 @@ let exec vm code =
         end;
         go (i + 4)
       end
+    (* branch distances 68..74 (see Ir_linearize): one side of a
+       comparison's Korel distance each, K = 1 *)
+    | 68 (* dt_eq *) ->
+      Array.unsafe_set regs
+        (Array.unsafe_get code (i + 1))
+        (Float.abs
+           (Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+           -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
+      go (i + 4)
+    | 69 (* df_eq *) ->
+      Array.unsafe_set regs
+        (Array.unsafe_get code (i + 1))
+        (if
+           Float.abs
+             (Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+             -. Array.unsafe_get regs (Array.unsafe_get code (i + 3)))
+           = 0.0
+         then 1.0
+         else 0.0);
+      go (i + 4)
+    | 70 (* dt_lt *) ->
+      let d =
+        Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+        -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+      in
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) (if d < 0.0 then 0.0 else d +. 1.0);
+      go (i + 4)
+    | 71 (* df_lt *) ->
+      let d =
+        Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+        -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+      in
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) (if d < 0.0 then -.d else 0.0);
+      go (i + 4)
+    | 72 (* dt_le *) ->
+      let d =
+        Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+        -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+      in
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) (if d <= 0.0 then 0.0 else d);
+      go (i + 4)
+    | 73 (* df_le *) ->
+      let d =
+        Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+        -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+      in
+      Array.unsafe_set regs
+        (Array.unsafe_get code (i + 1))
+        (if d <= 0.0 then -.d +. 1.0 else 0.0);
+      go (i + 4)
+    | 74 (* min_f *) ->
+      Array.unsafe_set regs
+        (Array.unsafe_get code (i + 1))
+        (Float.min
+           (Array.unsafe_get regs (Array.unsafe_get code (i + 2)))
+           (Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
+      go (i + 4)
     | _ -> assert false
   in
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Public interface (mirrors Ir_compile)                               *)
+(* Public interface (mirrors the closure backend)                      *)
 (* ------------------------------------------------------------------ *)
 
 let program vm = vm.lin.Ir_linearize.l_prog
 
 let reset vm =
+  let br = vm.branches in
+  let n_sites = Bytes.length br.b_reached in
+  if n_sites > 0 then begin
+    Bytes.fill br.b_reached 0 n_sites '\000';
+    Array.fill br.b_min_dt 0 n_sites Float.infinity;
+    Array.fill br.b_min_df 0 n_sites Float.infinity
+  end;
   Array.fill vm.regs 0 (Array.length vm.regs) 0.0;
   Array.blit vm.lin.Ir_linearize.l_consts 0 vm.regs vm.lin.Ir_linearize.l_const_base
     (Array.length vm.lin.Ir_linearize.l_consts);
@@ -672,6 +752,8 @@ let fresh_probes vm =
   }
 
 let probe_fired vm id = Bytes.get vm.probes.p_fired id <> '\000'
+
+let branches vm = vm.branches
 
 let code_size vm = Ir_linearize.code_size vm.lin
 

@@ -2,17 +2,19 @@
 
     Runs {!Ir_linearize} bytecode in a tight dispatch loop over an
     unboxed [float array] register file. Compared with the closure
-    backend ({!Ir_compile}), each expression node costs a jump-table
+    backend, each expression node costs a jump-table
     dispatch on an immediate opcode instead of an indirect call, and
     probe fires write directly into a coverage byte buffer while
     appending to a dirty list — so consumers can process only the
     probes that actually fired instead of scanning all [n_probes]
     cells.
 
-    Semantics are identical to {!Ir_eval} and {!Ir_compile}
+    Semantics are identical to {!Ir_eval} and the closure backend
     (differentially tested). Like the closure backend, hooks are
     fixed at compile time: instrumentation that wasn't requested is
-    simply never emitted as bytecode. *)
+    simply never emitted as bytecode. Branch distances are bytecode
+    too: branch-recording code folds every [If] visit's distances
+    into per-instance minima ({!branches}) without allocating. *)
 
 open Cftcg_model
 
@@ -22,6 +24,17 @@ type probes = private {
   p_fired : Bytes.t;  (** ['\001'] at index [id] iff probe [id] fired *)
   p_dirty : int array;  (** fired probe ids, deduplicated, first [p_n] slots *)
   mutable p_n : int;
+}
+
+(** Per-[If] branch-distance minima since the last {!reset}, indexed
+    by [If] site (the [if_ix] of [Hooks.on_branch]). Empty unless the
+    code records branches. *)
+type branches = private {
+  b_reached : Bytes.t;  (** ['\001'] at [if_ix] iff the [If] executed *)
+  b_min_dt : float array;
+      (** least distance-to-then over its visits ([infinity] when
+          unreached; a NaN distance never lowers it) *)
+  b_min_df : float array;  (** least distance-to-else, likewise *)
 }
 
 (** {1 Code and instances}
@@ -42,18 +55,21 @@ type probes = private {
     {!Ir_vm_batch} — may run over one code concurrently. *)
 
 type code = private Ir_linearize.t
-(** Probe-only bytecode (no hook instructions): what the fuzzing
-    loop, the campaign replayer and {!Ir_vm_batch} execute. *)
+(** Bytecode without hook instructions: probe-only for the fuzzing
+    loop, the campaign replayer and {!Ir_vm_batch}; branch-recording
+    for the solver. *)
 
 type t
 
-val prepare : ?optimize:bool -> Ir.program -> code
+val prepare : ?optimize:bool -> ?branches:bool -> Ir.program -> code
 (** Linearizes the program with probe-only instrumentation and, when
     [optimize] (default [true]), runs {!Ir_opt.optimize_bytecode} on
-    it. Observable behaviour — outputs, states, probe sets — is the
-    same either way; with it on, [get_var] / [read_raw] of scratch
-    variables outside the I/O + state + read set may see stale
-    values. *)
+    it. Observable behaviour — outputs, states, probe sets, branch
+    minima — is the same either way; with it on, [get_var] /
+    [read_raw] of scratch variables outside the I/O + state + read
+    set may see stale values. [branches] (default [false]) also
+    lowers every [If]'s branch distances, so instances record
+    {!branches}; such code does not run on {!Ir_vm_batch}. *)
 
 val of_code : code -> t
 (** A fresh instance over [code], with its own register file and
@@ -63,15 +79,17 @@ val compile : ?hooks:Hooks.t -> ?optimize:bool -> Ir.program -> t
 (** [of_code] of a freshly prepared code, for callers that need
     hooks. Instrumentation bytecode is emitted only for the hooks
     that are present ([on_probe] adds a hook call on top of the
-    always-on buffer write); without hooks this is
+    always-on buffer write; [on_branch] is called from the branch
+    record, after the minima update); without hooks this is
     [of_code (prepare ?optimize prog)]. *)
 
 val program : t -> Ir.program
 
 val reset : t -> unit
-(** Zeroes the registers, reloads the constant pool and runs [init].
-    Probes fired by [init] land in the current probe buffer; clear it
-    afterwards if init coverage should be discarded. *)
+(** Zeroes the registers and the branch minima, reloads the constant
+    pool and runs [init]. Probes fired by [init] land in the current
+    probe buffer; clear it afterwards if init coverage should be
+    discarded. Branches recorded by [init] count like any other. *)
 
 val step : t -> unit
 (** One model iteration. *)
@@ -106,6 +124,10 @@ val clear_probes : probes -> unit
 
 val probe_fired : t -> int -> bool
 (** Whether the probe fired since the current buffer was cleared. *)
+
+val branches : t -> branches
+(** This instance's branch minima (live: updated in place by
+    execution, cleared by {!reset}). *)
 
 val code_size : t -> int
 (** Bytecode length (init + step), in int slots. *)

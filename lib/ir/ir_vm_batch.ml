@@ -23,8 +23,9 @@ open Cftcg_model
    copied verbatim (the batched differential suite holds them
    bit-identical), and each lane's probe dirty list records fires in
    that lane's own execution order. Hook-carrying instrumentation
-   (probe_h / cond / decision / branch_h) is not supported: this VM
-   exists for the fuzzing hot path, which compiles without hooks. *)
+   (probe_h / cond / decision) and branch-recording code are not
+   supported: this VM exists for the fuzzing hot path, which compiles
+   without either. *)
 
 module L = Ir_linearize
 
@@ -76,6 +77,7 @@ let clear_probes p =
 let of_code ~k (code : Ir_vm.code) =
   if k < 1 || k > 64 then invalid_arg "Ir_vm_batch: k must be in 1..64";
   let lin = (code :> L.t) in
+  if lin.L.l_branch_sites > 0 then invalid_arg "Ir_vm_batch: branch-recording code";
   let prog = lin.L.l_prog in
   let n_regs = max lin.L.l_n_regs 1 in
   let regs = Array.make (n_regs * k) 0.0 in
@@ -722,8 +724,8 @@ let exec bvm code (divs : int array) (arena : int array) n0 =
         (i + 4)
         (fun l -> Array.unsafe_get regs (r + l) = 0.0)
     | _ ->
-      (* 42..45: hook-carrying instrumentation — this VM compiles
-         without hooks, so these can never appear in its bytecode *)
+      (* 42..45 and 68..74: hook-carrying and branch-recording
+         instrumentation — [of_code] refuses code carrying either *)
       assert false
   (* Conditional branch: [jumps l] says lane [l] takes the jump to
      [target]; the rest fall through to [fall]. Unanimous slices stay

@@ -47,7 +47,9 @@ val of_code : k:int -> Ir_vm.code -> t
     scalar {!Ir_vm} instance runs, so the two backends execute
     identical bytecode and share one optimization. The instance owns
     its lane registers, probe buffers and divergence counters; the
-    code is only read. [k] must be in 1..64. *)
+    code is only read. [k] must be in 1..64, and [code] must not be
+    branch-recording ([Ir_vm.prepare ~branches:true]); both raise
+    [Invalid_argument] otherwise. *)
 
 val compile : ?optimize:bool -> k:int -> Ir.program -> t
 (** [of_code ~k (Ir_vm.prepare ?optimize prog)]. *)

@@ -17,6 +17,11 @@ type json =
 
 exception Parse_error of string
 
+(* Arrays and objects nest at most this deep. The parser recurses once
+   per level and bodies may be 16 MiB, so without a bound a body of
+   brackets alone would exhaust the stack. *)
+let max_depth = 64
+
 let num_str f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
@@ -158,7 +163,7 @@ let of_string s =
     | Some f -> Num f
     | None -> fail "bad number"
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -166,6 +171,8 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
+    | Some ('[' | '{') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -174,11 +181,11 @@ let of_string s =
         Arr []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
@@ -197,7 +204,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -212,7 +219,7 @@ let of_string s =
       end
     | Some _ -> parse_number ()
   in
-  let v = parse_value () in
+  let v = parse_value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
   v

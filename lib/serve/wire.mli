@@ -25,8 +25,14 @@ val to_string : json -> string
 (** Compact (single-line) encoding; integral floats print without a
     decimal point, so OCaml [int]s survive a round trip. *)
 
+val max_depth : int
+(** Deepest array/object nesting {!of_string} accepts (64). *)
+
 val of_string : string -> json
-(** Raises {!Parse_error} on malformed input or trailing garbage. *)
+(** Raises {!Parse_error} on malformed input, trailing garbage, or
+    arrays/objects nested deeper than {!max_depth} — the parser
+    recurses per level, so the bound keeps any accepted body within a
+    fixed stack. *)
 
 val member : string -> json -> json option
 

@@ -2,7 +2,7 @@ open Cftcg_ir
 
 type chain = (int * bool) list
 
-let analyze (p : Ir.program) =
+let probe_chains (p : Ir.program) =
   let chains = Array.make p.Ir.n_probes [] in
   let counter = ref 0 in
   let rec go prefix stmts =
@@ -20,8 +20,4 @@ let analyze (p : Ir.program) =
   in
   go [] p.Ir.init;
   go [] p.Ir.step;
-  (chains, !counter)
-
-let probe_chains p = fst (analyze p)
-
-let n_ifs p = snd (analyze p)
+  chains

@@ -3,9 +3,9 @@
     For the constraint-driven generator ({!Symexec}) each coverage
     probe is a {e target}: the chain of [If] branches that dominate
     it. Chains are expressed over the same depth-first [If] numbering
-    that {!Cftcg_ir.Ir_compile} and {!Cftcg_ir.Ir_eval} report
-    through [Hooks.on_branch] ([init] traversed before [step],
-    then-arm before else-arm). *)
+    that every backend reports through [Hooks.on_branch] and that
+    indexes {!Cftcg_ir.Ir_vm.branches} ([init] traversed before
+    [step], then-arm before else-arm). *)
 
 open Cftcg_ir
 
@@ -16,7 +16,3 @@ type chain = (int * bool) list
 val probe_chains : Ir.program -> chain array
 (** [probe_chains p] indexed by probe id. A probe that never appears
     in the program body gets an empty chain. *)
-
-val n_ifs : Ir.program -> int
-(** Total number of [If] statements, i.e. the exclusive upper bound
-    of [if_ix]. *)

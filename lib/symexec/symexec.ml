@@ -28,15 +28,6 @@ type result = {
   probes_covered : int;
 }
 
-(* Branch observation for one executed input: per If statement, the
-   minimum distance-to-then / distance-to-else over every iteration
-   in which it executed. *)
-type branch_obs = {
-  mutable reached : bool;
-  mutable min_dt : float;
-  mutable min_df : float;
-}
-
 let big = 1.0e15
 
 (* Approach level + raw branch distance (Wegener et al.). The distance
@@ -44,8 +35,10 @@ let big = 1.0e15
    a unit improvement on a distance of 1e9 smaller than double
    precision, which silently kills the descent on wide integer
    constraints. [big] dominates any achievable distance, so approach
-   levels still order first. *)
-let fitness chains target obs probe_hit =
+   levels still order first. [br] is the executed input's branch
+   observation: per If, the minimum distance-to-then / distance-to-else
+   over every iteration in which it executed. *)
+let fitness chains target (br : Ir_vm.branches) probe_hit =
   if probe_hit then 0.0
   else begin
     let chain = chains.(target) in
@@ -56,12 +49,11 @@ let fitness chains target obs probe_hit =
            probes behind Record semantics): treat as nearly solved *)
         0.5
       | (if_ix, want_then) :: rest ->
-        let o = obs.(if_ix) in
-        if not o.reached then
+        if Bytes.get br.Ir_vm.b_reached if_ix = '\000' then
           (* approach level: how many chain levels remain *)
           float_of_int (depth_total - depth) *. big
         else begin
-          let d = if want_then then o.min_dt else o.min_df in
+          let d = if want_then then br.Ir_vm.b_min_dt.(if_ix) else br.Ir_vm.b_min_df.(if_ix) in
           if d <= 0.0 then walk (depth + 1) rest
           else (float_of_int (depth_total - depth - 1) *. big) +. Float.min d (0.5 *. big)
         end
@@ -74,9 +66,7 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
   if layout.Layout.tuple_len = 0 then invalid_arg "Symexec.run: model has no inports";
   let rng = Rng.create config.seed in
   let chains = Guards.probe_chains prog in
-  let n_ifs = Guards.n_ifs prog in
   let n_probes = max prog.Ir.n_probes 1 in
-  let exec_cov = Bytes.make n_probes '\000' in
   let g_total = Bytes.make n_probes '\000' in
   (match initial_coverage with
   | Some bitmap ->
@@ -84,22 +74,15 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
       if Bytes.get bitmap i <> '\000' then Bytes.set g_total i '\001'
     done
   | None -> ());
-  let obs = Array.init n_ifs (fun _ -> { reached = false; min_dt = big; min_df = big }) in
-  let hooks =
-    {
-      Hooks.on_probe = Some (fun id -> Bytes.unsafe_set exec_cov id '\001');
-      on_cond = None;
-      on_decision = None;
-      on_branch =
-        Some
-          (fun if_ix _taken dt df ->
-            let o = obs.(if_ix) in
-            o.reached <- true;
-            if dt < o.min_dt then o.min_dt <- dt;
-            if df < o.min_df then o.min_df <- df);
-    }
-  in
-  let compiled = Ir_compile.compile ~hooks prog in
+  (* Branch-recording bytecode: the VM folds every If visit's
+     distances into its minima, so an execution allocates nothing for
+     them. Unoptimized: the optimizer repays itself only after ~5k–30k
+     solver executions, about a whole campaign phase, and traced
+     hybrid campaigns read the same solver time with it on or off
+     (measured in DESIGN §3 "Code vs instance"). *)
+  let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false ~branches:true prog) in
+  let br = Ir_vm.branches vm in
+  let cov = Ir_vm.probes vm in
   let executions = ref 0 in
   (* Exec-budget runs pace themselves on the execution counter — a
      virtual clock — and never read the wall clock, so same-seed runs
@@ -124,11 +107,13 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
   in
   let suite = ref [] in
   let record_new_coverage data =
-    (* fold this execution's probes into the global set; emit a test
-       case when anything new appeared *)
+    (* fold this execution's probes (its dirty list, init included)
+       into the global set; emit a test case when anything new
+       appeared *)
     let fresh = ref false in
-    for i = 0 to n_probes - 1 do
-      if Bytes.unsafe_get exec_cov i <> '\000' && Bytes.unsafe_get g_total i = '\000' then begin
+    for k = 0 to cov.Ir_vm.p_n - 1 do
+      let i = cov.Ir_vm.p_dirty.(k) in
+      if Bytes.unsafe_get g_total i = '\000' then begin
         Bytes.unsafe_set g_total i '\001';
         fresh := true
       end
@@ -138,21 +123,15 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
   (* Execute [data]; returns whether [target] was hit this run. *)
   let execute data target =
     incr executions;
-    Bytes.fill exec_cov 0 n_probes '\000';
-    Array.iter
-      (fun o ->
-        o.reached <- false;
-        o.min_dt <- big;
-        o.min_df <- big)
-      obs;
-    Ir_compile.reset compiled;
+    Ir_vm.clear_probes cov;
+    Ir_vm.reset vm;
     let n = Layout.n_tuples layout data in
     for tuple = 0 to n - 1 do
-      Layout.load_tuple layout data ~tuple compiled;
-      Ir_compile.step compiled
+      Layout.load_tuple_vm layout data ~tuple vm;
+      Ir_vm.step vm
     done;
     record_new_coverage data;
-    Bytes.unsafe_get exec_cov target <> '\000'
+    Ir_vm.probe_fired vm target
   in
   let n_fields = Array.length layout.Layout.fields in
   (* candidate = matrix of field values, encoded through the layout *)
@@ -188,7 +167,7 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
   let eval_candidate matrix target =
     let data = encode matrix in
     let hit = execute data target in
-    fitness chains target obs hit
+    fitness chains target br hit
   in
   (* Alternating-variable search for one target at one unrolling bound. *)
   let solve_target target bound =

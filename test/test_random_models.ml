@@ -96,7 +96,8 @@ let test_guard_chains_well_formed () =
   for _ = 1 to 60 do
     let prog = Codegen.lower (Model_gen.generate rng) in
     let chains = Cftcg_symexec.Guards.probe_chains prog in
-    let n_ifs = Cftcg_symexec.Guards.n_ifs prog in
+    let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false ~branches:true prog) in
+    let n_ifs = Bytes.length (Ir_vm.branches vm).Ir_vm.b_reached in
     Array.iter
       (fun chain ->
         List.iter

@@ -76,6 +76,30 @@ let test_json_errors () =
   | exception Wire.Parse_error msg ->
     Alcotest.(check bool) "names field" true (String.length msg > 0))
 
+(* nesting is bounded: max_depth levels parse, one more is a typed
+   error, and a megabyte of open brackets fails at the bound instead
+   of recursing through the whole body *)
+let test_json_depth_bound () =
+  let nest d opener closer = String.make d opener ^ String.make d closer in
+  let objects d =
+    String.concat "" (List.init d (fun _ -> "{\"a\":")) ^ "1" ^ String.make d '}'
+  in
+  List.iter
+    (fun (what, at_bound, past_bound) ->
+      (match Wire.of_string at_bound with
+      | _ -> ()
+      | exception Wire.Parse_error msg -> Alcotest.failf "%s at the bound refused: %s" what msg);
+      match Wire.of_string past_bound with
+      | _ -> Alcotest.failf "%s past the bound accepted" what
+      | exception Wire.Parse_error _ -> ())
+    [ ("arrays", nest Wire.max_depth '[' ']', nest (Wire.max_depth + 1) '[' ']');
+      ("objects", objects Wire.max_depth, objects (Wire.max_depth + 1)) ];
+  match Wire.of_string (String.make (1 lsl 20) '[') with
+  | _ -> Alcotest.fail "1 MiB of brackets accepted"
+  | exception Wire.Parse_error msg ->
+    Alcotest.(check bool) ("names the bound: " ^ msg) true
+      (String.length msg >= 7 && String.sub msg 0 7 = "nesting")
+
 let test_json_qcheck =
   let open QCheck in
   (* integral numbers only: float text round-trips are a known
@@ -515,6 +539,22 @@ let test_http_end_to_end () =
   Alcotest.(check bool) "per-job series retired" false
     (has ("cftcg_serve_job_executions{job=\"" ^ id ^ "\"}") metrics)
 
+let test_http_deep_nesting_refused () =
+  with_daemon @@ fun addr ->
+  let t0 = Unix.gettimeofday () in
+  let status, body =
+    request addr ~meth:"POST" ~path:"/campaigns" ~body:(String.make (1 lsl 20) '[') ()
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "1 MiB of nested brackets is a 400" 400 status;
+  let reason = Wire.get_string "error" (Wire.of_string body) in
+  Alcotest.(check bool) ("the reply names the nesting bound: " ^ reason) true
+    (String.length reason >= 7 && String.sub reason 0 7 = "nesting");
+  Alcotest.(check bool) (Printf.sprintf "answered quickly (%.2f s)" elapsed) true (elapsed < 5.0);
+  (* the daemon is still serving *)
+  let status, _ = request addr ~meth:"GET" ~path:"/healthz" () in
+  Alcotest.(check int) "still healthy" 200 status
+
 let test_http_shared_corpus () =
   (* two campaigns naming the same corpus directory share one sharded
      store handle; the result must pass fsck with zero findings *)
@@ -688,6 +728,7 @@ let suites =
       [
         Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "json errors" `Quick test_json_errors;
+        Alcotest.test_case "json nesting depth bounded" `Quick test_json_depth_bound;
         test_json_qcheck;
         Alcotest.test_case "addr parse" `Quick test_addr_parse;
         Alcotest.test_case "request framing" `Quick test_request_framing;
@@ -709,6 +750,7 @@ let suites =
     ( "serve.http",
       [
         Alcotest.test_case "end to end" `Slow test_http_end_to_end;
+        Alcotest.test_case "deeply nested body refused" `Slow test_http_deep_nesting_refused;
         Alcotest.test_case "shared sharded corpus" `Slow test_http_shared_corpus;
         Alcotest.test_case "debug endpoints + correlation" `Slow
           test_http_debug_and_correlation;

@@ -189,6 +189,13 @@ let test_mismatched_code_rejected () =
   | _ -> Alcotest.fail "code prepared from another program must be rejected"
   | exception Invalid_argument _ -> ()
 
+(* the batched VM has no branch-record or distance arms *)
+let test_branch_code_not_batched () =
+  let code = Ir_vm.prepare ~optimize:false ~branches:true (bench_prog "TCP") in
+  match Ir_vm_batch.of_code ~k:4 code with
+  | _ -> Alcotest.fail "branch-recording code must be refused by the batched VM"
+  | exception Invalid_argument _ -> ()
+
 let suites =
   [ ( "fuzz.shared_code",
       [ Alcotest.test_case "Fuzzer.run optimizes once" `Quick test_fuzzer_run_optimizes_once;
@@ -196,5 +203,6 @@ let suites =
         Alcotest.test_case "two domains, one code: runs" `Slow test_shared_code_fuzzer_parity;
         Alcotest.test_case "two domains, one code: executors" `Quick
           test_shared_code_executor_parity;
-        Alcotest.test_case "mismatched code rejected" `Quick test_mismatched_code_rejected ] )
+        Alcotest.test_case "mismatched code rejected" `Quick test_mismatched_code_rejected;
+        Alcotest.test_case "branch code not batched" `Quick test_branch_code_not_batched ] )
   ]

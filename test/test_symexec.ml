@@ -39,7 +39,9 @@ let test_guard_chain_polarity () =
 
 let test_n_ifs_positive () =
   let prog = Codegen.lower (Fixtures.arith_model ()) in
-  Alcotest.(check bool) "has ifs" true (Guards.n_ifs prog > 0)
+  let open Cftcg_ir in
+  let vm = Ir_vm.of_code (Ir_vm.prepare ~branches:true prog) in
+  Alcotest.(check bool) "has ifs" true (Bytes.length (Ir_vm.branches vm).Ir_vm.b_reached > 0)
 
 let test_solver_covers_combinational_model () =
   (* the arith fixture is shallow: the solver should clear it fast *)

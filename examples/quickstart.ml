@@ -40,7 +40,8 @@ let () =
   Printf.printf "Instrumented program: %d branch cells, %d decisions\n"
     gen.Cftcg.Pipeline.program.Cftcg_ir.Ir.n_probes
     (Array.length gen.Cftcg.Pipeline.program.Cftcg_ir.Ir.decisions);
-  Printf.printf "\n--- generated fuzz driver (C) ---\n%s\n" gen.Cftcg.Pipeline.fuzz_driver_c;
+  Printf.printf "\n--- generated fuzz driver (C) ---\n%s\n"
+    (Cftcg_ir.Cemit.emit_fuzz_driver gen.Cftcg.Pipeline.program);
 
   (* 2. Model-oriented fuzzing loop. Runs on the bytecode VM backend
      (the default); [Fuzzer.Closures] selects the closure-compiler

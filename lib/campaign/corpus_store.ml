@@ -30,6 +30,8 @@ type t = {
   ix_mutex : Mutex.t;
   shard_mutexes : Mutex.t array;
   dirty : bool array;  (* shard manifests needing a save *)
+  mutable snapshots : int;  (* shard snapshots taken by [save_manifest], under [ix_mutex] *)
+  written : int array;  (* snapshot number of each shard manifest on disk, under its shard mutex *)
   mutable salvaged : string list;  (* quarantine actions, newest first *)
 }
 
@@ -329,6 +331,8 @@ let open_ ?(on_salvage = fun _ -> ()) dir =
       ix_mutex = Mutex.create ();
       shard_mutexes = Array.init n_shards (fun _ -> Mutex.create ());
       dirty = Array.make n_shards false;
+      snapshots = 0;
+      written = Array.make n_shards 0;
       salvaged = [];
     }
   in
@@ -454,9 +458,13 @@ let save_manifest t m =
   (* snapshot the dirty shards and their entry lists under the index
      mutex, then persist each shard manifest under its own shard
      mutex — two stores sharing a directory (or two campaigns sharing
-     a handle) only contend when they touched the same shard *)
-  let dirty_shards =
+     a handle) only contend when they touched the same shard. Two
+     saves sharing a handle can reach a shard's mutex in either order;
+     the later snapshot is a superset of the earlier one, so an older
+     snapshot never overwrites a newer one on disk. *)
+  let snapshot, dirty_shards =
     locked t.ix_mutex (fun () ->
+        t.snapshots <- t.snapshots + 1;
         let per_shard = Array.make n_shards [] in
         Hashtbl.iter
           (fun fp metric ->
@@ -470,7 +478,7 @@ let save_manifest t m =
             snap := (ix, List.sort compare per_shard.(ix)) :: !snap
           end
         done;
-        !snap)
+        (t.snapshots, !snap))
   in
   let persist_shard (ix, entries) =
     let buf = Buffer.create 256 in
@@ -479,9 +487,12 @@ let save_manifest t m =
     List.iter (fun (fp, metric) -> Printf.bprintf buf "entry %s %d\n" fp metric) entries;
     try
       locked t.shard_mutexes.(ix) (fun () ->
-          mkdir_p (shard_dir t ix);
-          with_retries (fun () ->
-              write_atomic ~path:(shard_manifest_path t ix) (Buffer.contents buf)))
+          if snapshot > t.written.(ix) then begin
+            mkdir_p (shard_dir t ix);
+            with_retries (fun () ->
+                write_atomic ~path:(shard_manifest_path t ix) (Buffer.contents buf));
+            t.written.(ix) <- snapshot
+          end)
     with e ->
       (* keep the shard dirty so the next save retries it *)
       locked t.ix_mutex (fun () -> t.dirty.(ix) <- true);
@@ -534,6 +545,8 @@ let fsck ?(on_salvage = fun _ -> ()) dir =
       ix_mutex = Mutex.create ();
       shard_mutexes = Array.init n_shards (fun _ -> Mutex.create ());
       dirty = Array.make n_shards false;
+      snapshots = 0;
+      written = Array.make n_shards 0;
       salvaged = [];
     }
   in

@@ -8,8 +8,6 @@ module Tools = Cftcg_baselines.Tools
 type generated = {
   program : Ir.program;
   layout : Layout.t;
-  fuzz_code_c : string;
-  fuzz_driver_c : string;
 }
 
 let span = Cftcg_obs.Trace.with_span
@@ -18,12 +16,7 @@ let generate ?(mode = Codegen.Full) ?(optimize = true) m =
   span "pipeline.generate" @@ fun () ->
   let program = Codegen.lower ~mode m in
   let program = if optimize then Ir_opt.optimize program else program in
-  {
-    program;
-    layout = Layout.of_program program;
-    fuzz_code_c = span "pipeline.cemit" (fun () -> Cemit.emit_program program);
-    fuzz_driver_c = Cemit.emit_fuzz_driver program;
-  }
+  { program; layout = Layout.of_program program }
 
 type campaign = {
   gen : generated;

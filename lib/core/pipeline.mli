@@ -14,14 +14,15 @@ module Recorder = Cftcg_coverage.Recorder
 type generated = {
   program : Ir.program;  (** instrumented, scheduled, lowered *)
   layout : Cftcg_fuzz.Layout.t;  (** fuzz driver field layout *)
-  fuzz_code_c : string;  (** the C fuzz code (instrumented step) *)
-  fuzz_driver_c : string;  (** the C [LLVMFuzzerTestOneInput] *)
 }
 
 val generate : ?mode:Codegen.mode -> ?optimize:bool -> Graph.t -> generated
 (** Fuzzing Code Generation: parse/validate, schedule, instrument,
     synthesize. [optimize] (default [true]) runs the IR optimizer —
-    the "Maximize Execution Speed" objective. *)
+    the "Maximize Execution Speed" objective. The C fuzz code and
+    driver are not built here: {!Cftcg_ir.Cemit.emit_program} and
+    {!Cftcg_ir.Cemit.emit_fuzz_driver} emit them from [program] on
+    demand. *)
 
 type campaign = {
   gen : generated;

@@ -9,9 +9,9 @@ type stats = {
 let suite ?(max_tuples = 4096) (prog : Ir.program) cases =
   let layout = Layout.of_program prog in
   let n_probes = max prog.Ir.n_probes 1 in
-  (* Unoptimized: a fuzz suite replays in under a millisecond, while
-     the optimizer alone takes 1–13 ms (DESIGN §3 "Code vs
-     instance") *)
+  (* Unoptimized: a fuzz suite replays in well under a millisecond,
+     less than the optimizer alone takes (0.2–1.7 ms, DESIGN §3 "Code
+     vs instance") *)
   let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false prog) in
   let curr = Ir_vm.probes vm in
   let kept_cov = Bytes.make n_probes '\000' in

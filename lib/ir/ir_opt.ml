@@ -377,14 +377,12 @@ let decode code =
   let len = Array.length code in
   let rec count i n = if i >= len then n else count (i + shapes.(code.(i)).s_size) (n + 1) in
   let n = count 0 0 in
-  let insts =
-    Array.init n (fun _ -> { b_op = L.op_halt; b_args = [||]; b_target = -1; b_dead = false })
-  in
-  let pc2ix = Hashtbl.create (2 * n) in
+  let insts = Array.make n { b_op = L.op_halt; b_args = [||]; b_target = -1; b_dead = false } in
+  let pc2ix = Array.make (max len 1) (-1) in
   let i = ref 0 and k = ref 0 in
   while !i < len do
     let sh = shapes.(code.(!i)) in
-    Hashtbl.replace pc2ix !i !k;
+    pc2ix.(!i) <- !k;
     insts.(!k) <-
       { b_op = code.(!i); b_args = Array.sub code (!i + 1) (sh.s_size - 1); b_target = -1; b_dead = false };
     i := !i + sh.s_size;
@@ -393,7 +391,7 @@ let decode code =
   Array.iter
     (fun b ->
       let sh = shapes.(b.b_op) in
-      if sh.s_target >= 0 then b.b_target <- Hashtbl.find pc2ix b.b_args.(sh.s_target - 1))
+      if sh.s_target >= 0 then b.b_target <- pc2ix.(b.b_args.(sh.s_target - 1)))
     insts;
   insts
 
@@ -581,6 +579,13 @@ let produces_bool op =
 
 (* --- pass: constant folding + propagation ------------------------- *)
 
+(* The straight-line passes (this one, copy propagation, probe dedup)
+   learn facts per register or per probe id and forget them all at
+   every leader. Each fact sits in a flat array next to the number of
+   the region it was learned in and holds only while that number is
+   the current region's, so forgetting everything is one counter
+   increment. *)
+
 (* Straight-line within basic blocks: per-register known values (and
    known-boolean facts) are tracked from each leader. Fully-known pure
    ops become MOVs from a (possibly new) pool register; selects and
@@ -588,83 +593,78 @@ let produces_bool op =
    bounds (f2i_sat's lo/hi) are register operands from the pool, so
    they participate as ordinary known values — folding goes through
    the same clamp the VM would apply rather than a naive conversion. *)
-let const_prop_pass ~pool ~const_base insts =
+let const_prop_pass ~pool ~const_base ~leaders insts =
   let changed = ref false in
-  let leaders = compute_leaders insts in
-  let known : (int, float) Hashtbl.t = Hashtbl.create 32 in
-  let boolv : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let getv r =
-    if r >= const_base then Some (pool_get pool (r - const_base)) else Hashtbl.find_opt known r
-  in
+  (* runtime register r holds [known_v.(r)] while [known_at.(r)] is
+     the current region, and is known to be 0.0 or 1.0 while
+     [bool_at.(r)] is; pool registers are always known *)
+  let known_v = Array.make const_base 0.0 in
+  let known_at = Array.make const_base (-1) in
+  let bool_at = Array.make const_base (-1) in
+  let region = ref 0 in
+  let known r = r >= const_base || known_at.(r) = !region in
+  let value r = if r >= const_base then pool_get pool (r - const_base) else known_v.(r) in
   let is_bool r =
-    Hashtbl.mem boolv r
-    || match getv r with Some f -> f = 0.0 || f = 1.0 | None -> false
+    (r < const_base && bool_at.(r) = !region)
+    || (known r
+       &&
+       let f = value r in
+       f = 0.0 || f = 1.0)
   in
   let n = Array.length insts in
   for i = 0 to n - 1 do
-    if leaders.(i) then begin
-      Hashtbl.reset known;
-      Hashtbl.reset boolv
-    end;
+    if leaders.(i) then incr region;
     let b = insts.(i) in
     if not b.b_dead then begin
       let sh = shapes.(b.b_op) in
       if sh.s_dst then begin
         let dst = b.b_args.(0) in
-        let all_known =
-          Array.for_all (fun slot -> getv b.b_args.(slot - 1) <> None) sh.s_srcs
-        in
+        let all_known = Array.for_all (fun slot -> known b.b_args.(slot - 1)) sh.s_srcs in
         (* target-bearing writes (mov.jmp) transfer control: folding
            them to a plain MOV would drop the jump *)
         if all_known && sh.s_target < 0 then begin
-          let value =
-            eval_pure b.b_op b.b_args (fun r ->
-                match getv r with Some f -> f | None -> assert false)
-          in
+          let v = eval_pure b.b_op b.b_args value in
           (if b.b_op = L.op_mov && b.b_args.(1) >= const_base then ()
            else begin
-             let creg = const_base + pool_find pool value in
+             let creg = const_base + pool_find pool v in
              b.b_op <- L.op_mov;
              b.b_args <- [| dst; creg |];
              changed := true
            end);
-          Hashtbl.replace known dst value;
-          Hashtbl.remove boolv dst
+          known_v.(dst) <- v;
+          known_at.(dst) <- !region;
+          bool_at.(dst) <- -1
         end
         else begin
           (* partial knowledge: resolve selects with a known condition,
              collapse to_bool of an already-boolean source *)
           (if b.b_op = L.op_select then begin
-             match getv b.b_args.(1) with
-             | Some c ->
-               let src = if c <> 0.0 then b.b_args.(2) else b.b_args.(3) in
+             if known b.b_args.(1) then begin
+               let src = if value b.b_args.(1) <> 0.0 then b.b_args.(2) else b.b_args.(3) in
                b.b_op <- L.op_mov;
                b.b_args <- [| dst; src |];
                changed := true
-             | None -> ()
+             end
            end
            else if b.b_op = L.op_to_bool && is_bool b.b_args.(1) then begin
              b.b_op <- L.op_mov;
              b.b_args <- [| dst; b.b_args.(1) |];
              changed := true
            end);
-          Hashtbl.remove known dst;
-          if produces_bool b.b_op || (b.b_op = L.op_mov && is_bool b.b_args.(1)) then
-            Hashtbl.replace boolv dst ()
-          else Hashtbl.remove boolv dst
+          known_at.(dst) <- -1;
+          bool_at.(dst) <-
+            (if produces_bool b.b_op || (b.b_op = L.op_mov && is_bool b.b_args.(1)) then !region
+             else -1)
         end
       end
-      else if b.b_op = L.op_jz then begin
-        match getv b.b_args.(0) with
-        | Some c ->
-          if c = 0.0 then begin
-            (* always taken *)
-            b.b_op <- L.op_jmp;
-            b.b_args <- [| 0 |]
-          end
-          else b.b_dead <- true (* never taken *);
-          changed := true
-        | None -> ()
+      else if b.b_op = L.op_jz && known b.b_args.(0) then begin
+        if value b.b_args.(0) = 0.0 then begin
+          (* always taken *)
+          b.b_op <- L.op_jmp;
+          b.b_args <- [| 0 |]
+        end
+        else b.b_dead <- true (* never taken *);
+        changed := true
       end
     end
   done;
@@ -672,16 +672,23 @@ let const_prop_pass ~pool ~const_base insts =
 
 (* --- pass: copy propagation + move elimination -------------------- *)
 
-let copy_prop_pass insts =
+let copy_prop_pass ~const_base ~leaders insts =
   let changed = ref false in
-  let leaders = compute_leaders insts in
-  (* dst -> root source register currently holding the same value;
-     stored roots are themselves unmapped, so one lookup resolves *)
-  let copy : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let resolve r = match Hashtbl.find_opt copy r with Some s -> s | None -> r in
+  (* runtime register d holds the same value as root register
+     [copy_src.(d)] while [copy_at.(d)] is the current region; stored
+     roots are themselves unmapped, so one lookup resolves.
+     [holders.(s)] lists the registers mapped to s in its region
+     (entries may since have been remapped), so a write to s drops
+     exactly its copies without scanning the whole map. *)
+  let copy_src = Array.make const_base 0 in
+  let copy_at = Array.make const_base (-1) in
+  let holders = Array.make const_base [] in
+  let holders_at = Array.make const_base (-1) in
+  let region = ref 0 in
+  let resolve r = if r < const_base && copy_at.(r) = !region then copy_src.(r) else r in
   let n = Array.length insts in
   for i = 0 to n - 1 do
-    if leaders.(i) then Hashtbl.reset copy;
+    if leaders.(i) then incr region;
     let b = insts.(i) in
     if not b.b_dead then begin
       let sh = shapes.(b.b_op) in
@@ -697,38 +704,70 @@ let copy_prop_pass insts =
         sh.s_srcs;
       if sh.s_dst then begin
         let dst = b.b_args.(0) in
-        Hashtbl.remove copy dst;
-        let stale = Hashtbl.fold (fun d s acc -> if s = dst then d :: acc else acc) copy [] in
-        List.iter (Hashtbl.remove copy) stale;
+        copy_at.(dst) <- -1;
+        if holders_at.(dst) = !region then begin
+          List.iter
+            (fun d -> if copy_at.(d) = !region && copy_src.(d) = dst then copy_at.(d) <- -1)
+            holders.(dst);
+          holders.(dst) <- []
+        end;
         if b.b_op = L.op_mov then begin
           let src = b.b_args.(1) in
           if src = dst then begin
             b.b_dead <- true;
             changed := true
           end
-          else Hashtbl.replace copy dst src
+          else begin
+            copy_src.(dst) <- src;
+            copy_at.(dst) <- !region;
+            if src < const_base then
+              if holders_at.(src) = !region then holders.(src) <- dst :: holders.(src)
+              else begin
+                holders.(src) <- [ dst ];
+                holders_at.(src) <- !region
+              end
+          end
         end
       end
     end
   done;
   !changed
 
-(* --- pass: unreachable-code elimination --------------------------- *)
+(* --- control flow ------------------------------------------------- *)
 
-let successors insts i =
-  let b = insts.(i) in
-  if b.b_op = L.op_halt then []
-  else if is_uncond_jump b.b_op then [ first_live insts b.b_target ]
-  else if is_cond_jump b.b_op then [ first_live insts b.b_target; next_live insts i ]
-  else [ next_live insts i ]
+(* [succ.(2i)] and [succ.(2i + 1)] are the live successors of live
+   instruction i, or -1: a HALT has none, an unconditional jump only
+   the first. *)
+let successor_table insts =
+  let n = Array.length insts in
+  (* live.(j): the first live instruction at or after j *)
+  let live = Array.make (n + 1) n in
+  for j = n - 1 downto 0 do
+    live.(j) <- (if insts.(j).b_dead then live.(j + 1) else j)
+  done;
+  let succ = Array.make (2 * n) (-1) in
+  Array.iteri
+    (fun i b ->
+      if (not b.b_dead) && b.b_op <> L.op_halt then
+        if is_uncond_jump b.b_op then succ.(2 * i) <- live.(b.b_target)
+        else begin
+          succ.(2 * i) <- (if is_cond_jump b.b_op then live.(b.b_target) else live.(i + 1));
+          if is_cond_jump b.b_op then succ.((2 * i) + 1) <- live.(i + 1)
+        end)
+    insts;
+  succ
+
+(* --- pass: unreachable-code elimination --------------------------- *)
 
 let unreachable_pass insts =
   let n = Array.length insts in
+  let succ = successor_table insts in
   let visited = Array.make n false in
   let rec dfs i =
-    if not visited.(i) then begin
+    if i >= 0 && not visited.(i) then begin
       visited.(i) <- true;
-      List.iter dfs (successors insts i)
+      dfs succ.(2 * i);
+      dfs succ.((2 * i) + 1)
     end
   in
   dfs (first_live insts 0);
@@ -743,78 +782,103 @@ let unreachable_pass insts =
 
 (* --- liveness + dead-write elimination ---------------------------- *)
 
-(* The registers an instruction reads: its register source slots —
-   every read is explicit, branch distances included. *)
-let reads_of b =
-  Array.fold_left (fun acc slot -> b.b_args.(slot - 1) :: acc) [] shapes.(b.b_op).s_srcs
+(* Register sets are word bitsets over the runtime registers
+   (r < const_base; pool registers are read-only and excluded):
+   register r is bit [r mod word_bits] of word [r / word_bits]. The
+   width is a literal (OCaml 5 ints are 63-bit) so the divisions
+   compile to multiplies. *)
+let word_bits = 63
+
+let words_for nregs = (nregs + word_bits - 1) / word_bits
+
+let[@inline] bit_mem set base r = set.(base + (r / word_bits)) land (1 lsl (r mod word_bits)) <> 0
+
+let[@inline] bit_add set r =
+  let k = r / word_bits in
+  set.(k) <- set.(k) lor (1 lsl (r mod word_bits))
+
+let[@inline] bit_remove set r =
+  let k = r / word_bits in
+  set.(k) <- set.(k) land lnot (1 lsl (r mod word_bits))
+
+type liveness = {
+  lv_words : int;  (* words per register set *)
+  lv_succ : int array;  (* the successor table the sets were solved on *)
+  lv_in : int array;  (* live-in of instruction i: words [i * lv_words, (i + 1) * lv_words) *)
+  lv_roots : int array;  (* live-out of HALT *)
+}
 
 (* Per-instruction backward dataflow over the runtime registers
-   (r < const_base; pool registers are read-only and excluded). Roots
-   at HALT are the caller-supplied [roots] bytes. Returns [live_in]
-   (the driver roots block ends on the step block's entry set) and
-   [live_out] per instruction (for the fusion pass). *)
-let compute_liveness insts ~nbytes ~roots =
+   [0, nregs). Roots at HALT are the caller-supplied [roots] set. The
+   reverse sweep repeats until nothing changes, so back edges are
+   handled; without back edges (generated code has none) every
+   successor is final before its predecessor is visited, and one sweep
+   is exact. *)
+let compute_liveness insts ~nregs ~roots =
   let n = Array.length insts in
-  let live_in = Array.init n (fun _ -> Bytes.make nbytes '\000') in
-  let out = Bytes.create nbytes in
+  let w = Array.length roots in
+  let succ = successor_table insts in
+  let back_edges = ref false in
+  for k = 0 to (2 * n) - 1 do
+    let s = succ.(k) in
+    if s >= 0 && s <= k / 2 then back_edges := true
+  done;
+  let live_in = Array.make (n * w) 0 in
+  let out = Array.make w 0 in
   let changed = ref true in
   while !changed do
     changed := false;
     for i = n - 1 downto 0 do
       let b = insts.(i) in
       if not b.b_dead then begin
-        if b.b_op = L.op_halt then Bytes.blit roots 0 out 0 nbytes
-        else begin
-          Bytes.fill out 0 nbytes '\000';
-          List.iter
-            (fun s ->
-              let src = live_in.(s) in
-              for k = 0 to nbytes - 1 do
-                if Bytes.unsafe_get src k <> '\000' then Bytes.unsafe_set out k '\001'
-              done)
-            (successors insts i)
-        end;
-        if shapes.(b.b_op).s_dst then Bytes.set out b.b_args.(0) '\000';
-        List.iter (fun r -> if r < nbytes then Bytes.set out r '\001') (reads_of b);
-        if not (Bytes.equal out live_in.(i)) then begin
-          Bytes.blit out 0 live_in.(i) 0 nbytes;
-          changed := true
-        end
+        let s1 = succ.(2 * i) and s2 = succ.((2 * i) + 1) in
+        for k = 0 to w - 1 do
+          out.(k) <-
+            (if s1 < 0 then roots.(k)
+             else if s2 < 0 then live_in.((s1 * w) + k)
+             else live_in.((s1 * w) + k) lor live_in.((s2 * w) + k))
+        done;
+        let sh = shapes.(b.b_op) in
+        if sh.s_dst then bit_remove out b.b_args.(0);
+        let srcs = sh.s_srcs in
+        for j = 0 to Array.length srcs - 1 do
+          let r = b.b_args.(srcs.(j) - 1) in
+          if r < nregs then bit_add out r
+        done;
+        let base = i * w in
+        for k = 0 to w - 1 do
+          if out.(k) <> live_in.(base + k) then begin
+            live_in.(base + k) <- out.(k);
+            changed := !back_edges
+          end
+        done
       end
     done
   done;
-  (* live_out per instruction, for fusion *)
-  let live_out = Array.init n (fun _ -> Bytes.make nbytes '\000') in
-  for i = 0 to n - 1 do
-    let b = insts.(i) in
-    if not b.b_dead then
-      if b.b_op = L.op_halt then Bytes.blit roots 0 live_out.(i) 0 nbytes
-      else
-        List.iter
-          (fun s ->
-            let src = live_in.(s) in
-            let dst = live_out.(i) in
-            for k = 0 to nbytes - 1 do
-              if Bytes.unsafe_get src k <> '\000' then Bytes.unsafe_set dst k '\001'
-            done)
-          (successors insts i)
-  done;
-  (live_in, live_out)
+  { lv_words = w; lv_succ = succ; lv_in = live_in; lv_roots = roots }
 
-let dce_pass insts ~nbytes ~roots =
-  let _, live_out = compute_liveness insts ~nbytes ~roots in
+(* Whether register r is live on exit from instruction i, from its
+   successors' live-in sets as solved (later edits to the instruction
+   stream do not affect the answer). *)
+let live_out lv i r =
+  let s1 = lv.lv_succ.(2 * i) and s2 = lv.lv_succ.((2 * i) + 1) in
+  if s1 < 0 then bit_mem lv.lv_roots 0 r
+  else
+    bit_mem lv.lv_in (s1 * lv.lv_words) r
+    || (s2 >= 0 && bit_mem lv.lv_in (s2 * lv.lv_words) r)
+
+let dce_pass insts ~nregs ~roots =
+  let lv = compute_liveness insts ~nregs ~roots in
   let changed = ref false in
   Array.iteri
     (fun i b ->
       (* target-bearing writes (mov.jmp) transfer control and must
          stay even when the written register is dead *)
-      if (not b.b_dead) && shapes.(b.b_op).s_dst && shapes.(b.b_op).s_target < 0 then begin
-        let dst = b.b_args.(0) in
-        if Bytes.get live_out.(i) dst = '\000' then begin
+      if (not b.b_dead) && shapes.(b.b_op).s_dst && shapes.(b.b_op).s_target < 0 then
+        if not (live_out lv i b.b_args.(0)) then begin
           b.b_dead <- true;
           changed := true
-        end
-      end)
+        end)
     insts;
   !changed
 
@@ -824,13 +888,14 @@ let thread_pass insts =
   let changed = ref false in
   let n = Array.length insts in
   (* follow jmp chains (cycle-guarded; generated code is acyclic but
-     be safe) to the final destination index *)
-  let resolve t =
-    let seen = Hashtbl.create 4 in
+     be safe) to the final destination index; [seen.(j) = i] marks
+     the jumps already followed while resolving instruction i *)
+  let seen = Array.make n (-1) in
+  let resolve i t =
     let rec go j =
       let j = first_live insts j in
-      if insts.(j).b_op = L.op_jmp && not (Hashtbl.mem seen j) then begin
-        Hashtbl.replace seen j ();
+      if insts.(j).b_op = L.op_jmp && seen.(j) <> i then begin
+        seen.(j) <- i;
         go insts.(j).b_target
       end
       else j
@@ -840,7 +905,7 @@ let thread_pass insts =
   for i = 0 to n - 1 do
     let b = insts.(i) in
     if (not b.b_dead) && b.b_target >= 0 then begin
-      let t' = resolve b.b_target in
+      let t' = resolve i b.b_target in
       if first_live insts b.b_target <> t' then begin
         b.b_target <- t';
         changed := true
@@ -895,8 +960,8 @@ let fused_of_arith op =
   else if op = L.op_mul_f then L.op_mul_f32
   else L.op_div_f32
 
-let fuse_pass insts ~nbytes ~roots =
-  let _, live_out = compute_liveness insts ~nbytes ~roots in
+let fuse_pass insts ~nregs ~roots =
+  let lv = compute_liveness insts ~nregs ~roots in
   let leaders = compute_leaders insts in
   let changed = ref false in
   let n = Array.length insts in
@@ -911,7 +976,7 @@ let fuse_pass insts ~nbytes ~roots =
       if
         adjacent && b.b_op >= L.op_cmp_eq && b.b_op <= L.op_cmp_ge
         && f.b_op = L.op_jz && f.b_args.(0) = dst
-        && Bytes.get live_out.(j) dst = '\000'
+        && not (live_out lv j dst)
       then begin
         b.b_op <- fused_of_cmp b.b_op;
         b.b_args <- [| b.b_args.(1); b.b_args.(2); 0 |];
@@ -921,7 +986,7 @@ let fuse_pass insts ~nbytes ~roots =
       end
       else if
         adjacent && b.b_op = L.op_not && f.b_op = L.op_jz && f.b_args.(0) = dst
-        && Bytes.get live_out.(j) dst = '\000'
+        && not (live_out lv j dst)
       then begin
         (* not t, s; jz t, L  ==  jump to L when s <> 0 *)
         b.b_op <- L.op_jnz;
@@ -933,7 +998,7 @@ let fuse_pass insts ~nbytes ~roots =
       else if
         adjacent && b.b_op >= L.op_add_f && b.b_op <= L.op_div_f
         && f.b_op = L.op_round_f32 && f.b_args.(1) = dst
-        && (f.b_args.(0) = dst || Bytes.get live_out.(j) dst = '\000')
+        && (f.b_args.(0) = dst || not (live_out lv j dst))
       then begin
         b.b_op <- fused_of_arith b.b_op;
         b.b_args <- [| f.b_args.(0); b.b_args.(1); b.b_args.(2) |];
@@ -990,25 +1055,26 @@ let fuse_pass insts ~nbytes ~roots =
    [probe_h] is never removed (its hook must fire every time) and
    contributes no knowledge, since hook-instrumented code must keep
    calling the hook even when the buffer byte is already set. *)
-let probe_dedup_pass insts =
+let probe_dedup_pass ~n_probes ~leaders insts =
   let changed = ref false in
-  let leaders = compute_leaders insts in
-  let fired : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* probe id fired in the current region when [fired_at.(id)] is it *)
+  let fired_at = Array.make n_probes (-1) in
+  let region = ref 0 in
   Array.iteri
     (fun i b ->
-      if leaders.(i) then Hashtbl.reset fired;
+      if leaders.(i) then incr region;
       if not b.b_dead then begin
         let op = b.b_op in
         if op = L.op_probe then begin
           let id = b.b_args.(0) in
-          if Hashtbl.mem fired id then begin
+          if fired_at.(id) = !region then begin
             b.b_dead <- true;
             changed := true
           end
-          else Hashtbl.replace fired id ()
+          else fired_at.(id) <- !region
         end
-        else if op >= L.op_jlt_p && op <= L.op_jge_p then Hashtbl.replace fired b.b_args.(2) ()
-        else if op = L.op_jz_p || op = L.op_jnz_p then Hashtbl.replace fired b.b_args.(1) ()
+        else if op >= L.op_jlt_p && op <= L.op_jge_p then fired_at.(b.b_args.(2)) <- !region
+        else if op = L.op_jz_p || op = L.op_jnz_p then fired_at.(b.b_args.(1)) <- !region
       end)
     insts;
   !changed
@@ -1044,7 +1110,8 @@ let optimize_bytecode (lin : L.t) : L.t =
   span "ir_opt.optimize_bytecode" @@ fun () ->
   let const_base = lin.L.l_const_base in
   let prog = lin.L.l_prog in
-  let nbytes = max const_base 1 in
+  let nregs = const_base in
+  let n_probes = prog.Ir.n_probes in
   let pool = pool_of lin.L.l_consts in
   let init_i = decode lin.L.l_init in
   let step_i = decode lin.L.l_step in
@@ -1054,37 +1121,45 @@ let optimize_bytecode (lin : L.t) : L.t =
      register can extend liveness back to the entry. After both init
      and step the next thing to run is step, so the same set roots
      both blocks. *)
-  let base_roots = Bytes.make nbytes '\000' in
-  let add_var (v : Ir.var) =
-    if v.Ir.vid < nbytes then Bytes.set base_roots v.Ir.vid '\001'
-  in
+  let base_roots = Array.make (words_for nregs) 0 in
+  let add_var (v : Ir.var) = if v.Ir.vid < nregs then bit_add base_roots v.Ir.vid in
   Array.iter add_var prog.Ir.inputs;
   Array.iter add_var prog.Ir.outputs;
   Array.iter add_var prog.Ir.states;
   let compute_roots () =
-    let roots = Bytes.copy base_roots in
+    let roots = Array.copy base_roots in
     let rec grow () =
-      let live_in, _ = compute_liveness step_i ~nbytes ~roots in
-      let entry = live_in.(first_live step_i 0) in
+      let lv = compute_liveness step_i ~nregs ~roots in
+      let entry = first_live step_i 0 * lv.lv_words in
       let grew = ref false in
-      for k = 0 to nbytes - 1 do
-        if Bytes.get entry k <> '\000' && Bytes.get roots k = '\000' then begin
-          Bytes.set roots k '\001';
-          grew := true
-        end
-      done;
+      Array.iteri
+        (fun k r ->
+          let r' = r lor lv.lv_in.(entry + k) in
+          if r' <> r then begin
+            roots.(k) <- r';
+            grew := true
+          end)
+        roots;
       if !grew then grow ()
     in
     grow ();
     roots
   in
+  (* const_prop, copy_prop and probe_dedup all walk regions between
+     leaders; the leaders are rebuilt only after a pass changed the
+     stream *)
   let run_passes insts roots =
-    let c1 = span "ir_opt.bc.const_prop" (fun () -> const_prop_pass ~pool ~const_base insts) in
-    let c2 = span "ir_opt.bc.copy_prop" (fun () -> copy_prop_pass insts) in
+    let leaders = compute_leaders insts in
+    let c1 =
+      span "ir_opt.bc.const_prop" (fun () -> const_prop_pass ~pool ~const_base ~leaders insts)
+    in
+    let leaders = if c1 then compute_leaders insts else leaders in
+    let c2 = span "ir_opt.bc.copy_prop" (fun () -> copy_prop_pass ~const_base ~leaders insts) in
     let c3 = span "ir_opt.bc.unreachable" (fun () -> unreachable_pass insts) in
-    let c4 = span "ir_opt.bc.dce" (fun () -> dce_pass insts ~nbytes ~roots) in
+    let c4 = span "ir_opt.bc.dce" (fun () -> dce_pass insts ~nregs ~roots) in
     let c5 = span "ir_opt.bc.thread" (fun () -> thread_pass insts) in
-    let c6 = span "ir_opt.bc.probe_dedup" (fun () -> probe_dedup_pass insts) in
+    let leaders = if c2 || c3 || c4 || c5 then compute_leaders insts else leaders in
+    let c6 = span "ir_opt.bc.probe_dedup" (fun () -> probe_dedup_pass ~n_probes ~leaders insts) in
     c1 || c2 || c3 || c4 || c5 || c6
   in
   (* run to a fixpoint: simplify, fuse, then — because fusion and
@@ -1102,12 +1177,12 @@ let optimize_bytecode (lin : L.t) : L.t =
         end
       in
       rounds 8;
-      let fa = span "ir_opt.bc.fuse" (fun () -> fuse_pass init_i ~nbytes ~roots) in
-      let fb = span "ir_opt.bc.fuse" (fun () -> fuse_pass step_i ~nbytes ~roots) in
+      let fa = span "ir_opt.bc.fuse" (fun () -> fuse_pass init_i ~nregs ~roots) in
+      let fb = span "ir_opt.bc.fuse" (fun () -> fuse_pass step_i ~nregs ~roots) in
       if fa then ignore (thread_pass init_i);
       if fb then ignore (thread_pass step_i);
       let roots' = compute_roots () in
-      if fa || fb || not (Bytes.equal roots' roots) then cycles (k - 1) roots'
+      if fa || fb || roots' <> roots then cycles (k - 1) roots'
     end
   in
   cycles 10 (compute_roots ());
@@ -1167,77 +1242,6 @@ let static_count (lin : L.t) =
   in
   count lin.L.l_init + count lin.L.l_step
 
-(* Reference interpreter over the decoded form: executes init plus one
-   step per input row (raw floats per inport, in port order) and
-   counts every instruction dispatched. Instrumentation ops count as
-   one dispatch and are otherwise skipped. Used by `bench speed` to
-   report the dynamic instruction-count reduction. *)
-let dynamic_count (lin : L.t) (rows : float array array) : int =
-  let regs = Array.make (max lin.L.l_n_regs 1) 0.0 in
-  let count = ref 0 in
-  let run insts =
-    let rec go i =
-      let b = insts.(i) in
-      incr count;
-      let op = b.b_op in
-      if op = L.op_halt then ()
-      else if op = L.op_jmp || op = L.op_probe_jmp then go b.b_target
-      else if op = L.op_mov_jmp then begin
-        regs.(b.b_args.(0)) <- regs.(b.b_args.(1));
-        go b.b_target
-      end
-      else if op = L.op_jz then
-        if regs.(b.b_args.(0)) = 0.0 then go b.b_target else go (i + 1)
-      else if op = L.op_jnz then
-        if regs.(b.b_args.(0)) <> 0.0 then go b.b_target else go (i + 1)
-      else if op >= L.op_jlt && op <= L.op_jge then begin
-        let x = regs.(b.b_args.(0)) and y = regs.(b.b_args.(1)) in
-        let holds =
-          if op = L.op_jlt then x < y
-          else if op = L.op_jle then x <= y
-          else if op = L.op_jeq then x = y
-          else if op = L.op_jne then x <> y
-          else if op = L.op_jgt then x > y
-          else x >= y
-        in
-        if holds then go (i + 1) else go b.b_target
-      end
-      else if op >= L.op_jlt_p && op <= L.op_jge_p then begin
-        let x = regs.(b.b_args.(0)) and y = regs.(b.b_args.(1)) in
-        let holds =
-          if op = L.op_jlt_p then x < y
-          else if op = L.op_jle_p then x <= y
-          else if op = L.op_jeq_p then x = y
-          else if op = L.op_jne_p then x <> y
-          else if op = L.op_jgt_p then x > y
-          else x >= y
-        in
-        if holds then go (i + 1) else go b.b_target
-      end
-      else if op = L.op_jz_p then
-        if regs.(b.b_args.(0)) = 0.0 then go b.b_target else go (i + 1)
-      else if op = L.op_jnz_p then
-        if regs.(b.b_args.(0)) <> 0.0 then go b.b_target else go (i + 1)
-      else if shapes.(op).s_dst then begin
-        regs.(b.b_args.(0)) <- eval_pure op b.b_args (fun r -> regs.(r));
-        go (i + 1)
-      end
-      else go (i + 1) (* probe / cond / decision / branch record *)
-    in
-    go 0
-  in
-  let init_i = decode lin.L.l_init and step_i = decode lin.L.l_step in
-  Array.fill regs 0 (Array.length regs) 0.0;
-  Array.blit lin.L.l_consts 0 regs lin.L.l_const_base (Array.length lin.L.l_consts);
-  run init_i;
-  let inputs = lin.L.l_prog.Ir.inputs in
-  Array.iter
-    (fun row ->
-      Array.iteri (fun k f -> regs.(inputs.(k).Ir.vid) <- f) row;
-      run step_i)
-    rows;
-  !count
-
 (* --- bytecode profiling ------------------------------------------- *)
 
 let opcode_name op = shapes.(op).s_name
@@ -1251,11 +1255,13 @@ type bytecode_profile = {
   bp_step_hits : int array;
 }
 
-(* Same reference interpreter as [dynamic_count], but it also fills a
-   per-instruction hit-count array and a per-opcode dispatch
-   histogram. Kept separate from the Ir_vm dispatch loop on purpose:
-   the hot loop stays untouched (and unperturbed) and profiling pays
-   the decoded-form interpretation cost instead, which is fine for an
+(* Reference interpreter over the decoded form: executes init plus one
+   step per input row (raw floats per inport, in port order), counting
+   every instruction dispatched, per instruction and per opcode.
+   Instrumentation ops count as one dispatch and are otherwise
+   skipped. Kept separate from the Ir_vm dispatch loop on purpose: the
+   hot loop stays untouched (and unperturbed) and profiling pays the
+   decoded-form interpretation cost instead, which is fine for an
    opt-in diagnostic. *)
 let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
   let regs = Array.make (max lin.L.l_n_regs 1) 0.0 in
@@ -1336,6 +1342,9 @@ let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
     bp_init_hits = init_hits;
     bp_step_hits = step_hits;
   }
+
+(* [bench speed] reports the dynamic instruction-count reduction *)
+let dynamic_count (lin : L.t) rows = (profile_bytecode lin rows).bp_dispatches
 
 let opcode_histogram (lin : L.t) =
   let h = Array.make L.n_opcodes 0 in

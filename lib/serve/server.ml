@@ -1,7 +1,10 @@
 (* Accept loop of the serve daemon. One thread per connection, one
    request per connection (the protocol is Connection: close), and a
    select-with-timeout accept so a stop flag — typically set from a
-   SIGTERM handler — is honoured within a poll interval. Shutdown is
+   SIGTERM handler — is honoured within a poll interval. Every
+   accepted socket gets a read deadline, so a client that connects and
+   goes silent holds its thread (and delays shutdown, which joins
+   every connection thread) for at most that long. Shutdown is
    orderly: stop accepting, drain in-flight connection threads, shut
    the scheduler down (joining every runner), remove the socket
    file. *)
@@ -9,6 +12,9 @@
 module Log = Cftcg_obs.Log
 
 let poll_interval = 0.2
+
+(* seconds a connection may take to deliver its whole request *)
+let read_deadline = 10.0
 
 type t = {
   sv_sched : Scheduler.t;
@@ -28,7 +34,7 @@ let handle_connection srv client =
         | None -> None
         | Some (Error e) ->
           let status = Wire.request_error_status e in
-          let (Wire.Bad_request msg | Wire.Too_large msg) = e in
+          let (Wire.Bad_request msg | Wire.Too_large msg | Wire.Timeout msg) = e in
           Log.debug "request refused: %d %s" status msg;
           Some (Wire.error_response status msg)
         | Some (Ok rq) ->
@@ -61,7 +67,7 @@ let reap srv =
   end
   else Mutex.unlock srv.sv_conn_mutex
 
-let serve ~resolve ~sched ~stop addr =
+let serve ?(read_deadline = read_deadline) ~resolve ~sched ~stop addr =
   (* a client closing mid-response must not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let fd = Wire.listen addr in
@@ -90,6 +96,7 @@ let serve ~resolve ~sched ~stop addr =
         | _ :: _, _, _ -> (
           match Unix.accept fd with
           | client, _ ->
+            Unix.setsockopt_float client Unix.SO_RCVTIMEO read_deadline;
             let th = Thread.create (fun () -> handle_connection srv client) () in
             Mutex.lock srv.sv_conn_mutex;
             srv.sv_conns <- th :: srv.sv_conns;

@@ -367,6 +367,7 @@ let reason_of = function
   | 400 -> "Bad Request"
   | 404 -> "Not Found"
   | 405 -> "Method Not Allowed"
+  | 408 -> "Request Timeout"
   | 409 -> "Conflict"
   | 413 -> "Content Too Large"
   | 500 -> "Internal Server Error"
@@ -378,8 +379,9 @@ let max_body = 16 * 1024 * 1024
 type request_error =
   | Bad_request of string
   | Too_large of string
+  | Timeout of string
 
-let request_error_status = function Bad_request _ -> 400 | Too_large _ -> 413
+let request_error_status = function Bad_request _ -> 400 | Too_large _ -> 413 | Timeout _ -> 408
 
 let strip_cr line =
   if String.length line > 0 && line.[String.length line - 1] = '\r' then
@@ -410,7 +412,7 @@ let body_length meth headers =
         Error
           (Too_large (Printf.sprintf "Content-Length %s exceeds the %d-byte limit" v max_body)))
 
-let read_request ic =
+let read_request_untimed ic =
   match input_line ic with
   | exception End_of_file -> None
   | line -> (
@@ -439,6 +441,13 @@ let read_request ic =
              | body -> Ok { rq_method = meth; rq_path = path; rq_headers = headers; rq_body = body }
              | exception End_of_file -> Error (Bad_request "body shorter than Content-Length")))
     | _ -> Some (Error (Bad_request "malformed request line")))
+
+(* A read on a socket with a receive timeout ([SO_RCVTIMEO]) that
+   expires raises [Sys_blocked_io], whether it was waiting for the
+   request line, a header or the body. *)
+let read_request ic =
+  try read_request_untimed ic
+  with Sys_blocked_io -> Some (Error (Timeout "no complete request before the read deadline"))
 
 let write_response oc r =
   Printf.fprintf oc "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"

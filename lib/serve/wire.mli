@@ -89,14 +89,18 @@ type request_error =
           not decimal digits, repeats with another value, or is
           missing on a POST/PUT/PATCH; a body shorter than declared *)
   | Too_large of string  (** declared body above {!max_body} *)
+  | Timeout of string
+      (** the channel's socket read deadline ([SO_RCVTIMEO]) expired
+          before the request line, headers and body were all in *)
 
 val request_error_status : request_error -> int
-(** 400 for {!Bad_request}, 413 for {!Too_large}. *)
+(** 400 for {!Bad_request}, 413 for {!Too_large}, 408 for {!Timeout}. *)
 
 val read_request : in_channel -> (request, request_error) result option
 (** [None] on EOF before a request line. Requests of other methods
     without [Content-Length] have an empty body. A refused request's
-    body is not read. *)
+    body is not read. On a socket with a receive timeout, an expired
+    read is [Some (Error (Timeout _))]. *)
 
 val write_response : out_channel -> response -> unit
 

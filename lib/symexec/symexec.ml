@@ -76,10 +76,10 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
   | None -> ());
   (* Branch-recording bytecode: the VM folds every If visit's
      distances into its minima, so an execution allocates nothing for
-     them. Unoptimized: the optimizer repays itself only after ~5k–30k
-     solver executions, about a whole campaign phase, and traced
-     hybrid campaigns read the same solver time with it on or off
-     (measured in DESIGN §3 "Code vs instance"). *)
+     them. Unoptimized: the optimizer costs under 2 ms and would repay
+     itself within ~1k–5k solver executions, but traced hybrid
+     campaigns read the same solver time with it on or off (measured
+     in DESIGN §3 "Code vs instance"). *)
   let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false ~branches:true prog) in
   let br = Ir_vm.branches vm in
   let cov = Ir_vm.probes vm in

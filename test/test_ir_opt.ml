@@ -476,6 +476,30 @@ let test_bc_probe_dedup_uses_branch_knowledge () =
   Alcotest.(check int) "fall-through re-fire dropped" 1 h.(L.op_probe);
   Alcotest.(check int) "branch keeps its probe" 1 h.(L.op_jgt_p)
 
+let test_bc_liveness_back_edge () =
+  (* pc0: mov t, u;  pc3: cond 0, 0, t (loop head);  pc7: mov t, k0;
+     pc10: jz u, 3 (back edge);  pc13: halt. The second write of t is
+     read only around the back edge, so a liveness solve that stopped
+     after one reverse sweep would drop it *)
+  let lin = dedup_base () in
+  let prog = lin.L.l_prog in
+  let u = prog.Ir.inputs.(0).Ir.vid in
+  let io =
+    Array.to_list
+      (Array.map (fun (v : Ir.var) -> v.Ir.vid)
+         (Array.concat [ prog.Ir.inputs; prog.Ir.outputs; prog.Ir.states ]))
+  in
+  let t = List.find (fun r -> not (List.mem r io)) (List.init lin.L.l_const_base Fun.id) in
+  let k0 = lin.L.l_const_base in
+  Alcotest.(check bool) "base has a constant" true (Array.length lin.L.l_consts > 0);
+  let looped =
+    { lin with L.l_init = [| L.op_halt |];
+               l_step = [| L.op_mov; t; u; L.op_cond; 0; 0; t; L.op_mov; t; k0;
+                           L.op_jz; u; 3; L.op_halt |] }
+  in
+  let opt = Ir_opt.optimize_bytecode looped in
+  Alcotest.(check int) "both writes of t survive" 2 (Ir_opt.opcode_histogram opt).(L.op_mov)
+
 let test_bc_shrinks_bench_models () =
   List.iter
     (fun (e : Cftcg_bench_models.Bench_models.entry) ->
@@ -522,5 +546,6 @@ let suites =
         Alcotest.test_case "probe dedup stops at join" `Quick test_bc_probe_dedup_stops_at_join;
         Alcotest.test_case "probe dedup uses branch knowledge" `Quick
           test_bc_probe_dedup_uses_branch_knowledge;
+        Alcotest.test_case "liveness across a back edge" `Quick test_bc_liveness_back_edge;
         Alcotest.test_case "shrinks bench bytecode" `Quick test_bc_shrinks_bench_models;
         Alcotest.test_case "idempotent" `Quick test_bc_idempotent ] ) ]

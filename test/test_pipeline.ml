@@ -14,9 +14,11 @@ let test_generate_produces_consistent_artifacts () =
   let gen = Cftcg.Pipeline.generate (Fixtures.arith_model ()) in
   Alcotest.(check int) "layout matches inports" 3
     (Array.length gen.Cftcg.Pipeline.layout.Layout.fields);
-  Alcotest.(check bool) "C code nonempty" true (String.length gen.Cftcg.Pipeline.fuzz_code_c > 100);
+  let prog = gen.Cftcg.Pipeline.program in
+  Alcotest.(check bool) "C code nonempty" true
+    (String.length (Cftcg_ir.Cemit.emit_program prog) > 100);
   Alcotest.(check bool) "driver nonempty" true
-    (String.length gen.Cftcg.Pipeline.fuzz_driver_c > 100)
+    (String.length (Cftcg_ir.Cemit.emit_fuzz_driver prog) > 100)
 
 let test_campaign_end_to_end () =
   let campaign =

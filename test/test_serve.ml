@@ -401,7 +401,7 @@ let test_scheduler_worker_crash_degrades () =
 
 (* --- HTTP daemon end to end ------------------------------------------ *)
 
-let with_daemon body =
+let with_daemon ?read_deadline body =
   let sock = Filename.concat (Filename.get_temp_dir_name ()) "cftcg_test_serve.sock" in
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   let prog = solar_pv () in
@@ -414,7 +414,9 @@ let with_daemon body =
   let stop = Atomic.make false in
   let addr = Wire.Unix_path sock in
   let server =
-    Thread.create (fun () -> Server.serve ~resolve ~sched ~stop:(fun () -> Atomic.get stop) addr) ()
+    Thread.create
+      (fun () -> Server.serve ?read_deadline ~resolve ~sched ~stop:(fun () -> Atomic.get stop) addr)
+      ()
   in
   (* wait for the listener *)
   let rec ready n =
@@ -554,6 +556,63 @@ let test_http_deep_nesting_refused () =
   (* the daemon is still serving *)
   let status, _ = request addr ~meth:"GET" ~path:"/healthz" () in
   Alcotest.(check int) "still healthy" 200 status
+
+(* a connection that never finishes its request line is answered 408
+   and closed at the read deadline, and one left open across shutdown
+   delays the daemon's stop by at most that deadline *)
+let test_http_read_deadline () =
+  let deadline = 0.3 in
+  let half_request addr =
+    let fd = Wire.connect addr in
+    let oc = Unix.out_channel_of_descr fd in
+    output_string oc "GET /heal";
+    flush oc;
+    fd
+  in
+  (* the status line the daemon sends before closing, 0 if it closes
+     without one; a watchdog closes the socket should the daemon
+     never answer, so a regression fails instead of hanging *)
+  let answer fd =
+    let ic = Unix.in_channel_of_descr fd in
+    match input_line ic with
+    | line -> (
+      match String.split_on_char ' ' line with
+      | _ :: code :: _ -> int_of_string code
+      | _ -> 0)
+    | exception (End_of_file | Sys_error _) -> 0
+  in
+  let watchdog fd =
+    Thread.create
+      (fun () ->
+        Thread.delay 10.0;
+        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+      ()
+  in
+  let lingering = ref None in
+  let t_stop = ref 0.0 in
+  with_daemon ~read_deadline:deadline (fun addr ->
+      let fd = half_request addr in
+      ignore (watchdog fd);
+      let t0 = Unix.gettimeofday () in
+      let status = answer fd in
+      let elapsed = Unix.gettimeofday () -. t0 in
+      Unix.close fd;
+      Alcotest.(check int) "a silent client is answered 408" 408 status;
+      Alcotest.(check bool)
+        (Printf.sprintf "dropped at the deadline (%.2f s)" elapsed)
+        true
+        (elapsed >= deadline *. 0.5 && elapsed < deadline +. 2.0);
+      let status, _ = request addr ~meth:"GET" ~path:"/healthz" () in
+      Alcotest.(check int) "still serving" 200 status;
+      (* leave one silent connection open across shutdown *)
+      let fd = half_request addr in
+      ignore (watchdog fd);
+      Thread.delay 0.05;
+      lingering := Some fd;
+      t_stop := Unix.gettimeofday ());
+  let stop_s = Unix.gettimeofday () -. !t_stop in
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !lingering;
+  Alcotest.(check bool) (Printf.sprintf "stopped promptly (%.2f s)" stop_s) true (stop_s < 3.0)
 
 let test_http_shared_corpus () =
   (* two campaigns naming the same corpus directory share one sharded
@@ -752,6 +811,7 @@ let suites =
         Alcotest.test_case "end to end" `Slow test_http_end_to_end;
         Alcotest.test_case "deeply nested body refused" `Slow test_http_deep_nesting_refused;
         Alcotest.test_case "shared sharded corpus" `Slow test_http_shared_corpus;
+        Alcotest.test_case "read deadline" `Slow test_http_read_deadline;
         Alcotest.test_case "debug endpoints + correlation" `Slow
           test_http_debug_and_correlation;
       ] );

@@ -15,6 +15,7 @@ type crash_policy =
 exception Worker_crashed of { worker : int; epoch : int; message : string }
 
 module Symexec = Cftcg_symexec.Symexec
+module Guards = Cftcg_symexec.Guards
 
 (* Hybrid concolic phase (ROADMAP item 2; the BMC+CGF alternation of
    arXiv 2211.04712): at a coverage plateau the campaign hands the
@@ -125,12 +126,16 @@ let derive_seed base ~epoch ~worker =
   let slot = Int64.logxor (Rng.next64 master) (Int64.of_int (((epoch + 1) * 65599) + worker)) in
   Rng.next64 (Rng.create slot)
 
-(* Per-(epoch, round) solver seed: the same splitmix derivation as
-   worker seeds, over a tagged master so the solver stream is disjoint
-   from every worker stream. Pure function of the campaign seed — a
-   solver phase is as deterministic as the epochs around it. *)
-let solver_seed base ~epoch ~round =
-  derive_seed (Int64.logxor base 0x5EEDC0DEL) ~epoch ~worker:round
+(* Per-(epoch, round, shard) solver seed: the same splitmix derivation
+   as worker seeds, over a master tagged per shard so every solver
+   stream is disjoint from every worker stream and from the other
+   shards'. Shard 0's tag is the one the unsharded phase used, so a
+   jobs-1 campaign keeps its seeds. Pure function of the campaign
+   seed — a solver phase is as deterministic as the epochs around
+   it. *)
+let solver_seed ?(shard = 0) base ~epoch ~round =
+  let tag = Int64.logxor 0x5EEDC0DEL (Int64.shift_left (Int64.of_int shard) 32) in
+  derive_seed (Int64.logxor base tag) ~epoch ~worker:round
 
 (* Process-global hybrid-phase health counters, snapshotted into
    post-mortem dumps alongside the batched-VM and corpus-store
@@ -186,6 +191,10 @@ type state = {
   st_code : Ir_vm.code option;
       (* prepared once at [start] (Vm backend) and shared read-only by
          the replayer and every worker domain of every epoch *)
+  st_solver_prep : (Ir_vm.code * Guards.chain array) Lazy.t;
+      (* the solver's branch-recording code and guard chains: forced by
+         the first solver phase, on the coordinator, then shared
+         read-only by every shard of every round *)
   st_n_probes : int;
   st_replay : Bytes.t -> Bytes.t * int;
   st_emit : Telemetry.event -> unit;
@@ -260,6 +269,7 @@ let start ?(config = default_config) (prog : Ir.program) =
       st_config = config;
       st_prog = prog;
       st_code = code;
+      st_solver_prep = lazy (Symexec.prepare_code prog, Guards.probe_chains prog);
       st_n_probes = n_probes;
       st_replay = replay;
       st_emit = emit;
@@ -337,17 +347,30 @@ let finished st =
    epoch's redistribution. Returns how many probes the phase newly
    covered (by the campaign's own replay).
 
-   Determinism: the phase runs on the coordinator (never in a worker
-   domain), its seed is a pure function of (campaign seed, epoch,
-   round), its budget is the execution counter (the solver never
-   reads the wall clock under [Exec_budget]), and the budget clip
-   against the remaining global allowance is exact integer
-   accounting — so a hybrid campaign keeps the same byte-identical
-   same-seed transcript discipline as its fuzzing epochs, at any
-   worker count and with observability on or off. Solver executions
-   land in [st_executions], so [step]'s return charges them against
-   the submitting tenant's DRR budget like any fuzzing exec. *)
-let solver_phase ?pool st (hy : hybrid) ~epoch =
+   The phase runs across the campaign's live jobs, like an epoch: the
+   uncovered targets are dealt round-robin, shallow-first, into one
+   shard per live job ({!Symexec.shard_targets}), and each shard gets
+   an exact share of the budget (remainder to the low shards) and a
+   seed of its own. Shard 0 runs on the coordinator, the rest in
+   spawned domains, and all are joined before any exception is acted
+   on. The shard count is [st_live_jobs] — config and crash history,
+   never pool capacity — so a scheduler's pool bounds how many slots
+   the phase borrows, not what it finds.
+
+   Determinism: every shard's seed is a pure function of (campaign
+   seed, epoch, round, shard), its budget is the execution counter
+   (the solver never reads the wall clock under [Exec_budget]), the
+   budget split against the remaining global allowance is exact
+   integer accounting, and the shards' suites are absorbed in shard
+   order. So a hybrid campaign keeps the byte-identical same-seed
+   transcript of its fuzzing epochs for the same job count, with
+   observability on or off; at jobs 1 the single shard is the
+   unsharded solver. [should_stop] (cancellation, [max_runtime])
+   reaches every shard; when neither is set the solver never polls.
+   Solver executions land in [st_executions], so [step]'s return
+   charges them against the submitting tenant's DRR budget like any
+   fuzzing exec. *)
+let solver_phase ?pool ?should_stop st (hy : hybrid) ~epoch =
   let config = st.st_config in
   let emit = st.st_emit in
   let round = st.st_solver_rounds in
@@ -355,39 +378,76 @@ let solver_phase ?pool st (hy : hybrid) ~epoch =
   let covered_before = count_covered st.st_coverage in
   let targets = st.st_prog.Ir.n_probes - covered_before in
   let budget = min hy.solver_execs (max 0 (config.total_execs - st.st_executions)) in
+  let shards = st.st_live_jobs in
   emit (Telemetry.Solver_phase { epoch; round; targets; stalled_epochs = st.st_stalled });
-  Log.info "solver phase %d: %d uncovered targets after %d stalled epochs, %d exec budget"
-    round targets st.st_stalled budget;
-  let sym = { hy.solver with Symexec.seed = solver_seed config.seed ~epoch ~round } in
-  let solve () =
+  Log.info
+    "solver phase %d: %d uncovered targets after %d stalled epochs, %d exec budget, %d shard(s)"
+    round targets st.st_stalled budget shards;
+  let code, chains = Lazy.force st.st_solver_prep in
+  let shard k () =
+    let sym = { hy.solver with Symexec.seed = solver_seed ~shard:k config.seed ~epoch ~round } in
+    let budget = (budget / shards) + if k < budget mod shards then 1 else 0 in
+    (* spawned domains do not inherit the coordinator's context *)
+    Log.with_ctx
+      (job_fields config @ [ ("epoch", string_of_int epoch); ("shard", string_of_int k) ])
+    @@ fun () ->
+    Trace.with_span_result "campaign.solver.shard"
+      ~args:[ ("shard", string_of_int k); ("round", string_of_int round) ]
+      ~end_args:(fun (r : Symexec.result) ->
+        [ ("executions", string_of_int r.Symexec.executions);
+          ("closed", string_of_int (r.Symexec.probes_covered - covered_before)) ])
+    @@ fun () ->
+    Symexec.run ~config:sym ~initial_coverage:st.st_coverage ~shard:(k, shards) ~code ~chains
+      ?should_stop st.st_prog (Symexec.Exec_budget budget)
+  in
+  let guarded k () =
+    match shard k () with
+    | r -> Ok r
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let run_shards () =
     Trace.with_span "campaign.solver"
       ~args:[ ("epoch", string_of_int epoch); ("round", string_of_int round) ]
     @@ fun () ->
-    Symexec.run ~config:sym ~initial_coverage:st.st_coverage st.st_prog
-      (Symexec.Exec_budget budget)
+    let spawned = List.init (shards - 1) (fun i -> Domain.spawn (guarded (i + 1))) in
+    let first = guarded 0 () in
+    first :: List.map Domain.join spawned
   in
-  (* borrow one pool slot so a scheduler's concurrency cap covers the
-     solver's CPU like it covers a worker's *)
-  let r =
+  (* borrow pool slots so a scheduler's concurrency cap covers the
+     solver's CPU like it covers the workers' *)
+  let outcomes =
     match pool with
-    | None -> solve ()
-    | Some p -> Worker_pool.with_slots p (min 1 (Worker_pool.capacity p)) solve
+    | None -> run_shards ()
+    | Some p -> Worker_pool.with_slots p (min shards (Worker_pool.capacity p)) run_shards
   in
-  st.st_executions <- st.st_executions + r.Symexec.executions;
-  st.st_solver_execs <- st.st_solver_execs + r.Symexec.executions;
-  List.iter (fun (tc : Symexec.test_case) -> absorb st tc.Symexec.data) r.Symexec.suite;
+  let results =
+    List.map
+      (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      outcomes
+  in
+  let executions, slowest =
+    List.fold_left
+      (fun (sum, slowest) (r : Symexec.result) ->
+        (sum + r.Symexec.executions, max slowest r.Symexec.executions))
+      (0, 0) results
+  in
+  st.st_executions <- st.st_executions + executions;
+  st.st_solver_execs <- st.st_solver_execs + executions;
+  List.iter
+    (fun (r : Symexec.result) ->
+      List.iter (fun (tc : Symexec.test_case) -> absorb st tc.Symexec.data) r.Symexec.suite)
+    results;
   let covered = count_covered st.st_coverage in
   let closed = covered - covered_before in
   st.st_solver_solved <- st.st_solver_solved + closed;
   Atomic.incr solver_phases_total;
   ignore (Atomic.fetch_and_add solver_solved_total closed);
-  ignore (Atomic.fetch_and_add solver_execs_total r.Symexec.executions);
+  ignore (Atomic.fetch_and_add solver_execs_total executions);
   emit
     (Telemetry.Solver_done
-       { epoch; round; targets; solved = closed; executions = r.Symexec.executions;
-         probes_covered = covered });
-  Log.info "solver phase %d done: closed %d/%d targets in %d execs" round closed targets
-    r.Symexec.executions;
+       { epoch; round; targets; solved = closed; executions; probes_covered = covered });
+  Log.info "solver phase %d done: closed %d/%d targets in %d execs (slowest shard %d execs)"
+    round closed targets executions slowest;
   (* restart stall detection from the post-solve coverage level: the
      next plateau is measured against what the solver left behind *)
   st.st_stalled <- 0;
@@ -398,7 +458,7 @@ let solver_phase ?pool st (hy : hybrid) ~epoch =
    pool when given one), merge and persist. Returns the executions the
    epoch actually performed, so a scheduler can charge them against
    the submitting tenant's budget. *)
-let step ?workers ?max_execs ?(should_stop = fun () -> false) ?pool st =
+let step ?workers ?max_execs ?should_stop ?pool st =
   let config = st.st_config in
   let emit = st.st_emit in
   let this_epoch = st.st_epoch in
@@ -491,7 +551,8 @@ let step ?workers ?max_execs ?(should_stop = fun () -> false) ?pool st =
     @@ fun () ->
     let r =
       Fuzzer.run ~config:fcfg ?code:st.st_code ~on_test_case ~on_progress
-        ~should_stop:(fun () -> Atomic.get abort || should_stop ())
+        ~should_stop:(fun () ->
+          Atomic.get abort || match should_stop with Some stop -> stop () | None -> false)
         st.st_prog (budget_for ix)
     in
     Log.debug "worker done: %d execs, %d/%d probes"
@@ -660,7 +721,17 @@ let step ?workers ?max_execs ?(should_stop = fun () -> false) ?pool st =
        which point the plateau is final *)
     match config.hybrid with
     | Some hy when st.st_solver_rounds < hy.solver_rounds && not (fully_covered st) ->
-      let closed = solver_phase ?pool st hy ~epoch:this_epoch in
+      (* the solver polls only what a caller set: a cancellation hook
+         or a campaign deadline *)
+      let should_stop =
+        match should_stop with
+        | None when not (Float.is_finite st.st_deadline) -> None
+        | _ ->
+          Some
+            (fun () ->
+              past_deadline st || match should_stop with Some stop -> stop () | None -> false)
+      in
+      let closed = solver_phase ?pool ?should_stop st hy ~epoch:this_epoch in
       if closed = 0 then plateau_stop ()
       else if config.stop_on_full && fully_covered st then stop_with st Full_coverage
     | Some _ | None -> plateau_stop ()

@@ -18,9 +18,11 @@
       a configurable number of epochs.
 
     {b Hybrid concolic phase.} With [hybrid] set, a plateau does not
-    stop the campaign: the coordinator hands the still-uncovered
-    probes to the bounded {!Cftcg_symexec.Symexec} solver under a
-    deterministic exec budget, absorbs the solved inputs into the
+    stop the campaign: the still-uncovered probes go to the bounded
+    {!Cftcg_symexec.Symexec} solver under a deterministic exec budget,
+    split into one target shard per live job and solved in parallel
+    (shard 0 on the coordinator, the others in their own domains);
+    the coordinator then absorbs the solved inputs into the
     merged corpus (fingerprint-deduped like any epoch merge, so they
     reach every worker as next-epoch seeds), resets the stall counter
     and resumes fuzzing — alternating until the solver closes zero
@@ -76,7 +78,7 @@ type hybrid = {
   solver_rounds : int;  (** maximum solver phases per campaign *)
   solver : Cftcg_symexec.Symexec.config;
       (** unroll bounds and per-target move budget; [seed] is
-          re-derived per (epoch, round) from the campaign seed *)
+          re-derived per (epoch, round, shard) from the campaign seed *)
 }
 
 val default_hybrid : hybrid
@@ -225,8 +227,10 @@ val step :
     epoch's execution grant the same way the end of the global budget
     does — a granted campaign is a prefix-identical campaign.
     [should_stop] is polled by the workers (cooperative cancellation
-    between fuzzing iterations). With [pool], the epoch's domains are
-    spawned only once the pool admits that many slots. Raises
+    between fuzzing iterations) and, with [max_runtime], by a solver
+    phase's shards between solver executions. With [pool], the epoch's
+    domains are spawned only once the pool admits that many slots
+    (at most its capacity); the results do not depend on the pool. Raises
     {!Worker_crashed} under the {!Abort} policy. *)
 
 val finish : state -> result

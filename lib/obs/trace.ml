@@ -54,21 +54,35 @@ let with_correlation args =
   | [] -> args
   | ctx -> args @ List.filter (fun (k, _) -> not (List.mem_assoc k args)) ctx
 
+let record_span name t0 args =
+  let t1 = now () in
+  let args = with_correlation args in
+  locked (fun () ->
+      let ts = rel_us t0 in
+      buffer :=
+        { ev_name = name; ev_ts_us = ts; ev_dur_us = (t1 -. t0) *. 1e6;
+          ev_tid = domain_id (); ev_instant = false; ev_args = args }
+        :: !buffer)
+
 let with_span ?(args = []) name f =
   if not (Atomic.get flag) then f ()
   else begin
     let t0 = now () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = now () in
-        let args = with_correlation args in
-        locked (fun () ->
-            let ts = rel_us t0 in
-            buffer :=
-              { ev_name = name; ev_ts_us = ts; ev_dur_us = (t1 -. t0) *. 1e6;
-                ev_tid = domain_id (); ev_instant = false; ev_args = args }
-              :: !buffer))
-      f
+    Fun.protect ~finally:(fun () -> record_span name t0 args) f
+  end
+
+let with_span_result ?(args = []) ~end_args name f =
+  if not (Atomic.get flag) then f ()
+  else begin
+    let t0 = now () in
+    match f () with
+    | r ->
+      record_span name t0 (args @ end_args r);
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      record_span name t0 args;
+      Printexc.raise_with_backtrace e bt
   end
 
 let instant ?(args = []) name =

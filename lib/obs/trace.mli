@@ -23,6 +23,16 @@ val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
     a complete ("X") event covering its duration on the calling
     domain's track. The span is recorded even if [f] raises. *)
 
+val with_span_result :
+  ?args:(string * string) list ->
+  end_args:('a -> (string * string) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** {!with_span} whose event also carries [end_args] of [f]'s result,
+    after [args]. A raising [f] records [args] alone; with tracing off
+    [end_args] is never called. *)
+
 val instant : ?args:(string * string) list -> string -> unit
 (** A zero-duration marker ("i" event). *)
 

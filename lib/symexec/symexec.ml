@@ -61,11 +61,15 @@ let fitness chains target (br : Ir_vm.branches) probe_hit =
     walk 0 chain
   end
 
-let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget =
-  let layout = Layout.of_program prog in
-  if layout.Layout.tuple_len = 0 then invalid_arg "Symexec.run: model has no inports";
-  let rng = Rng.create config.seed in
-  let chains = Guards.probe_chains prog in
+(* Branch-recording bytecode: the VM folds every If visit's distances
+   into its minima, so an execution allocates nothing for them.
+   Unoptimized: the optimizer costs under 2 ms and would repay itself
+   within ~1k–5k solver executions, but traced hybrid campaigns read
+   the same solver time with it on or off (measured in DESIGN §3 "Code
+   vs instance"). *)
+let prepare_code prog = Ir_vm.prepare ~optimize:false ~branches:true prog
+
+let covered_bitmap ?initial_coverage (prog : Ir.program) =
   let n_probes = max prog.Ir.n_probes 1 in
   let g_total = Bytes.make n_probes '\000' in
   (match initial_coverage with
@@ -74,13 +78,37 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
       if Bytes.get bitmap i <> '\000' then Bytes.set g_total i '\001'
     done
   | None -> ());
-  (* Branch-recording bytecode: the VM folds every If visit's
-     distances into its minima, so an execution allocates nothing for
-     them. Unoptimized: the optimizer costs under 2 ms and would repay
-     itself within ~1k–5k solver executions, but traced hybrid
-     campaigns read the same solver time with it on or off (measured
-     in DESIGN §3 "Code vs instance"). *)
-  let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false ~branches:true prog) in
+  g_total
+
+(* Targets ordered shallow-first, the way a bounded solver clears easy
+   objectives before hard ones. Shard [k] of [n > 1] keeps the
+   initially-uncovered targets whose rank in that order is [k] mod
+   [n]; a single shard keeps every probe, so already-covered ones are
+   credited as solved exactly as before sharding existed. *)
+let order_targets ~chains ~shard:(k, n) covered (prog : Ir.program) =
+  if n < 1 || k < 0 || k >= n then invalid_arg "Symexec.run: shard must be (k, n) with 0 <= k < n";
+  let ordered =
+    List.init prog.Ir.n_probes (fun i -> i)
+    |> List.sort (fun a b -> compare (List.length chains.(a)) (List.length chains.(b)))
+  in
+  if n = 1 then ordered
+  else
+    List.filter (fun t -> Bytes.get covered t = '\000') ordered
+    |> List.filteri (fun rank _ -> rank mod n = k)
+
+let shard_targets ?(shard = (0, 1)) ?initial_coverage prog =
+  let covered = covered_bitmap ?initial_coverage prog in
+  order_targets ~chains:(Guards.probe_chains prog) ~shard covered prog
+
+let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?chains
+    ?should_stop (prog : Ir.program) budget =
+  let layout = Layout.of_program prog in
+  if layout.Layout.tuple_len = 0 then invalid_arg "Symexec.run: model has no inports";
+  let rng = Rng.create config.seed in
+  let chains = match chains with Some c -> c | None -> Guards.probe_chains prog in
+  let g_total = covered_bitmap ?initial_coverage prog in
+  let targets = order_targets ~chains ~shard g_total prog in
+  let vm = Ir_vm.of_code (match code with Some c -> c | None -> prepare_code prog) in
   let br = Ir_vm.branches vm in
   let cov = Ir_vm.probes vm in
   let executions = ref 0 in
@@ -95,10 +123,17 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
       (now, now +. s)
     | Exec_budget _ -> (0.0, 0.0)
   in
-  let budget_ok () =
+  let budget_left () =
     match budget with
     | Time_budget _ -> Unix.gettimeofday () < deadline
     | Exec_budget n -> !executions < n
+  in
+  (* an unset [should_stop] is never called: no transcript can depend
+     on it *)
+  let budget_ok =
+    match should_stop with
+    | None -> budget_left
+    | Some stop -> fun () -> budget_left () && not (stop ())
   in
   let elapsed_now () =
     match budget with
@@ -221,12 +256,6 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
     done;
     !best = 0.0
   in
-  (* Targets ordered shallow-first, the way a bounded solver clears
-     easy objectives before hard ones. *)
-  let targets =
-    List.init prog.Ir.n_probes (fun i -> i)
-    |> List.sort (fun a b -> compare (List.length chains.(a)) (List.length chains.(b)))
-  in
   let solved = ref 0 in
   let consider target =
     if Bytes.get g_total target <> '\000' then incr solved (* already covered incidentally *)
@@ -254,7 +283,7 @@ let run ?(config = default_config) ?initial_coverage (prog : Ir.program) budget 
   {
     suite = List.rev !suite;
     executions = !executions;
-    targets_total = prog.Ir.n_probes;
+    targets_total = List.length targets;
     targets_solved = !solved;
     probes_covered = !covered;
   }

@@ -173,7 +173,7 @@ let test_campaign_hybrid_deterministic () =
       Alcotest.(check bool)
         (Printf.sprintf "jobs %d: identical results" jobs)
         true (r1 = r2))
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 let test_campaign_hybrid_obs_parity () =
   (* enabling the whole observability surface must not change what a
@@ -205,7 +205,115 @@ let test_campaign_hybrid_obs_parity () =
       Alcotest.(check bool)
         (Printf.sprintf "jobs %d: obs on/off byte-identical" jobs)
         true (off = on))
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
+
+module Worker_pool = Cftcg_campaign.Worker_pool
+module Telemetry = Cftcg_campaign.Telemetry
+
+(* Steps a campaign by hand until [until] holds or it finishes. *)
+let step_until ?should_stop ?pool st ~until =
+  while (not (Campaign.finished st)) && not (until st) do
+    ignore (Campaign.step ?should_stop ?pool st)
+  done
+
+let test_campaign_hybrid_pool_capacity () =
+  (* a solver phase split over two jobs borrows at most the pool's one
+     slot, and finds exactly what it finds without a pool *)
+  let prog = Codegen.lower (cross_constraint_model ()) in
+  let config = campaign_config ~jobs:2 ~stop_on_full:false ~hybrid:true () in
+  let solo = Campaign.run ~config prog in
+  let st = Campaign.start ~config prog in
+  step_until ~pool:(Worker_pool.create 1) st ~until:(fun _ -> false);
+  let pooled = Campaign.finish st in
+  Alcotest.(check bool) "a solver phase ran" true (pooled.Campaign.solver_rounds > 0);
+  Alcotest.(check bool) "pooled = solo" true (pooled = solo)
+
+let rounds st = (Campaign.progress st).Campaign.pg_solver_rounds
+
+let tcp_prog () =
+  let module Models = Cftcg_bench_models.Bench_models in
+  Codegen.lower ~mode:Codegen.Full (Lazy.force (Option.get (Models.find "TCP")).Models.model)
+
+let test_campaign_hybrid_cancel_mid_phase () =
+  (* cancellation raised once a phase has begun reaches every shard:
+     the phase returns with fewer executions than its budget, which
+     TCP's solver otherwise spends in full *)
+  let prog = tcp_prog () in
+  let in_phase = Atomic.make false in
+  let sink =
+    { Telemetry.null with
+      Telemetry.emit = (function Telemetry.Solver_phase _ -> Atomic.set in_phase true | _ -> ())
+    }
+  in
+  let hybrid = { Campaign.default_hybrid with Campaign.solver_execs = 15_000 } in
+  let config =
+    { (campaign_config ~jobs:2 ~stop_on_full:false ~hybrid:true ()) with
+      Campaign.sink;
+      total_execs = 100_000;
+      hybrid = Some hybrid }
+  in
+  let first_phase ?should_stop () =
+    Atomic.set in_phase false;
+    let st = Campaign.start ~config prog in
+    step_until st ?should_stop ~until:(fun st -> rounds st > 0);
+    Campaign.finish st
+  in
+  let full = first_phase () in
+  Alcotest.(check int) "an uncancelled phase spends its budget" hybrid.Campaign.solver_execs
+    full.Campaign.solver_executions;
+  let r = first_phase ~should_stop:(fun () -> Atomic.get in_phase) () in
+  Alcotest.(check int) "one solver phase ran" 1 r.Campaign.solver_rounds;
+  Alcotest.(check bool)
+    (Printf.sprintf "cancelled phase spent %d of %d execs" r.Campaign.solver_executions
+       hybrid.Campaign.solver_execs)
+    true
+    (r.Campaign.solver_executions < hybrid.Campaign.solver_execs)
+
+let test_campaign_hybrid_deadline_phase () =
+  (* a phase that starts past [max_runtime] runs no solver execution *)
+  let prog = Codegen.lower (rolling_code_model ()) in
+  let config =
+    { (campaign_config ~jobs:2 ~stop_on_full:false ~hybrid:true ()) with
+      Campaign.plateau_epochs = 1;
+      max_runtime = Some 0.0 }
+  in
+  let st = Campaign.start ~config prog in
+  let steps = ref 0 in
+  while rounds st = 0 && !steps < 50 do
+    incr steps;
+    ignore (Campaign.step st)
+  done;
+  let r = Campaign.finish st in
+  Alcotest.(check bool) "a solver phase began" true (r.Campaign.solver_rounds > 0);
+  Alcotest.(check int) "no solver executions past the deadline" 0 r.Campaign.solver_executions
+
+let test_campaign_hybrid_shard_spans () =
+  (* every phase traces one span per shard, whose executions add up to
+     the campaign's solver executions *)
+  let module Trace = Cftcg_obs.Trace in
+  let prog = Codegen.lower (cross_constraint_model ()) in
+  let r =
+    Trace.set_enabled true;
+    Fun.protect
+      ~finally:(fun () -> Trace.set_enabled false)
+      (fun () ->
+        Trace.clear ();
+        Campaign.run ~config:(campaign_config ~jobs:3 ~stop_on_full:false ~hybrid:true ()) prog)
+  in
+  let shards =
+    List.filter
+      (fun (ev : Trace.event) -> ev.Trace.ev_name = "campaign.solver.shard")
+      (Trace.events ())
+  in
+  Trace.clear ();
+  let arg ev k = int_of_string (List.assoc k ev.Trace.ev_args) in
+  Alcotest.(check int) "one span per shard per phase" (3 * r.Campaign.solver_rounds)
+    (List.length shards);
+  Alcotest.(check (list int)) "every shard traced" [ 0; 1; 2 ]
+    (List.sort_uniq compare (List.map (fun ev -> arg ev "shard") shards));
+  Alcotest.(check int) "shard executions sum to the solver's" r.Campaign.solver_executions
+    (List.fold_left (fun acc ev -> acc + arg ev "executions") 0 shards);
+  List.iter (fun ev -> ignore (arg ev "closed")) shards
 
 let suites =
   [ ( "baselines.hybrid",
@@ -215,4 +323,10 @@ let suites =
     ( "campaign.hybrid",
       [ Alcotest.test_case "plateau, solve, resume" `Slow test_campaign_plateau_solve_resume;
         Alcotest.test_case "same-seed runs byte-identical" `Slow test_campaign_hybrid_deterministic;
-        Alcotest.test_case "observability parity" `Slow test_campaign_hybrid_obs_parity ] ) ]
+        Alcotest.test_case "observability parity" `Slow test_campaign_hybrid_obs_parity;
+        Alcotest.test_case "pool capacity does not change results" `Slow
+          test_campaign_hybrid_pool_capacity;
+        Alcotest.test_case "cancellation stops a phase" `Slow
+          test_campaign_hybrid_cancel_mid_phase;
+        Alcotest.test_case "deadline stops a phase" `Slow test_campaign_hybrid_deadline_phase;
+        Alcotest.test_case "one trace span per shard" `Slow test_campaign_hybrid_shard_spans ] ) ]

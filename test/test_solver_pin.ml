@@ -110,7 +110,29 @@ let test_hybrid_campaign_pin () =
   Alcotest.(check string) "TCP jobs-2 hybrid campaign digest"
     "8777a73e38659a4cf1e5a6a66d7cbf49" (campaign_digest r)
 
+(* The jobs-1 path: one solver shard on the coordinator, recorded
+   before the phase was split across a campaign's live jobs. A jobs-1
+   campaign must keep every byte of it. *)
+let test_hybrid_campaign_jobs1_pin () =
+  let config =
+    { Campaign.default_config with
+      Campaign.jobs = 1;
+      seed = 7L;
+      total_execs = 16_000;
+      execs_per_epoch = 500;
+      plateau_epochs = 2;
+      stop_on_full = false;
+      hybrid = Some { Campaign.default_hybrid with Campaign.solver_execs = 6_000 }
+    }
+  in
+  let r = Campaign.run ~config (bench_prog "TCP") in
+  Alcotest.(check bool) "a solver phase ran" true (r.Campaign.solver_rounds > 0);
+  Alcotest.(check string) "TCP jobs-1 hybrid campaign digest"
+    "2549401ba62328e63370f504de78fe6d" (campaign_digest r)
+
 let suites =
   [ ( "symexec.pin",
       [ Alcotest.test_case "exec-budget transcripts" `Slow test_symexec_pins;
-        Alcotest.test_case "hybrid campaign transcript" `Slow test_hybrid_campaign_pin ] ) ]
+        Alcotest.test_case "hybrid campaign transcript" `Slow test_hybrid_campaign_pin;
+        Alcotest.test_case "jobs-1 hybrid campaign transcript" `Slow
+          test_hybrid_campaign_jobs1_pin ] ) ]

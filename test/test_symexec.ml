@@ -140,6 +140,107 @@ let test_solved_count_consistency () =
         (r.Symexec.targets_solved <= r.Symexec.targets_total))
     [ 1L; 2L; 3L; 4L; 5L ]
 
+(* --- Sharded phases (a campaign splits one phase across its jobs) --- *)
+
+module Models = Cftcg_bench_models.Bench_models
+module Rng = Cftcg_util.Rng
+
+let test_shards_partition_targets () =
+  (* for any coverage map and shard count, the shards' target lists are
+     disjoint, keep the single shard's shallow-first order, and
+     together hold every initially-uncovered probe *)
+  let rng = Rng.create 77L in
+  let bench =
+    List.map
+      (fun (e : Models.entry) ->
+        (e.Models.name, Codegen.lower ~mode:Codegen.Full (Lazy.force e.Models.model)))
+      Models.all
+  in
+  let generated =
+    List.init 40 (fun i ->
+        let m = Model_gen.generate rng in
+        (Printf.sprintf "model_gen %d" i, Codegen.lower ~mode:Codegen.Full m))
+  in
+  Alcotest.(check int) "8 bench models" 8 (List.length bench);
+  List.iter
+    (fun (name, prog) ->
+      let n_probes = prog.Cftcg_ir.Ir.n_probes in
+      let initial_coverage =
+        Bytes.init (max n_probes 1) (fun _ -> if Rng.int rng 3 = 0 then '\001' else '\000')
+      in
+      let order = Symexec.shard_targets prog in
+      Alcotest.(check (list int)) (name ^ ": one shard keeps every probe")
+        (List.init n_probes Fun.id) (List.sort compare order);
+      let position = Array.make (max n_probes 1) 0 in
+      List.iteri (fun i t -> position.(t) <- i) order;
+      for n = 2 to 4 do
+        let owner = Array.make (max n_probes 1) (-1) in
+        for k = 0 to n - 1 do
+          let mine = Symexec.shard_targets ~shard:(k, n) ~initial_coverage prog in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: shard %d/%d keeps the shallow-first order" name k n)
+            true
+            (List.sort (fun a b -> compare position.(a) position.(b)) mine = mine);
+          List.iter
+            (fun t ->
+              if owner.(t) <> -1 then
+                Alcotest.failf "%s: probe %d in shards %d and %d of %d" name t owner.(t) k n;
+              if Bytes.get initial_coverage t <> '\000' then
+                Alcotest.failf "%s: covered probe %d handed to shard %d of %d" name t k n;
+              owner.(t) <- k)
+            mine
+        done;
+        for t = 0 to n_probes - 1 do
+          if Bytes.get initial_coverage t = '\000' && owner.(t) = -1 then
+            Alcotest.failf "%s: uncovered probe %d in no shard of %d" name t n
+        done
+      done)
+    (bench @ generated)
+
+let test_single_shard_is_unsharded () =
+  (* shard (0, 1) over shared code and chains is the unsharded solver,
+     byte for byte *)
+  let prog = Codegen.lower (Fixtures.logic_model ()) in
+  let config = { Symexec.default_config with Symexec.seed = 7L } in
+  let plain = Symexec.run ~config prog (Symexec.Exec_budget 3_000) in
+  let shared =
+    Symexec.run ~config ~shard:(0, 1) ~code:(Symexec.prepare_code prog)
+      ~chains:(Cftcg_symexec.Guards.probe_chains prog) prog (Symexec.Exec_budget 3_000)
+  in
+  Alcotest.(check bool) "identical results" true (plain = shared)
+
+let test_sharded_run_stays_on_its_targets () =
+  let prog = Codegen.lower (Fixtures.logic_model ()) in
+  let n_targets k = List.length (Symexec.shard_targets ~shard:(k, 2) prog) in
+  let r = Symexec.run ~shard:(1, 2) prog (Symexec.Exec_budget 2_000) in
+  Alcotest.(check int) "targets_total is the shard's" (n_targets 1) r.Symexec.targets_total;
+  Alcotest.(check bool) "both shards have work" true (n_targets 0 > 0 && n_targets 1 > 0)
+
+let bench_prog_tcp () =
+  Codegen.lower ~mode:Codegen.Full (Lazy.force (Option.get (Models.find "TCP")).Models.model)
+
+let test_should_stop_ends_run () =
+  (* flipping [should_stop] mid-run returns early with what was found;
+     the same run without the hook spends the whole budget *)
+  let prog = bench_prog_tcp () in
+  let budget = 20_000 in
+  let config = { Symexec.default_config with Symexec.seed = 3L } in
+  let full = Symexec.run ~config prog (Symexec.Exec_budget budget) in
+  Alcotest.(check int) "unstopped run spends the budget" budget full.Symexec.executions;
+  let polls = ref 0 in
+  let stopped =
+    Symexec.run ~config
+      ~should_stop:(fun () ->
+        incr polls;
+        !polls > 500)
+      prog (Symexec.Exec_budget budget)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped run (%d execs) ends well short of %d" stopped.Symexec.executions
+       budget)
+    true
+    (stopped.Symexec.executions > 0 && stopped.Symexec.executions <= 500)
+
 let suites =
   [ ( "symexec.guards",
       [ Alcotest.test_case "chain per probe" `Quick test_guard_chains_shape;
@@ -155,4 +256,12 @@ let suites =
         Alcotest.test_case "full initial coverage short-circuits" `Quick
           test_full_initial_coverage_short_circuits;
         Alcotest.test_case "solved count consistent with coverage" `Quick
-          test_solved_count_consistency ] ) ]
+          test_solved_count_consistency ] );
+    ( "symexec.shard",
+      [ Alcotest.test_case "shards partition the uncovered targets" `Quick
+          test_shards_partition_targets;
+        Alcotest.test_case "one shard is the unsharded solver" `Quick
+          test_single_shard_is_unsharded;
+        Alcotest.test_case "a shard runs only its targets" `Quick
+          test_sharded_run_stays_on_its_targets;
+        Alcotest.test_case "should_stop ends a run early" `Quick test_should_stop_ends_run ] ) ]

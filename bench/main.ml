@@ -329,7 +329,6 @@ let contains ~needle hay =
 type model_speed = {
   ms_name : string;
   ms_interp_ns : float;
-  ms_closures_ns : float;
   ms_vm_ns : float;  (** plain VM, optimizer disabled *)
   ms_vm_opt_ns : float;  (** VM with the Ir_opt bytecode pipeline *)
   ms_vm_step_ns : float;  (** instrumented ns/step, optimizer off *)
@@ -341,8 +340,7 @@ type model_speed = {
   ms_static_opt : int;
   ms_dyn : int;  (** instruction dispatches for one 16-tuple exec *)
   ms_dyn_opt : int;
-  ms_minor_closures : float;  (** GC minor words per execution *)
-  ms_minor_vm : float;
+  ms_minor_vm : float;  (** GC minor words per execution *)
   ms_minor_vm_opt : float;
 }
 
@@ -362,10 +360,10 @@ let minor_words_per_call f =
   done;
   (Gc.minor_words () -. before) /. float_of_int n
 
-(* One fuzzer execution (a multi-tuple input through the backend's
-   inner loop, coverage accounting included) per backend. The interp
-   row runs the graph interpreter over the same tuples — the
-   reproduction's stand-in for simulation-based execution. *)
+(* One fuzzer execution (a multi-tuple input through the fuzzer's
+   inner loop, coverage accounting included), optimizer off and on.
+   The interp row runs the graph interpreter over the same tuples —
+   the reproduction's stand-in for simulation-based execution. *)
 let backend_execs_per_sec (e : Models.entry) =
   let m = Lazy.force e.Models.model in
   let prog = Codegen.lower ~mode:Codegen.Full m in
@@ -375,11 +373,11 @@ let backend_execs_per_sec (e : Models.entry) =
   let input =
     Bytes.concat Bytes.empty (List.init n_tuples (fun _ -> Layout.random_tuple_bytes layout rng))
   in
-  let fuzz_exec ?(optimize = true) backend =
+  let fuzz_exec ~optimize =
     let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
     let exec =
-      Cftcg_fuzz.Fuzzer.make_executor ~optimize ~backend ~layout ~prog ~g_total
-        ~max_tuples:n_tuples ~use_metric:true ()
+      Cftcg_fuzz.Fuzzer.make_executor ~optimize ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog
+        ~g_total ~max_tuples:n_tuples ~use_metric:true ()
     in
     let cells = ref [] in
     (* steady state: g_total saturates after the first call, so later
@@ -412,9 +410,8 @@ let backend_execs_per_sec (e : Models.entry) =
             Value.decode_float f.Layout.f_ty input ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset))
           layout.Layout.fields)
   in
-  let closures_exec = fuzz_exec Cftcg_fuzz.Fuzzer.Closures in
-  let vm_exec = fuzz_exec ~optimize:false Cftcg_fuzz.Fuzzer.Vm in
-  let vm_opt_exec = fuzz_exec Cftcg_fuzz.Fuzzer.Vm in
+  let vm_exec = fuzz_exec ~optimize:false in
+  let vm_opt_exec = fuzz_exec ~optimize:true in
   (* instrumented ns/step — the per-iteration cost of the path every
      campaign execution takes (probes live, coverage buffer cleared
      per step), optimizer off vs on *)
@@ -449,7 +446,6 @@ let backend_execs_per_sec (e : Models.entry) =
   let tests =
     Test.make_grouped ~name:"exec"
       [ Test.make ~name:"interp" (Staged.stage interp_exec);
-        Test.make ~name:"closures" (Staged.stage closures_exec);
         Test.make ~name:"vm-opt" (Staged.stage vm_opt_exec);
         Test.make ~name:"vm" (Staged.stage vm_exec);
         Test.make ~name:"vm-step" (Staged.stage vm_step);
@@ -475,7 +471,6 @@ let backend_execs_per_sec (e : Models.entry) =
   in
   { ms_name = e.Models.name;
     ms_interp_ns = get "interp";
-    ms_closures_ns = get "closures";
     ms_vm_ns = get_exact "vm";
     ms_vm_opt_ns = get_exact "vm-opt";
     ms_vm_step_ns = get_exact "vm-step";
@@ -485,7 +480,6 @@ let backend_execs_per_sec (e : Models.entry) =
     ms_static_opt = Cftcg_ir.Ir_opt.static_count lin_opt;
     ms_dyn = Cftcg_ir.Ir_opt.dynamic_count lin rows;
     ms_dyn_opt = Cftcg_ir.Ir_opt.dynamic_count lin_opt rows;
-    ms_minor_closures = minor_words_per_call closures_exec;
     ms_minor_vm = minor_words_per_call vm_exec;
     ms_minor_vm_opt = minor_words_per_call vm_opt_exec
   }
@@ -684,12 +678,6 @@ let speed () =
   let prog_plain = Codegen.lower ~mode:Codegen.Plain m in
   let prog_full = Codegen.lower ~mode:Codegen.Full m in
   let layout = Layout.of_program prog_full in
-  let compiled = Cftcg_ir.Ir_compile.compile prog_plain in
-  Cftcg_ir.Ir_compile.reset compiled;
-  let curr = Bytes.make (max prog_full.Cftcg_ir.Ir.n_probes 1) '\000' in
-  let hooks = Cftcg_ir.Hooks.probes_only (fun id -> Bytes.unsafe_set curr id '\001') in
-  let instrumented = Cftcg_ir.Ir_compile.compile ~hooks prog_full in
-  Cftcg_ir.Ir_compile.reset instrumented;
   let vm_plain = Cftcg_ir.Ir_vm.compile ~optimize:false prog_plain in
   Cftcg_ir.Ir_vm.reset vm_plain;
   let vm_instr = Cftcg_ir.Ir_vm.compile ~optimize:false prog_full in
@@ -712,15 +700,7 @@ let speed () =
   in
   let tests =
     Test.make_grouped ~name:"step"
-      [ Test.make ~name:"compiled-plain"
-          (Staged.stage (fun () ->
-               Layout.load_tuple layout tuple ~tuple:0 compiled;
-               Cftcg_ir.Ir_compile.step compiled));
-        Test.make ~name:"compiled-instrumented"
-          (Staged.stage (fun () ->
-               Layout.load_tuple layout tuple ~tuple:0 instrumented;
-               Cftcg_ir.Ir_compile.step instrumented));
-        Test.make ~name:"vm-plain"
+      [ Test.make ~name:"vm-plain"
           (Staged.stage (fun () ->
                Layout.load_tuple_vm layout tuple ~tuple:0 vm_plain;
                Cftcg_ir.Ir_vm.step vm_plain));
@@ -758,8 +738,8 @@ let speed () =
         step_rows := (label, ns) :: !step_rows;
         Tt.add_row t [ label; Printf.sprintf "%.0f" ns; Printf.sprintf "%.0f" (1e9 /. ns) ]
       | None -> Tt.add_row t [ label; "n/a"; "n/a" ])
-    [ "compiled-plain"; "compiled-instrumented"; "vm-plain"; "vm-instrumented"; "vmopt-plain";
-      "vmopt-instrumented"; "ir-evaluator"; "graph-interpreter" ];
+    [ "vm-plain"; "vm-instrumented"; "vmopt-plain"; "vmopt-instrumented"; "ir-evaluator";
+      "graph-interpreter" ];
   (match (find "vm-instrumented", find "graph-interpreter") with
   | Some (_, c), Some (_, i) ->
     Tt.add_row t [ "speedup vm/interpreter"; Printf.sprintf "%.0fx" (i /. c); "" ]
@@ -770,13 +750,8 @@ let speed () =
   | _ -> ());
   print_table "Speed: SolarPV model iteration rate (paper: 26,000/s vs 6/s)" t;
   (* fuzzer-execution throughput per bench model: the number that
-     decides which backend (and whether the optimizer) the fuzzing
-     loop should use *)
-  let tx =
-    Tt.create
-      [ "Model"; "interp ex/s"; "closures ex/s"; "vm ex/s"; "vm-opt ex/s"; "vm/closures";
-        "vm-opt/vm" ]
-  in
+     decides whether the fuzzing loop should use the optimizer *)
+  let tx = Tt.create [ "Model"; "interp ex/s"; "vm ex/s"; "vm-opt ex/s"; "vm-opt/vm" ] in
   let model_rows = List.map backend_execs_per_sec (selected_models ()) in
   let ratio a b = if Float.is_nan a || Float.is_nan b then 0.0 else a /. b in
   List.iter
@@ -784,13 +759,11 @@ let speed () =
       let per_s ns = if Float.is_nan ns then 0.0 else 1e9 /. ns in
       Tt.add_row tx
         [ ms.ms_name; Printf.sprintf "%.0f" (per_s ms.ms_interp_ns);
-          Printf.sprintf "%.0f" (per_s ms.ms_closures_ns);
           Printf.sprintf "%.0f" (per_s ms.ms_vm_ns);
           Printf.sprintf "%.0f" (per_s ms.ms_vm_opt_ns);
-          Printf.sprintf "%.2fx" (ratio ms.ms_closures_ns ms.ms_vm_ns);
           Printf.sprintf "%.2fx" (ratio ms.ms_vm_ns ms.ms_vm_opt_ns) ])
     model_rows;
-  print_table "Speed: fuzzer executions/s by backend (16-tuple inputs)" tx;
+  print_table "Speed: fuzzer executions/s (16-tuple inputs)" tx;
   (* the instrumented hot path per model — probes live, the cost every
      campaign execution pays — and the batched lockstep VM against it *)
   (* the lockstep dispatch-amortization measure the --check-batch gate
@@ -814,12 +787,12 @@ let speed () =
           Printf.sprintf "%.2fx" (ratio ms.ms_vm_ns ms.ms_batch_ns) ])
     model_rows lockstep_rows;
   print_table "Speed: instrumented hot path and batched lockstep VM" tb;
-  (* what the optimizer did to the bytecode, and what each backend
-     allocates per execution (the VM paths should be near zero) *)
+  (* what the optimizer did to the bytecode, and what an execution
+     allocates (it should be near zero) *)
   let ti =
     Tt.create
-      [ "Model"; "static insts"; "opt"; "dyn insts/exec"; "opt"; "dyn -%"; "alloc w/ex cls";
-        "alloc w/ex vm"; "alloc w/ex vm-opt" ]
+      [ "Model"; "static insts"; "opt"; "dyn insts/exec"; "opt"; "dyn -%"; "alloc w/ex vm";
+        "alloc w/ex vm-opt" ]
   in
   List.iter
     (fun ms ->
@@ -830,7 +803,7 @@ let speed () =
       Tt.add_row ti
         [ ms.ms_name; string_of_int ms.ms_static; string_of_int ms.ms_static_opt;
           string_of_int ms.ms_dyn; string_of_int ms.ms_dyn_opt; Printf.sprintf "%.1f%%" dyn_red;
-          Printf.sprintf "%.0f" ms.ms_minor_closures; Printf.sprintf "%.0f" ms.ms_minor_vm;
+          Printf.sprintf "%.0f" ms.ms_minor_vm;
           Printf.sprintf "%.0f" ms.ms_minor_vm_opt ])
     model_rows;
   print_table "Speed: optimizer instruction counts and allocation per execution" ti;
@@ -885,29 +858,28 @@ let speed () =
         in
         Buffer.add_string buf
           (Printf.sprintf
-             "%s\n    { \"model\": \"%s\", \"interp_exec_ns\": %s, \"closures_exec_ns\": %s, \
+             "%s\n    { \"model\": \"%s\", \"interp_exec_ns\": %s, \
               \"vm_exec_ns\": %s, \"vm_opt_exec_ns\": %s, \"vm_instr_step_ns\": %s, \
               \"vm_opt_instr_step_ns\": %s, \"vm_opt_over_vm_instr_step\": %s, \
               \"batch_exec_ns\": %s, \"batch_over_vm\": %s, \
               \"batch_lockstep_step_ns\": %s, \"batch_lockstep_gain\": %s, \
               \"interp_execs_per_s\": %s, \
-              \"closures_execs_per_s\": %s, \"vm_execs_per_s\": %s, \"vm_opt_execs_per_s\": %s, \
-              \"batch_execs_per_s\": %s, \"vm_over_closures\": %s, \"vm_opt_over_vm\": %s, \
+              \"vm_execs_per_s\": %s, \"vm_opt_execs_per_s\": %s, \
+              \"batch_execs_per_s\": %s, \"vm_opt_over_vm\": %s, \
               \"static_insts\": %d, \"static_insts_opt\": %d, \"dyn_insts\": %d, \
-              \"dyn_insts_opt\": %d, \"minor_words_per_exec\": { \"closures\": %.1f, \
+              \"dyn_insts_opt\": %d, \"minor_words_per_exec\": { \
               \"vm\": %.1f, \"vm_opt\": %.1f } }"
              (if i = 0 then "" else ",")
-             ms.ms_name (num ms.ms_interp_ns) (num ms.ms_closures_ns) (num ms.ms_vm_ns)
+             ms.ms_name (num ms.ms_interp_ns) (num ms.ms_vm_ns)
              (num ms.ms_vm_opt_ns) (num ms.ms_vm_step_ns) (num ms.ms_vm_opt_step_ns)
              (rat ms.ms_vm_step_ns ms.ms_vm_opt_step_ns)
              (num ms.ms_batch_ns)
              (rat ms.ms_vm_ns ms.ms_batch_ns)
              (num ls_b) (rat ls_v ls_b)
-             (per_s ms.ms_interp_ns) (per_s ms.ms_closures_ns)
+             (per_s ms.ms_interp_ns)
              (per_s ms.ms_vm_ns) (per_s ms.ms_vm_opt_ns) (per_s ms.ms_batch_ns)
-             (rat ms.ms_closures_ns ms.ms_vm_ns)
              (rat ms.ms_vm_ns ms.ms_vm_opt_ns)
-             ms.ms_static ms.ms_static_opt ms.ms_dyn ms.ms_dyn_opt ms.ms_minor_closures
+             ms.ms_static ms.ms_static_opt ms.ms_dyn ms.ms_dyn_opt
              ms.ms_minor_vm ms.ms_minor_vm_opt))
       (List.combine model_rows lockstep_rows);
     Buffer.add_string buf "\n  ]\n}\n";
@@ -1413,18 +1385,8 @@ let uncovered () =
       let m = Lazy.force e.Models.model in
       let prog = Codegen.lower ~mode:Codegen.Full m in
       let outcome = Tools.cftcg.Tools.generate m ~seed:(Int64.of_int opts.seed) ~time_budget:opts.budget in
-      let recorder = Recorder.create prog in
-      let compiled = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-      let layout = Layout.of_program prog in
-      List.iter
-        (fun (tc : Tools.test_case) ->
-          Cftcg_ir.Ir_compile.reset compiled;
-          let n = min (Layout.n_tuples layout tc.Tools.data) 4096 in
-          for tuple = 0 to n - 1 do
-            Layout.load_tuple layout tc.Tools.data ~tuple compiled;
-            Cftcg_ir.Ir_compile.step compiled
-          done)
-        outcome.Tools.suite;
+      let suite = List.map (fun (tc : Tools.test_case) -> tc.Tools.data) outcome.Tools.suite in
+      let recorder = Cftcg.Evaluate.record prog suite in
       Printf.printf "\n== uncovered decisions: %s ==\n" e.Models.name;
       List.iter
         (fun (block, desc, missing) ->

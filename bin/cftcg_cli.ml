@@ -43,33 +43,22 @@ let seed_arg =
 
 (* ------------------------------------------------------------------ *)
 
+(* Port=lo:hi with finite bounds; NaN or infinite bounds would feed
+   non-finite values into the inports the range clamps *)
 let parse_range spec =
+  let bad () =
+    Printf.eprintf "bad range %S (expected Port=lo:hi)\n" spec;
+    exit 1
+  in
   match String.split_on_char '=' spec with
   | [ name; range ] -> (
     match String.split_on_char ':' range with
     | [ lo; hi ] -> (
       match (float_of_string_opt lo, float_of_string_opt hi) with
-      | Some lo, Some hi -> (name, lo, hi)
-      | _ ->
-        Printf.eprintf "bad range %S (expected Port=lo:hi)\n" spec;
-        exit 1)
-    | _ ->
-      Printf.eprintf "bad range %S (expected Port=lo:hi)\n" spec;
-      exit 1)
-  | _ ->
-    Printf.eprintf "bad range %S (expected Port=lo:hi)\n" spec;
-    exit 1
-
-let backend_conv =
-  let parse = function
-    | "vm" -> Ok Fuzzer.Vm
-    | "closures" -> Ok Fuzzer.Closures
-    | s -> Error (`Msg (Printf.sprintf "unknown backend %S (expected vm or closures)" s))
-  in
-  let print fmt b =
-    Format.pp_print_string fmt (match b with Fuzzer.Vm -> "vm" | Fuzzer.Closures -> "closures")
-  in
-  Arg.conv (parse, print)
+      | Some lo, Some hi when Float.is_finite lo && Float.is_finite hi -> (name, lo, hi)
+      | _ -> bad ())
+    | _ -> bad ())
+  | _ -> bad ()
 
 let crash_policy_conv =
   let module Campaign = Cftcg_campaign.Campaign in
@@ -186,7 +175,7 @@ let setup_logging ?(always = false) log_out log_level =
 
 let fuzz_cmd =
   let run model_path seconds execs out_dir seed ranges seed_dir jobs corpus resume telemetry
-      epoch_execs backend no_opt batch max_runtime epoch_deadline on_worker_crash inject_faults
+      epoch_execs no_opt batch max_runtime epoch_deadline on_worker_crash inject_faults
       fault_seed metrics_out trace_out coverage_csv html_out log_out log_level hybrid
       solver_budget solver_rounds =
     (* --jobs 0: one worker per hardware thread, minus the coordinator *)
@@ -217,7 +206,6 @@ let fuzz_cmd =
         Fuzzer.seed = Int64.of_int seed;
         ranges = List.map parse_range ranges;
         seeds;
-        backend;
         optimize = not no_opt;
         batch
       }
@@ -333,16 +321,7 @@ let fuzz_cmd =
       (* replay the found suite on an instrumented build and render the
          HTML report, embedding the coverage-over-time curve recorded
          during the run *)
-      let recorder = Recorder.create prog in
-      let compiled = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-      List.iter
-        (fun data ->
-          Cftcg_ir.Ir_compile.reset compiled;
-          for tuple = 0 to min (Layout.n_tuples layout data) 4096 - 1 do
-            Layout.load_tuple layout data ~tuple compiled;
-            Cftcg_ir.Ir_compile.step compiled
-          done)
-        suite;
+      let recorder = Cftcg.Evaluate.record prog suite in
       let curve =
         match !series_ref with
         | Some s ->
@@ -388,16 +367,13 @@ let fuzz_cmd =
   let epoch_execs =
     Arg.(value & opt int 1000 & info [ "epoch-execs" ] ~docv:"N" ~doc:"Per-worker executions between corpus merges (parallel mode).")
   in
-  let backend =
-    Arg.(value & opt backend_conv Fuzzer.Vm & info [ "backend" ] ~docv:"BACKEND" ~doc:"Execution backend: $(b,vm) (flat bytecode, default) or $(b,closures) (fallback). Campaigns are identical either way; vm is faster.")
-  in
   let no_opt =
-    Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable the bytecode optimizer for the vm backend (escape hatch; campaigns are identical either way).")
+    Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable the bytecode optimizer (escape hatch; campaigns are identical either way).")
   in
   let batch =
     Arg.(value & opt int Fuzzer.default_config.Fuzzer.batch
          & info [ "batch" ] ~docv:"K"
-             ~doc:"Lanes of the batched lockstep VM per dispatch (vm backend; default 8, 1 = scalar). Campaigns are byte-identical across settings; batching only changes throughput, and divergence-heavy models fall back to scalar automatically.")
+             ~doc:"Lanes of the batched lockstep VM per dispatch (default 8, 1 = scalar). Campaigns are byte-identical across settings; batching only changes throughput, and divergence-heavy models fall back to scalar automatically.")
   in
   let max_runtime =
     Arg.(value & opt (some float) None & info [ "max-runtime" ] ~docv:"SECONDS" ~doc:"Hard wall-clock ceiling on the whole run: with $(b,--execs) the run ends at whichever limit is hit first, so a stalled target cannot hang the campaign. Without it, exec-budget runs stay purely on the virtual clock (byte-identical per seed).")
@@ -432,7 +408,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a CFTCG fuzzing campaign and emit CSV test cases.")
     Term.(const run $ model_arg $ seconds $ execs $ out_dir $ seed_arg $ ranges $ seed_dir $ jobs
-          $ corpus $ resume $ telemetry $ epoch_execs $ backend $ no_opt $ batch $ max_runtime
+          $ corpus $ resume $ telemetry $ epoch_execs $ no_opt $ batch $ max_runtime
           $ epoch_deadline $ on_worker_crash $ inject_faults $ fault_seed $ metrics_out_arg
           $ trace_out_arg $ coverage_csv_arg $ html_out $ log_out_arg $ log_level_arg $ hybrid
           $ solver_budget $ solver_rounds)
@@ -463,16 +439,7 @@ let coverage_cmd =
         exit 1
     in
     if detailed || html_out <> None then begin
-      let recorder = Recorder.create prog in
-      let compiled = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-      List.iter
-        (fun data ->
-          Cftcg_ir.Ir_compile.reset compiled;
-          for tuple = 0 to min (Layout.n_tuples layout data) 4096 - 1 do
-            Layout.load_tuple layout data ~tuple compiled;
-            Cftcg_ir.Ir_compile.step compiled
-          done)
-        suite;
+      let recorder = Cftcg.Evaluate.record prog suite in
       if detailed then print_string (Recorder.detailed recorder);
       (match html_out with
       | Some path ->
@@ -559,18 +526,18 @@ let simulate_cmd =
         Printf.eprintf "bad test case: %s\n" msg;
         exit 1
     in
-    let compiled = Cftcg_ir.Ir_compile.compile prog in
-    Cftcg_ir.Ir_compile.reset compiled;
+    let vm = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
+    Cftcg_ir.Ir_vm.reset vm;
     let out_names = Graph.outports model in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf ("step," ^ String.concat "," (Array.to_list out_names) ^ "\n");
     for tuple = 0 to Layout.n_tuples layout data - 1 do
-      Layout.load_tuple layout data ~tuple compiled;
-      Cftcg_ir.Ir_compile.step compiled;
+      Layout.load_tuple_vm layout data ~tuple vm;
+      Cftcg_ir.Ir_vm.step vm;
       Buffer.add_string buf (string_of_int tuple);
       Array.iteri
         (fun o _ ->
-          let v = Cftcg_ir.Ir_compile.get_output compiled o in
+          let v = Cftcg_ir.Ir_vm.get_output vm o in
           Buffer.add_string buf ("," ^ Cftcg_model.Value.to_string v))
         out_names;
       Buffer.add_char buf '\n'
@@ -729,14 +696,14 @@ let ir_cmd =
     Term.(const run $ model_arg $ dump $ instrumented $ profile $ steps $ batch)
 
 let profile_cmd =
-  let run model_path execs seed out_dir backend =
+  let run model_path execs seed out_dir =
     let model = load_model model_path in
     if not (Sys.file_exists out_dir) then Unix.mkdir out_dir 0o755;
     let metrics_out = Some (Filename.concat out_dir "metrics.prom") in
     let trace_out = Some (Filename.concat out_dir "trace.json") in
     let coverage_csv = Some (Filename.concat out_dir "coverage.csv") in
     with_observability ~force:true ~metrics_out ~trace_out ~coverage_csv @@ fun series ->
-    let config = { Fuzzer.default_config with Fuzzer.seed = Int64.of_int seed; backend } in
+    let config = { Fuzzer.default_config with Fuzzer.seed = Int64.of_int seed } in
     let wall0 = Unix.gettimeofday () in
     let campaign =
       Cftcg.Pipeline.run_campaign ~config ?coverage_series:series model (Fuzzer.Exec_budget execs)
@@ -787,13 +754,10 @@ let profile_cmd =
   let out_dir =
     Arg.(value & opt string "profile" & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Directory for trace.json, metrics.prom and coverage.csv.")
   in
-  let backend =
-    Arg.(value & opt backend_conv Fuzzer.Vm & info [ "backend" ] ~docv:"BACKEND" ~doc:"Execution backend to profile: $(b,vm) or $(b,closures).")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Run a short instrumented campaign and emit a Chrome trace, a Prometheus metrics dump, a Figure-7 coverage CSV, per-strategy effectiveness counters and a VM opcode profile.")
-    Term.(const run $ model_arg $ execs $ seed_arg $ out_dir $ backend)
+    Term.(const run $ model_arg $ execs $ seed_arg $ out_dir)
 
 let corpus_cmd =
   let module Store = Cftcg_campaign.Corpus_store in
@@ -957,8 +921,7 @@ let request_or_die addr ~meth ~path ?body () =
     exit 1
 
 let submit_cmd =
-  let run socket model tenant weight tenant_budget seed jobs execs epoch_execs corpus resume
-      backend =
+  let run socket model tenant weight tenant_budget seed jobs execs epoch_execs corpus resume =
     let addr = parse_addr socket in
     let fields =
       [
@@ -970,7 +933,6 @@ let submit_cmd =
         ("total_execs", Serve_wire.Num (float_of_int execs));
         ("execs_per_epoch", Serve_wire.Num (float_of_int epoch_execs));
         ("resume", Serve_wire.Bool resume);
-        ("backend", Serve_wire.Str (match backend with Fuzzer.Vm -> "vm" | Fuzzer.Closures -> "closures"));
       ]
       @ (match tenant_budget with
         | Some b -> [ ("tenant_budget", Serve_wire.Num (float_of_int b)) ]
@@ -1015,13 +977,10 @@ let submit_cmd =
     Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR" ~doc:"Persist the corpus to DIR on the daemon's filesystem (campaigns naming the same DIR share one sharded store).")
   in
   let resume = Arg.(value & flag & info [ "resume" ] ~doc:"Resume from the corpus manifest (requires --corpus).") in
-  let backend =
-    Arg.(value & opt backend_conv Fuzzer.Vm & info [ "backend" ] ~docv:"BACKEND" ~doc:"Execution backend: $(b,vm) or $(b,closures).")
-  in
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit a campaign to a running $(b,cftcg serve) daemon; prints the campaign id.")
     Term.(const run $ socket_arg $ model $ tenant $ weight $ tenant_budget $ seed_arg $ jobs
-          $ execs $ epoch_execs $ corpus $ resume $ backend)
+          $ execs $ epoch_execs $ corpus $ resume)
 
 let status_cmd =
   let run socket id events wait =

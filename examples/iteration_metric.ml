@@ -8,7 +8,7 @@ open Cftcg_model
 module B = Build
 module Codegen = Cftcg_codegen.Codegen
 module Layout = Cftcg_fuzz.Layout
-module Ir_compile = Cftcg_ir.Ir_compile
+module Ir_vm = Cftcg_ir.Ir_vm
 module Hooks = Cftcg_ir.Hooks
 
 (* A small controller with a few distinct branch cells: a saturation
@@ -29,7 +29,7 @@ let () =
   let n = prog.Cftcg_ir.Ir.n_probes in
   let curr = Bytes.make n '\000' in
   let hooks = Hooks.probes_only (fun id -> Bytes.set curr id '\001') in
-  let compiled = Ir_compile.compile ~hooks prog in
+  let vm = Ir_vm.compile ~hooks prog in
   (* the input data: one byte per iteration, swinging across regions *)
   let stream = [ 3; 20; -128; 7; 7; 0 ] in
   let data = Bytes.create (List.length stream) in
@@ -40,12 +40,12 @@ let () =
   let total = Bytes.make n '\000' in
   let last = Bytes.make n '\000' in
   let metric = ref 0 in
-  Ir_compile.reset compiled;
+  Ir_vm.reset vm;
   List.iteri
     (fun tuple v ->
       Bytes.fill curr 0 n '\000';
-      Layout.load_tuple layout data ~tuple compiled;
-      Ir_compile.step compiled;
+      Layout.load_tuple_vm layout data ~tuple vm;
+      Ir_vm.step vm;
       for i = 0 to n - 1 do
         if Bytes.get curr i <> '\000' then Bytes.set total i '\001';
         if Bytes.get curr i <> Bytes.get last i then incr metric

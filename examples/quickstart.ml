@@ -43,13 +43,11 @@ let () =
   Printf.printf "\n--- generated fuzz driver (C) ---\n%s\n"
     (Cftcg_ir.Cemit.emit_fuzz_driver gen.Cftcg.Pipeline.program);
 
-  (* 2. Model-oriented fuzzing loop. Runs on the bytecode VM backend
-     (the default); [Fuzzer.Closures] selects the closure-compiler
-     fallback and produces a byte-identical campaign for the same
-     seed. *)
+  (* 2. Model-oriented fuzzing loop, running the model as bytecode on
+     the VM ([Ir_vm]). *)
   let campaign =
     Cftcg.Pipeline.run_campaign
-      ~config:{ Fuzzer.default_config with Fuzzer.seed = 42L; backend = Fuzzer.Vm }
+      ~config:{ Fuzzer.default_config with Fuzzer.seed = 42L }
       model (Fuzzer.Exec_budget 20_000)
   in
   let stats = campaign.Cftcg.Pipeline.fuzz.Fuzzer.stats in

@@ -13,7 +13,7 @@ open Cftcg_model
 module Models = Cftcg_bench_models.Bench_models
 module Fuzzer = Cftcg_fuzz.Fuzzer
 module Layout = Cftcg_fuzz.Layout
-module Ir_compile = Cftcg_ir.Ir_compile
+module Ir_vm = Cftcg_ir.Ir_vm
 
 let state_names =
   [| "CLOSED"; "LISTEN"; "SYN_SENT"; "SYN_RCVD"; "ESTABLISHED"; "FIN_WAIT_1"; "CLOSE_WAIT";
@@ -29,15 +29,15 @@ let () =
   let budget = if Array.length Sys.argv > 1 then float_of_string Sys.argv.(1) else 3.0 in
   (* protocol depth: how far from CLOSED each state is *)
   let depth_of_state = [| 0; 1; 1; 2; 4; 5; 5; 6; 7; 6; 7 |] in
-  let compiled = Ir_compile.compile prog in
+  let vm = Ir_vm.compile ~optimize:false prog in
   let deepest_state data =
-    Ir_compile.reset compiled;
+    Ir_vm.reset vm;
     let n = min (Layout.n_tuples layout data) 256 in
     let best = ref 0 in
     for tuple = 0 to n - 1 do
-      Layout.load_tuple layout data ~tuple compiled;
-      Ir_compile.step compiled;
-      let s = Value.to_int (Ir_compile.get_output compiled 0) in
+      Layout.load_tuple_vm layout data ~tuple vm;
+      Ir_vm.step vm;
+      let s = Value.to_int (Ir_vm.get_output vm 0) in
       if s >= 0 && s < Array.length depth_of_state && depth_of_state.(s) > depth_of_state.(!best)
       then best := s
     done;
@@ -67,14 +67,14 @@ let () =
       print_endline
         "(ESTABLISHED needs an exact ack match — the paper's cross-inport constraint; try a longer budget)";
     Printf.printf "%4s  %-28s %-12s %s\n" "step" "segment (flags seq ack cmd)" "state" "tx";
-    Ir_compile.reset compiled;
+    Ir_vm.reset vm;
     let n = min (Layout.n_tuples layout tc.Fuzzer.tc_data) 40 in
     for tuple = 0 to n - 1 do
       let vals = Layout.load_tuple_values layout tc.Fuzzer.tc_data ~tuple in
-      Layout.load_tuple layout tc.Fuzzer.tc_data ~tuple compiled;
-      Ir_compile.step compiled;
-      let state = Value.to_int (Ir_compile.get_output compiled 0) in
-      let txf = Value.to_int (Ir_compile.get_output compiled 1) in
+      Layout.load_tuple_vm layout tc.Fuzzer.tc_data ~tuple vm;
+      Ir_vm.step vm;
+      let state = Value.to_int (Ir_vm.get_output vm 0) in
+      let txf = Value.to_int (Ir_vm.get_output vm 1) in
       let flag_names v =
         let names = [ (1, "SYN"); (2, "ACK"); (4, "FIN"); (8, "RST") ] in
         let set = List.filter_map (fun (bit, n) -> if v land bit <> 0 then Some n else None) names in

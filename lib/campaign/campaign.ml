@@ -157,12 +157,12 @@ let () =
    fuzzer's own executor, over the campaign's prepared code, run
    against a bitmap zeroed per input — so every probe the input fires
    counts as fresh and lands in the bitmap. *)
-let make_replayer ?code (prog : Ir.program) ~backend ~max_tuples =
+let make_replayer ~code (prog : Ir.program) ~max_tuples =
   let layout = Layout.of_program prog in
   let n_probes = max prog.Ir.n_probes 1 in
   let bitmap = Bytes.make n_probes '\000' in
   let run_input =
-    Fuzzer.make_executor ?code ~backend ~layout ~prog ~g_total:bitmap ~max_tuples
+    Fuzzer.make_executor ~code ~backend:Fuzzer.Vm ~layout ~prog ~g_total:bitmap ~max_tuples
       ~use_metric:true ()
   in
   let fresh_cells = ref [] in
@@ -188,8 +188,8 @@ let fingerprint bitmap = Bytecodec.hex_of_int64 (Bytecodec.fnv64 bitmap)
 type state = {
   st_config : config;
   st_prog : Ir.program;
-  st_code : Ir_vm.code option;
-      (* prepared once at [start] (Vm backend) and shared read-only by
+  st_code : Ir_vm.code;
+      (* prepared once at [start] and shared read-only by
          the replayer and every worker domain of every epoch *)
   st_solver_prep : (Ir_vm.code * Guards.chain array) Lazy.t;
       (* the solver's branch-recording code and guard chains: forced by
@@ -248,13 +248,8 @@ let start ?(config = default_config) (prog : Ir.program) =
   if (Layout.of_program prog).Layout.tuple_len = 0 then
     invalid_arg "Campaign.start: model has no inports";
   let n_probes = max prog.Ir.n_probes 1 in
-  let backend = config.fuzzer.Fuzzer.backend in
-  let code =
-    match backend with
-    | Fuzzer.Vm -> Some (Ir_vm.prepare ~optimize:config.fuzzer.Fuzzer.optimize prog)
-    | Fuzzer.Closures -> None
-  in
-  let replay = make_replayer ?code prog ~backend ~max_tuples:config.fuzzer.Fuzzer.max_tuples in
+  let code = Ir_vm.prepare ~optimize:config.fuzzer.Fuzzer.optimize prog in
+  let replay = make_replayer ~code prog ~max_tuples:config.fuzzer.Fuzzer.max_tuples in
   let emit = config.sink.Telemetry.emit in
   let store =
     match config.store with
@@ -550,7 +545,7 @@ let step ?workers ?max_execs ?should_stop ?pool st =
       ~args:[ ("worker", string_of_int ix); ("epoch", string_of_int this_epoch) ]
     @@ fun () ->
     let r =
-      Fuzzer.run ~config:fcfg ?code:st.st_code ~on_test_case ~on_progress
+      Fuzzer.run ~config:fcfg ~code:st.st_code ~on_test_case ~on_progress
         ~should_stop:(fun () ->
           Atomic.get abort || match should_stop with Some stop -> stop () | None -> false)
         st.st_prog (budget_for ix)

@@ -2,46 +2,49 @@ open Cftcg_ir
 module Recorder = Cftcg_coverage.Recorder
 module Layout = Cftcg_fuzz.Layout
 
-let run_case layout compiled ~max_tuples data =
-  Ir_compile.reset compiled;
+(* Every scoring and replay path runs unoptimized code: with the
+   optimizer on, reading back a scratch variable may see a stale
+   value. *)
+let compile ?hooks prog = Ir_vm.compile ?hooks ~optimize:false prog
+
+(* One test case from reset: [observe] runs after reset and after
+   every step. *)
+let run_case ?(observe = ignore) layout vm ~max_tuples data =
+  Ir_vm.reset vm;
+  observe ();
   let n = min (Layout.n_tuples layout data) max_tuples in
   for tuple = 0 to n - 1 do
-    Layout.load_tuple layout data ~tuple compiled;
-    Ir_compile.step compiled
+    Layout.load_tuple_vm layout data ~tuple vm;
+    Ir_vm.step vm;
+    observe ()
   done
 
-let replay ?(max_tuples = 4096) (prog : Ir.program) suite =
-  let layout = Layout.of_program prog in
+let recording prog =
   let recorder = Recorder.create prog in
-  let compiled = Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-  List.iter (run_case layout compiled ~max_tuples) suite;
-  Recorder.report recorder
+  (Layout.of_program prog, recorder, compile ~hooks:(Recorder.hooks recorder) prog)
+
+let record ?(max_tuples = 4096) (prog : Ir.program) suite =
+  let layout, recorder, vm = recording prog in
+  List.iter (run_case layout vm ~max_tuples) suite;
+  recorder
+
+let replay ?max_tuples prog suite = Recorder.report (record ?max_tuples prog suite)
 
 let signal_ranges ?(max_tuples = 4096) (prog : Ir.program) suite =
   let layout = Layout.of_program prog in
-  let compiled = Ir_compile.compile prog in
+  let vm = compile prog in
   let watched = Array.append prog.Ir.outputs prog.Ir.states in
   let mins = Array.make (Array.length watched) Float.infinity in
   let maxs = Array.make (Array.length watched) Float.neg_infinity in
   let observe () =
     Array.iteri
       (fun i (v : Ir.var) ->
-        let x = Ir_compile.read_raw compiled v.Ir.vid in
+        let x = Ir_vm.read_raw vm v.Ir.vid in
         if x < mins.(i) then mins.(i) <- x;
         if x > maxs.(i) then maxs.(i) <- x)
       watched
   in
-  List.iter
-    (fun data ->
-      Ir_compile.reset compiled;
-      observe ();
-      let n = min (Layout.n_tuples layout data) max_tuples in
-      for tuple = 0 to n - 1 do
-        Layout.load_tuple layout data ~tuple compiled;
-        Ir_compile.step compiled;
-        observe ()
-      done)
-    suite;
+  List.iter (run_case ~observe layout vm ~max_tuples) suite;
   Array.to_list
     (Array.mapi
        (fun i (v : Ir.var) ->
@@ -50,13 +53,10 @@ let signal_ranges ?(max_tuples = 4096) (prog : Ir.program) suite =
        watched)
 
 let decision_series ?(max_tuples = 4096) (prog : Ir.program) timed_suite =
-  let layout = Layout.of_program prog in
-  let recorder = Recorder.create prog in
-  let compiled = Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
+  let layout, recorder, vm = recording prog in
   let sorted = List.sort (fun (_, a) (_, b) -> Float.compare a b) timed_suite in
   List.map
     (fun (data, time) ->
-      run_case layout compiled ~max_tuples data;
-      let r = Recorder.report recorder in
-      (time, r.Recorder.decision_pct))
+      run_case layout vm ~max_tuples data;
+      (time, (Recorder.report recorder).Recorder.decision_pct))
     sorted

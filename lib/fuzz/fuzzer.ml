@@ -6,9 +6,7 @@ module Trace = Cftcg_obs.Trace
 module Log = Cftcg_obs.Log
 module Series = Cftcg_obs.Series
 
-type backend =
-  | Closures
-  | Vm
+type backend = Vm
 
 type config = {
   seed : int64;
@@ -19,7 +17,6 @@ type config = {
   ranges : (string * float * float) list;
   seeds : Bytes.t list;
   use_dictionary : bool;
-  backend : backend;
   optimize : bool;
   batch : int;
 }
@@ -31,7 +28,7 @@ let draft_size = 16
 
 let default_config =
   { seed = 1L; max_tuples = 256; corpus_cap = 256; field_aware = true; iteration_metric = true;
-    ranges = []; seeds = []; use_dictionary = true; backend = Vm; optimize = true; batch = 8 }
+    ranges = []; seeds = []; use_dictionary = true; optimize = true; batch = 8 }
 
 type budget =
   | Time_budget of float
@@ -81,43 +78,17 @@ let entry_score ~fresh ~metric ~iters =
 (* Executes one input through the fuzz driver: Algorithm 1.
    [g_total] is the campaign-global coverage array; returns
    (iteration-difference metric, newly covered probe count,
-   iterations executed). *)
-let run_one ~layout ~compiled ~curr ~last ~g_total ~max_tuples ~use_metric ~fresh_cells data =
-  let n_probes = Bytes.length g_total in
-  let n = min (Layout.n_tuples layout data) max_tuples in
-  Ir_compile.reset compiled;
-  Bytes.fill last 0 n_probes '\000';
-  let metric = ref 0 in
-  let fresh = ref 0 in
-  for tuple = 0 to n - 1 do
-    Bytes.fill curr 0 n_probes '\000';
-    Layout.load_tuple layout data ~tuple compiled;
-    Ir_compile.step compiled;
-    for i = 0 to n_probes - 1 do
-      let c = Bytes.unsafe_get curr i in
-      if c <> '\000' && Bytes.unsafe_get g_total i = '\000' then begin
-        Bytes.unsafe_set g_total i '\001';
-        incr fresh;
-        fresh_cells := i :: !fresh_cells
-      end;
-      if use_metric && c <> Bytes.unsafe_get last i then incr metric
-    done;
-    Bytes.blit curr 0 last 0 n_probes
-  done;
-  (!metric, !fresh, n)
-
-(* VM-backend fuzz driver: same algorithm, but probe coverage arrives
-   as a dirty list, so per-tuple cost is proportional to probes
-   *fired*, not [n_probes]. Double-buffers two probe records ([pa],
-   [pb]) so the iteration-difference metric is the symmetric
-   difference of consecutive steps' dirty lists. Both buffers must be
-   empty on entry; they are left empty on return. *)
-let run_one_vm ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data =
+   iterations executed). Probe coverage arrives as the VM's dirty
+   list, so per-tuple cost is proportional to probes *fired*, not
+   [n_probes]. Double-buffers two probe records ([pa], [pb]) so the
+   iteration-difference metric is the symmetric difference of
+   consecutive steps' dirty lists. Both buffers must be empty on
+   entry; they are left empty on return. *)
+let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data =
   let n = min (Layout.n_tuples layout data) max_tuples in
   Ir_vm.set_probes vm pa;
   Ir_vm.reset vm;
-  (* init-block probes are warm-up, not coverage — the closure driver
-     discards them the same way *)
+  (* init-block probes are warm-up, not coverage *)
   Ir_vm.clear_probes pa;
   let curr = ref pa in
   let last = ref pb in
@@ -161,37 +132,27 @@ let code_for ~fn ~optimize ?code (prog : Ir.program) =
     c
   | None -> Ir_vm.prepare ~optimize prog
 
-(* Builds the per-input execution function for the configured
-   backend; each returns (metric, fresh, iterations). *)
-let make_executor ?(optimize = true) ?code ~backend ~layout ~(prog : Ir.program) ~g_total
+(* Builds the per-input execution function; it returns (metric,
+   fresh, iterations). [backend] has one value and selects nothing. *)
+let make_executor ?(optimize = true) ?code ~backend:Vm ~layout ~(prog : Ir.program) ~g_total
     ~max_tuples ~use_metric () =
   (* the trailing [()] makes the one-time set-up happen at this
      application even when the optional arguments are omitted —
      otherwise OCaml defers optional-argument discharge (and this
      whole body) to the first positional application, i.e. to every
      input *)
-  match backend with
-  | Vm ->
-    let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.make_executor" ~optimize ?code prog) in
-    let pa = Ir_vm.probes vm in
-    let pb = Ir_vm.fresh_probes vm in
-    fun ~fresh_cells data ->
-      run_one_vm ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data
-  | Closures ->
-    let n_probes = Bytes.length g_total in
-    let curr = Bytes.make n_probes '\000' in
-    let last = Bytes.make n_probes '\000' in
-    let hooks = Hooks.probes_only (fun id -> Bytes.unsafe_set curr id '\001') in
-    let compiled = Ir_compile.compile ~hooks prog in
-    fun ~fresh_cells data ->
-      run_one ~layout ~compiled ~curr ~last ~g_total ~max_tuples ~use_metric ~fresh_cells data
+  let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.make_executor" ~optimize ?code prog) in
+  let pa = Ir_vm.probes vm in
+  let pb = Ir_vm.fresh_probes vm in
+  fun ~fresh_cells data ->
+    run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data
 
 (* ------------------------------------------------------------------ *)
 (* Batched execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* State for the K-lane chunk executor. [bx_pa]/[bx_pb] double-buffer
-   consecutive tuples' fired sets per lane, as [run_one_vm] does with
+   consecutive tuples' fired sets per lane, as [run_one] does with
    the scalar buffers — the iteration-difference metric is their
    per-lane symmetric difference, which only depends on the lane's own
    stream and so can be computed during batched execution. [bx_acc]
@@ -248,7 +209,7 @@ let run_chunk bx ~layout ~max_tuples ~use_metric (children : Bytes.t array) ~off
   done;
   Ir_vm_batch.set_probes bvm bx.bx_pa;
   Ir_vm_batch.reset ~lanes:m bvm;
-  (* init-block probes are warm-up, not coverage (as in run_one_vm) *)
+  (* init-block probes are warm-up, not coverage (as in run_one) *)
   Ir_vm_batch.clear_probes bx.bx_pa;
   let max_n = Array.fold_left max 0 n_of in
   let curr = ref bx.bx_pa in
@@ -439,31 +400,22 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   let rng = Rng.create config.seed in
   let n_probes = max prog.Ir.n_probes 1 in
   let g_total = Bytes.make n_probes '\000' in
-  (* Effective lane count: the batched lockstep VM serves the Vm
-     backend when [batch > 1]; Closures always runs scalar. Capped at
-     [draft_size] — a generation can never fill more lanes than it
-     drafts. *)
-  let batch_k =
-    match config.backend with
-    | Vm -> max 1 (min config.batch draft_size)
-    | Closures -> 1
-  in
+  (* Effective lane count: the batched lockstep VM runs when
+     [batch > 1]. Capped at [draft_size] — a generation can never fill
+     more lanes than it drafts. *)
+  let batch_k = max 1 (min config.batch draft_size) in
   (* One code for the whole run: the batched executor and its scalar
      fallback are both instances over it, so the optimizer runs at
      most once per run — and not at all when the caller (a campaign)
      hands its own prepared code in. *)
   let code =
-    match config.backend with
-    | Closures -> None
-    | Vm ->
-      Some
-        (Trace.with_span "fuzzer.compile" @@ fun () ->
-         code_for ~fn:"Fuzzer.run" ~optimize:config.optimize ?code prog)
+    Trace.with_span "fuzzer.compile" @@ fun () ->
+    code_for ~fn:"Fuzzer.run" ~optimize:config.optimize ?code prog
   in
   let make_seq () =
     `Seq
-      (make_executor ?code ~backend:config.backend ~layout ~prog ~g_total
-         ~max_tuples:config.max_tuples ~use_metric:config.iteration_metric ())
+      (make_executor ~code ~backend:Vm ~layout ~prog ~g_total ~max_tuples:config.max_tuples
+         ~use_metric:config.iteration_metric ())
   in
   (* Lockstep execution only pays off when lanes mostly agree on
      branches; on branch-heavy models the split handling costs more
@@ -475,10 +427,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
      campaign transcript is byte-identical: batching and the fallback
      only change throughput. *)
   let executor =
-    ref
-      (match code with
-      | Some code when batch_k > 1 -> `Batch (make_batch_exec ~k:batch_k code)
-      | _ -> make_seq ())
+    ref (if batch_k > 1 then `Batch (make_batch_exec ~k:batch_k code) else make_seq ())
   in
   let divergence_decided = ref (batch_k <= 1) in
   if batch_k > 1 then Atomic.incr batch_runs_total;
@@ -783,7 +732,7 @@ let replay_metric ?(config = default_config) (prog : Ir.program) data =
   let layout = Layout.of_program prog in
   let g_total = Bytes.make (max prog.Ir.n_probes 1) '\000' in
   let run_input =
-    make_executor ~optimize:config.optimize ~backend:config.backend ~layout ~prog ~g_total
+    make_executor ~optimize:config.optimize ~backend:Vm ~layout ~prog ~g_total
       ~max_tuples:config.max_tuples ~use_metric:true ()
   in
   let metric, _, _ = run_input ~fresh_cells:(ref []) data in

@@ -20,17 +20,12 @@
 
 open Cftcg_ir
 
-(** Which execution backend runs the model under fuzz.
-
-    {!Vm} (the default) executes {!Ir_linearize} bytecode in
-    {!Ir_vm}'s dispatch loop and feeds the fuzzer a dirty-probe list,
-    so each model step costs no closure calls, no float boxing, and
-    coverage accounting proportional to probes fired. {!Closures} is
-    the original {!Ir_compile} backend, kept as a differential
-    fallback; both produce identical campaigns for a given seed. *)
-type backend =
-  | Closures
-  | Vm
+(** The execution backend: {!Ir_linearize} bytecode in {!Ir_vm}'s
+    dispatch loop, feeding the fuzzer a dirty-probe list so coverage
+    accounting is proportional to probes fired. It is the only
+    backend; the type survives as {!make_executor}'s [~backend] label
+    and selects nothing. *)
+type backend = Vm
 
 type config = {
   seed : int64;
@@ -50,17 +45,14 @@ type config = {
   use_dictionary : bool;
       (** harvest comparison constants from the generated code and
           use them in value mutations (default true) *)
-  backend : backend;  (** execution backend (default {!Vm}) *)
   optimize : bool;
-      (** run {!Ir_opt.optimize_bytecode} on the {!Vm} backend's
-          bytecode (default true; no effect on {!Closures}, and not
-          consulted when {!run} is handed prepared code). Same
-          campaigns either way — CLI [--no-opt] is the escape hatch *)
+      (** run {!Ir_opt.optimize_bytecode} on the bytecode (default
+          true; not consulted when {!run} is handed prepared code).
+          Same campaigns either way — CLI [--no-opt] is the escape hatch *)
   batch : int;
-      (** lanes of the batched lockstep VM ({!Ir_vm_batch}) the {!Vm}
-          backend executes per dispatch (default 8; clamped to
-          [1 .. draft_size]; [1] and {!Closures} run scalar). The
-          scheduler drafts children in fixed-size generations and
+      (** lanes of the batched lockstep VM ({!Ir_vm_batch}) executed
+          per dispatch (default 8; clamped to [1 .. draft_size]; [1]
+          runs scalar). The scheduler drafts children in fixed-size generations and
           replays coverage in draft order, so same-seed campaigns are
           byte-identical across batch settings — batching only buys
           throughput. Lockstep only pays off when lanes mostly agree
@@ -149,7 +141,7 @@ val run :
     hook perturbs the RNG stream, so enabling them does not change
     what a run finds.
 
-    Code: the {!Vm} backend runs [code] when given — it must have been
+    Code: the run executes [code] when given — it must have been
     prepared from [prog] itself (a different program raises
     [Invalid_argument]), and then [config.optimize] is not consulted.
     Without it the run calls {!Ir_vm.prepare} once and builds both
@@ -184,11 +176,10 @@ val make_executor :
   fresh_cells:int list ref ->
   Bytes.t ->
   int * int * int
-(** The fuzzer's inner loop for one backend, as used by {!run}:
-    executes one input against the campaign-global coverage bytes
-    [g_total] and returns (iteration-difference metric, newly covered
-    probes, model iterations). The {!Vm} backend runs a fresh
-    {!Ir_vm} instance over [code] when given (prepared from [prog];
+(** The fuzzer's inner loop, as used by {!run}: executes one input
+    against the campaign-global coverage bytes [g_total] and returns
+    (iteration-difference metric, newly covered probes, model
+    iterations). It runs a fresh {!Ir_vm} instance over [code] when given (prepared from [prog];
     [optimize] is then not consulted), else over
     [Ir_vm.prepare ~optimize prog]. The set-up happens once at the
     [()] application — apply through [()] once and reuse the result

@@ -47,6 +47,10 @@ let of_program (p : Ir.program) =
 let with_ranges t ranges =
   List.iter
     (fun (name, lo, hi) ->
+      (* a NaN bound would pass the order check and then feed NaN
+         into every sampled value *)
+      if not (Float.is_finite lo && Float.is_finite hi) then
+        invalid_arg (Printf.sprintf "Layout.with_ranges: %s: non-finite bound" name);
       if lo > hi then invalid_arg (Printf.sprintf "Layout.with_ranges: %s: empty range" name))
     ranges;
   let fields =
@@ -76,12 +80,6 @@ let field_value t data ~tuple ~field =
 let set_field t data ~tuple ~field v =
   let f = t.fields.(field) in
   Value.encode (Value.cast f.f_ty v) data ((tuple * t.tuple_len) + f.f_offset)
-
-let load_tuple t data ~tuple compiled =
-  let base = tuple * t.tuple_len in
-  Array.iteri
-    (fun i f -> Ir_compile.set_input_raw compiled i (Value.decode_float f.f_ty data (base + f.f_offset)))
-    t.fields
 
 let load_tuple_vm t data ~tuple vm =
   let base = tuple * t.tuple_len in

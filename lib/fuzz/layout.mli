@@ -35,7 +35,8 @@ val of_program : Ir.program -> t
 
 val with_ranges : t -> (string * float * float) list -> t
 (** Attaches [(port name, lo, hi)] ranges. Unknown names are ignored;
-    an inverted range raises [Invalid_argument]. *)
+    an inverted range or a NaN or infinite bound raises
+    [Invalid_argument]. *)
 
 val clamp_field : t -> field:int -> Value.t -> Value.t
 (** Clamps a value into the field's range (identity without one). *)
@@ -49,12 +50,9 @@ val field_value : t -> Bytes.t -> tuple:int -> field:int -> Value.t
 
 val set_field : t -> Bytes.t -> tuple:int -> field:int -> Value.t -> unit
 
-val load_tuple : t -> Bytes.t -> tuple:int -> Ir_compile.t -> unit
-(** Fast path: decode tuple [tuple] directly into the compiled
-    program's input store. *)
-
 val load_tuple_vm : t -> Bytes.t -> tuple:int -> Ir_vm.t -> unit
-(** Same fast path for the bytecode VM backend. *)
+(** Fast path: decode tuple [tuple] directly into the VM's input
+    registers. *)
 
 val load_tuple_bvm : t -> Bytes.t -> tuple:int -> Ir_vm_batch.t -> lane:int -> unit
 (** Same fast path into one lane of the batched lockstep VM. *)

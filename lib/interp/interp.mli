@@ -8,7 +8,7 @@
     SimCoTest against 26,000 for compiled fuzz code (§4).
 
     Semantics are intentionally identical to the generated code
-    ({!Cftcg_codegen.Codegen} + {!Cftcg_ir.Ir_compile}); the test
+    ({!Cftcg_codegen.Codegen} + {!Cftcg_ir.Ir_vm}); the test
     suite checks the two paths differentially on random streams. *)
 
 open Cftcg_model

@@ -3,7 +3,7 @@
     The paper's tool emits C fuzz code (model step function with
     branch instrumentation) plus a fuzz driver ([FuzzTestOneInput],
     Figure 3) and compiles them with Clang. Our execution path is
-    {!Ir_compile}, but this emitter produces the equivalent C text so
+    {!Ir_vm}, but this emitter produces the equivalent C text so
     a user can inspect — or actually compile elsewhere — what the
     pipeline generated. Output is deterministic. *)
 
@@ -24,5 +24,5 @@ val emit_test_harness : Ir.program -> string
     [argv[1]], runs the model one iteration per tuple, and prints
     every output as [%.17g] per step — the executable the C-backend
     differential test compiles with gcc and compares against
-    {!Ir_compile}. Includes no-op definitions of the coverage
+    {!Ir_eval}. Includes no-op definitions of the coverage
     interface. Append it to {!emit_program}'s output. *)

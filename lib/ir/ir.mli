@@ -6,8 +6,8 @@
     establish the initial state (paper §3.1.1, "model initialization
     code"). The IR is deliberately C-shaped — assignments,
     if/else, ternary selects — so it can be pretty-printed as the C
-    fuzz code (see {!Cemit}) and compiled to closures for the
-    fuzzing loop (see {!Ir_compile}).
+    fuzz code (see {!Cemit}) and compiled to bytecode for the
+    fuzzing loop (see {!Ir_linearize} and {!Ir_vm}).
 
     Branch instrumentation (paper §3.1.2) appears as three statement
     forms: [Probe] marks one flat coverage cell (one element of the

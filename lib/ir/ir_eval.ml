@@ -2,7 +2,7 @@ open Cftcg_model
 
 (* Statements annotated with the static depth-first index of each If
    (init traversed before step, then-arm before else-arm), matching
-   the numbering Ir_compile bakes into its closures. *)
+   the numbering Ir_linearize bakes into its branch records. *)
 type astmt =
   | A_assign of Ir.var * Ir.expr
   | A_if of { if_ix : int; cond : Ir.expr; then_ : astmt list; else_ : astmt list }

@@ -1,8 +1,8 @@
 (** Reference interpreter for IR programs.
 
     Executes over boxed {!Cftcg_model.Value.t} with full dtype
-    bookkeeping. Slower than {!Ir_compile} by design; it exists as
-    the semantic oracle for differential tests and for debugging
+    bookkeeping. Slower than {!Ir_vm} by design; it exists as the
+    semantic oracle for differential tests and for debugging
     generated code. *)
 
 open Cftcg_model

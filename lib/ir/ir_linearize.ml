@@ -4,8 +4,8 @@ open Cftcg_model
    int-indexed register file of unboxed floats.
 
    Register file layout:  [ variables | temporaries | constants ]
-   - variables sit at their [vid], so [Ir_compile]-style raw access
-     (set_input_raw / read_raw) works unchanged;
+   - variables sit at their [vid], so raw access by variable id
+     (set_input_raw / read_raw) needs no lookup;
    - temporaries are statement-scoped (reset per statement, watermark
      sizes the file);
    - constants are pooled by bit pattern and materialized once per
@@ -14,9 +14,9 @@ open Cftcg_model
    All dtype-dependent semantics (integer wrap masks, saturation
    bounds, float32 rounding) are resolved here and baked into operand
    slots, so the interpreter in {!Ir_vm} dispatches on opcode alone.
-   The numeric formulas mirror {!Ir_compile} instruction for
-   instruction; the differential test suite holds the two (and
-   {!Ir_eval}) to bit-identical behaviour. *)
+   The numeric formulas mirror {!Value}'s boxed arithmetic; the
+   differential test suite holds the VM to bit-identical behaviour
+   with {!Ir_eval}. *)
 
 (* --- opcode numbers (dispatch table in Ir_vm.exec matches these) --- *)
 let op_mov = 0
@@ -324,7 +324,8 @@ and emit_f2i_sat ?dst em a lo hi =
   push_reg em rhi;
   d
 
-(* Value.convert as specialized opcodes — mirrors Ir_compile.convert. *)
+(* Value.cast as specialized opcodes: integer and bool sources wrap,
+   float sources truncate-saturate, bool targets take truthiness. *)
 and emit_convert ?dst em ~src ~target a =
   match target with
   | Dtype.Bool -> emit_1 ?dst em op_to_bool a
@@ -540,7 +541,7 @@ let rec lower_stmt em (s : Ir.stmt) =
     push em id
   | Ir.Record_cond { dec; cond_ix; value } ->
     (* without the hook the value expression is not evaluated at all,
-       matching the closure backend's no-op compilation *)
+       matching Ir_eval without hooks *)
     if em.instrument.cond then begin
       let rv = lower_expr em value in
       push em op_cond;

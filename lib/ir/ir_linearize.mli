@@ -17,9 +17,8 @@
       bounds, float32 rounding) are baked into operand slots at
       lowering time.
 
-    Semantics are bit-identical to the closure backend and
-    {!Ir_eval}; the differential test suite enforces this on random
-    programs. *)
+    Semantics are bit-identical to {!Ir_eval}; the differential test
+    suite enforces this on random programs. *)
 
 type instrumentation = {
   probe_hook : bool;

@@ -1,13 +1,12 @@
 open Cftcg_model
 
-(* Flat bytecode VM over an unboxed float register file — the third
-   execution backend, built for the fuzzing inner loop.
+(* Flat bytecode VM over an unboxed float register file — the one
+   compiled execution backend, built for the fuzzing inner loop.
 
-   Versus the closure backend, each expression node
-   costs one dispatch on an immediate int instead of an indirect call
-   returning a boxed float, and probe fires write straight into a
-   coverage byte buffer while recording a dirty list — so the fuzzer
-   pays per probe *fired*, not per probe *allocated*. *)
+   Each expression node costs one dispatch on an immediate int, and
+   probe fires write straight into a coverage byte buffer while
+   recording a dirty list — so the fuzzer pays per probe *fired*, not
+   per probe *allocated*. *)
 
 type probes = {
   p_fired : Bytes.t;  (* 0/1 membership per probe cell *)
@@ -700,7 +699,7 @@ let exec vm code =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Public interface (mirrors the closure backend)                      *)
+(* Public interface                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let program vm = vm.lin.Ir_linearize.l_prog

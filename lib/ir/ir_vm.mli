@@ -1,18 +1,17 @@
-(** Flat bytecode VM — the fastest execution backend.
+(** Flat bytecode VM — the one compiled execution backend: fuzzing,
+    solving, minimization and scoring all run on it.
 
     Runs {!Ir_linearize} bytecode in a tight dispatch loop over an
-    unboxed [float array] register file. Compared with the closure
-    backend, each expression node costs a jump-table
-    dispatch on an immediate opcode instead of an indirect call, and
-    probe fires write directly into a coverage byte buffer while
-    appending to a dirty list — so consumers can process only the
-    probes that actually fired instead of scanning all [n_probes]
-    cells.
+    unboxed [float array] register file. Each expression node costs a
+    jump-table dispatch on an immediate opcode, and probe fires write
+    directly into a coverage byte buffer while appending to a dirty
+    list — so consumers can process only the probes that actually
+    fired instead of scanning all [n_probes] cells.
 
-    Semantics are identical to {!Ir_eval} and the closure backend
-    (differentially tested). Like the closure backend, hooks are
-    fixed at compile time: instrumentation that wasn't requested is
-    simply never emitted as bytecode. Branch distances are bytecode
+    Semantics are identical to {!Ir_eval} (differentially tested, and
+    against gcc-compiled emitted C). Hooks are fixed at compile time:
+    instrumentation that wasn't requested is simply never emitted as
+    bytecode. Branch distances are bytecode
     too: branch-recording code folds every [If] visit's distances
     into per-instance minima ({!branches}) without allocating. *)
 

@@ -91,8 +91,9 @@ val decode_float : Dtype.t -> Bytes.t -> int -> float
 
 (** {1 Raw-float helpers}
 
-    Used by the closure compiler, which runs programs over an
-    unboxed float store while preserving these exact semantics. *)
+    Used by the bytecode linearizer and VM, which run programs over
+    an unboxed float register file while preserving these exact
+    semantics. *)
 
 val wrap : Dtype.t -> int -> int
 (** Two's-complement wrap into an integer dtype's range. *)

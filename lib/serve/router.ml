@@ -6,7 +6,6 @@
 
 module Campaign = Cftcg_campaign.Campaign
 module Worker_pool = Cftcg_campaign.Worker_pool
-module Fuzzer = Cftcg_fuzz.Fuzzer
 module Metrics = Cftcg_obs.Metrics
 module Flight = Cftcg_obs.Flight
 
@@ -19,12 +18,6 @@ let submission_of_body body =
     match Wire.get_int ~default:1 "jobs" j with
     | 0 -> Worker_pool.default_capacity ()  (* same convention as fuzz --jobs 0 *)
     | n -> n
-  in
-  let backend =
-    match Wire.get_string ~default:"vm" "backend" j with
-    | "vm" -> Fuzzer.Vm
-    | "closures" -> Fuzzer.Closures
-    | other -> raise (Wire.Parse_error (Printf.sprintf "unknown backend %S" other))
   in
   (* hybrid opt-in: "hybrid": true enables the plateau→solve→resume
      phase; solver_execs / solver_rounds tune its budgets. Solver
@@ -57,7 +50,6 @@ let submission_of_body body =
       stop_on_full = Wire.get_bool ~default:true "stop_on_full" j;
       corpus_dir = Wire.get_string_opt "corpus_dir" j;
       resume = Wire.get_bool ~default:false "resume" j;
-      fuzzer = { Fuzzer.default_config with Fuzzer.backend };
       on_worker_crash = Campaign.Degrade
     }
   in

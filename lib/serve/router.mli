@@ -16,11 +16,11 @@
     [tenant], [weight], [tenant_budget], [seed], [jobs] (0 resolves to
     the machine default, like [fuzz --jobs 0]), [total_execs],
     [execs_per_epoch], [plateau_epochs], [max_epochs], [seed_cap],
-    [stop_on_full], [corpus_dir], [resume], [backend] ("vm" |
-    "closures"), [hybrid] (bool — plateau→solve→resume concolic
-    phase; its solver executions are charged to the tenant like any
-    others), [solver_execs], [solver_rounds]. Malformed fields yield
-    a 400 naming the field. *)
+    [stop_on_full], [corpus_dir], [resume], [hybrid] (bool —
+    plateau→solve→resume concolic phase; its solver executions are
+    charged to the tenant like any others), [solver_execs],
+    [solver_rounds]. Malformed fields yield a 400 naming the field;
+    unknown fields are ignored. *)
 
 val dispatch :
   resolve:(string -> (Cftcg_ir.Ir.program, string) result) ->

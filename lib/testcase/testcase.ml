@@ -70,20 +70,37 @@ let of_csv (layout : Layout.t) text =
           (fun i cell ->
             if i > 0 then begin
               let field = i - 1 in
-              let ty = layout.Layout.fields.(field).Layout.f_ty in
+              let { Layout.f_ty = ty; f_name = column; _ } = layout.Layout.fields.(field) in
               let v =
                 if Dtype.is_float ty then
                   match float_of_string_opt cell with
                   | Some f -> Value.of_float ty (finite_or_fail f cell)
                   | None -> fail "row %d: bad float %S" tuple cell
-                else
-                  match int_of_string_opt cell with
-                  | Some n -> Value.of_int ty n
-                  | None -> (
-                    (* tolerate float-formatted integers *)
-                    match float_of_string_opt cell with
-                    | Some f -> Value.of_float ty (finite_or_fail f cell)
-                    | None -> fail "row %d: bad integer %S" tuple cell)
+                else begin
+                  (* integer and bool cells must name a value of the
+                     dtype exactly: casting would wrap 300 into a uint8
+                     or truncate 2.75, silently replaying another
+                     input. Float-formatted integers such as 3.0 are
+                     fine. *)
+                  let f =
+                    match int_of_string_opt cell with
+                    | Some n -> float_of_int n
+                    | None -> (
+                      match float_of_string_opt cell with
+                      | Some f -> finite_or_fail f cell
+                      | None -> fail "row %d: bad integer %S" tuple cell)
+                  in
+                  let lo, hi =
+                    if ty = Dtype.Bool then (0, 1)
+                    else (Dtype.min_int_value ty, Dtype.max_int_value ty)
+                  in
+                  if not (Float.is_integer f) then
+                    fail "row %d, column %s: %S is not an integer" tuple column cell;
+                  if f < float_of_int lo || f > float_of_int hi then
+                    fail "row %d, column %s: %S is out of range for %s" tuple column cell
+                      (Dtype.name ty);
+                  Value.of_int ty (int_of_float f)
+                end
               in
               Layout.set_field layout data ~tuple ~field v
             end)

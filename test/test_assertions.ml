@@ -60,13 +60,13 @@ let test_fuzzer_finds_violation () =
     Alcotest.(check string) "message" "TotalBound: total power exceeds 100" f.Fuzzer.f_message;
     (* replay the failing input and confirm the violation *)
     let layout = Cftcg_fuzz.Layout.of_program prog in
-    let c = Cftcg_ir.Ir_compile.compile prog in
-    Cftcg_ir.Ir_compile.reset c;
+    let c = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
+    Cftcg_ir.Ir_vm.reset c;
     let violated = ref false in
     for tuple = 0 to Cftcg_fuzz.Layout.n_tuples layout f.Fuzzer.f_data - 1 do
-      Cftcg_fuzz.Layout.load_tuple layout f.Fuzzer.f_data ~tuple c;
-      Cftcg_ir.Ir_compile.step c;
-      if Value.to_float (Cftcg_ir.Ir_compile.get_output c 0) > 100.0 then violated := true
+      Cftcg_fuzz.Layout.load_tuple_vm layout f.Fuzzer.f_data ~tuple c;
+      Cftcg_ir.Ir_vm.step c;
+      if Value.to_float (Cftcg_ir.Ir_vm.get_output c 0) > 100.0 then violated := true
     done;
     Alcotest.(check bool) "failing input reproduces" true !violated
 

@@ -1,6 +1,6 @@
 (* C-backend differential test: compile the emitted C fuzz code with
-   gcc -O2 and check it computes exactly what the closure-compiled
-   program computes over random tuple streams. This validates the
+   gcc -O2 and check it computes exactly what the reference IR
+   evaluator computes over random tuple streams. This validates the
    paper's core premise — the generated C faithfully implements the
    model — end to end. Skipped when no C compiler is installed. *)
 
@@ -8,7 +8,7 @@ open Cftcg_model
 module Codegen = Cftcg_codegen.Codegen
 module Layout = Cftcg_fuzz.Layout
 module Cemit = Cftcg_ir.Cemit
-module Ir_compile = Cftcg_ir.Ir_compile
+module Ir_eval = Cftcg_ir.Ir_eval
 
 let gcc_available =
   lazy (Sys.command "command -v gcc > /dev/null 2>&1" = 0)
@@ -26,18 +26,18 @@ let run_command cmd =
   | Unix.WEXITED n -> Error (Printf.sprintf "exit %d" n)
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> Error (Printf.sprintf "signal %d" n)
 
-(* Expected output computed by the OCaml execution path, formatted
+(* Expected output computed by the reference evaluator, formatted
    exactly like the C harness prints it. *)
 let ocaml_reference prog layout data =
-  let compiled = Ir_compile.compile prog in
-  Ir_compile.reset compiled;
+  let e = Ir_eval.create prog in
+  Ir_eval.reset e;
   let buf = Buffer.create 1024 in
   for tuple = 0 to Layout.n_tuples layout data - 1 do
-    Layout.load_tuple layout data ~tuple compiled;
-    Ir_compile.step compiled;
+    Array.iteri (Ir_eval.set_input e) (Layout.load_tuple_values layout data ~tuple);
+    Ir_eval.step e;
     Array.iteri
       (fun o (_ : Cftcg_ir.Ir.var) ->
-        let v = Value.to_float (Ir_compile.get_output compiled o) in
+        let v = Value.to_float (Ir_eval.get_output e o) in
         Buffer.add_string buf (Printf.sprintf "%.17g " v))
       prog.Cftcg_ir.Ir.outputs;
     Buffer.add_string buf "\n"

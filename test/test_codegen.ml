@@ -1,6 +1,6 @@
 (* Tests for model lowering: semantics of generated programs,
    instrumentation structure, and differential agreement between the
-   IR evaluator and the closure compiler on random input streams. *)
+   IR evaluator and the bytecode VM on random input streams. *)
 
 open Cftcg_model
 open Cftcg_ir
@@ -8,41 +8,41 @@ module Codegen = Cftcg_codegen.Codegen
 
 let compile_eval_pair ?mode m =
   let p = Codegen.lower ?mode m in
-  (p, Ir_eval.create p, Ir_compile.compile p)
+  (p, Ir_eval.create p, Ir_vm.compile ~optimize:false p)
 
 let drive_compiled c inputs =
-  List.iteri (fun i v -> Ir_compile.set_input c i v) inputs;
-  Ir_compile.step c
+  List.iteri (fun i v -> Ir_vm.set_input c i v) inputs;
+  Ir_vm.step c
 
 let vf f = Value.of_float Dtype.Float64 f
 let vi ty n = Value.of_int ty n
 
 let test_arith_semantics () =
   let _, _, c = compile_eval_pair (Fixtures.arith_model ()) in
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   (* y = sat(u1+u2), z = ctl>0 ? y : -y *)
   drive_compiled c [ vi Dtype.Int32 3; vi Dtype.Int32 4; vi Dtype.Int8 1 ];
-  Alcotest.(check (float 0.0)) "y" 7.0 (Value.to_float (Ir_compile.get_output c 0));
-  Alcotest.(check (float 0.0)) "z" 7.0 (Value.to_float (Ir_compile.get_output c 1));
+  Alcotest.(check (float 0.0)) "y" 7.0 (Value.to_float (Ir_vm.get_output c 0));
+  Alcotest.(check (float 0.0)) "z" 7.0 (Value.to_float (Ir_vm.get_output c 1));
   drive_compiled c [ vi Dtype.Int32 30; vi Dtype.Int32 4; vi Dtype.Int8 0 ];
-  Alcotest.(check (float 0.0)) "y saturated" 10.0 (Value.to_float (Ir_compile.get_output c 0));
-  Alcotest.(check (float 0.0)) "z negated" (-10.0) (Value.to_float (Ir_compile.get_output c 1))
+  Alcotest.(check (float 0.0)) "y saturated" 10.0 (Value.to_float (Ir_vm.get_output c 0));
+  Alcotest.(check (float 0.0)) "z negated" (-10.0) (Value.to_float (Ir_vm.get_output c 1))
 
 let test_integrator_accumulates_and_saturates () =
   let _, _, c = compile_eval_pair (Fixtures.feedback_model ()) in
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   (* forward Euler: output lags one step; limit at 100 *)
   drive_compiled c [ vf 60.0 ];
-  Alcotest.(check (float 0.0)) "first step outputs init" 0.0 (Value.to_float (Ir_compile.get_output c 0));
+  Alcotest.(check (float 0.0)) "first step outputs init" 0.0 (Value.to_float (Ir_vm.get_output c 0));
   drive_compiled c [ vf 60.0 ];
-  Alcotest.(check (float 0.0)) "second step 60" 60.0 (Value.to_float (Ir_compile.get_output c 0));
+  Alcotest.(check (float 0.0)) "second step 60" 60.0 (Value.to_float (Ir_vm.get_output c 0));
   drive_compiled c [ vf 60.0 ];
-  Alcotest.(check (float 0.0)) "saturates at 100" 100.0 (Value.to_float (Ir_compile.get_output c 0))
+  Alcotest.(check (float 0.0)) "saturates at 100" 100.0 (Value.to_float (Ir_vm.get_output c 0))
 
 let test_chart_behaviour () =
   let _, _, c = compile_eval_pair (Fixtures.chart_model ()) in
-  Ir_compile.reset c;
-  let busy () = Value.is_true (Ir_compile.get_output c 0) in
+  Ir_vm.reset c;
+  let busy () = Value.is_true (Ir_vm.get_output c 0) in
   drive_compiled c [ Value.of_bool false ];
   Alcotest.(check bool) "idle initially" false (busy ());
   drive_compiled c [ Value.of_bool true ];
@@ -59,13 +59,13 @@ let test_chart_behaviour () =
 
 let test_enabled_subsystem_holds_output () =
   let _, _, c = compile_eval_pair (Fixtures.enabled_model ()) in
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   drive_compiled c [ Value.of_bool true; vf 4.0 ];
-  Alcotest.(check (float 0.0)) "enabled computes" 8.0 (Value.to_float (Ir_compile.get_output c 0));
+  Alcotest.(check (float 0.0)) "enabled computes" 8.0 (Value.to_float (Ir_vm.get_output c 0));
   drive_compiled c [ Value.of_bool false; vf 100.0 ];
-  Alcotest.(check (float 0.0)) "disabled holds" 8.0 (Value.to_float (Ir_compile.get_output c 0));
+  Alcotest.(check (float 0.0)) "disabled holds" 8.0 (Value.to_float (Ir_vm.get_output c 0));
   drive_compiled c [ Value.of_bool true; vf 1.0 ];
-  Alcotest.(check (float 0.0)) "re-enabled recomputes" 2.0 (Value.to_float (Ir_compile.get_output c 0))
+  Alcotest.(check (float 0.0)) "re-enabled recomputes" 2.0 (Value.to_float (Ir_vm.get_output c 0))
 
 let test_logic_model_truth_table () =
   let _, _, c = compile_eval_pair (Fixtures.logic_model ()) in
@@ -74,14 +74,14 @@ let test_logic_model_truth_table () =
     [ (false, false, false, true); (false, false, true, false); (true, false, true, false);
       (true, true, false, true); (true, true, true, true); (false, true, true, false) ]
   in
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   List.iter
     (fun (a, b, cc, expected) ->
       drive_compiled c [ Value.of_bool a; Value.of_bool b; Value.of_bool cc ];
       Alcotest.(check bool)
         (Printf.sprintf "(%b,%b,%b)" a b cc)
         expected
-        (Value.is_true (Ir_compile.get_output c 0)))
+        (Value.is_true (Ir_vm.get_output c 0)))
     cases
 
 let test_instrumentation_counts () =
@@ -101,10 +101,10 @@ let test_modes_agree_semantically () =
   (* instrumentation must not change observable behaviour *)
   let m = Fixtures.kitchen_sink_model () in
   let progs =
-    List.map (fun mode -> Ir_compile.compile (Codegen.lower ~mode m))
+    List.map (fun mode -> Ir_vm.compile ~optimize:false (Codegen.lower ~mode m))
       [ Codegen.Full; Codegen.Branchless; Codegen.Plain ]
   in
-  List.iter Ir_compile.reset progs;
+  List.iter Ir_vm.reset progs;
   let rng = Cftcg_util.Rng.create 21L in
   for _ = 1 to 300 do
     let u = Cftcg_util.Rng.float rng 20.0 -. 10.0 in
@@ -112,23 +112,23 @@ let test_modes_agree_semantically () =
     List.iter (fun c -> drive_compiled c [ vf u; vi Dtype.Int32 i ]) progs;
     match progs with
     | [ a; b; c ] ->
-      let va = Value.to_float (Ir_compile.get_output a 0) in
-      let vb = Value.to_float (Ir_compile.get_output b 0) in
-      let vc = Value.to_float (Ir_compile.get_output c 0) in
+      let va = Value.to_float (Ir_vm.get_output a 0) in
+      let vb = Value.to_float (Ir_vm.get_output b 0) in
+      let vc = Value.to_float (Ir_vm.get_output c 0) in
       Alcotest.(check (float 1e-9)) "full = branchless" va vb;
       Alcotest.(check (float 1e-9)) "full = plain" va vc
     | _ -> assert false
   done
 
 (* Differential property: on every fixture, the reference evaluator
-   and the closure compiler agree over random typed input streams. *)
+   and the bytecode VM agree over random typed input streams. *)
 let differential_fixture name mk =
   let m = mk () in
   let p = Codegen.lower m in
   let e = Ir_eval.create p in
-  let c = Ir_compile.compile p in
+  let c = Ir_vm.compile ~optimize:false p in
   Ir_eval.reset e;
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   let rng = Cftcg_util.Rng.create 77L in
   let gen_input (var : Ir.var) =
     let ty = var.Ir.vty in
@@ -143,14 +143,14 @@ let differential_fixture name mk =
       (fun i var ->
         let v = gen_input var in
         Ir_eval.set_input e i v;
-        Ir_compile.set_input c i v)
+        Ir_vm.set_input c i v)
       p.Ir.inputs;
     Ir_eval.step e;
-    Ir_compile.step c;
+    Ir_vm.step c;
     Array.iteri
       (fun i _ ->
         let ve = Value.to_float (Ir_eval.get_output e i) in
-        let vc = Value.to_float (Ir_compile.get_output c i) in
+        let vc = Value.to_float (Ir_vm.get_output c i) in
         if ve <> vc && not (Float.is_nan ve && Float.is_nan vc) then
           Alcotest.failf "%s: output %d diverges at step %d: eval=%.17g compiled=%.17g" name i step
             ve vc)
@@ -189,13 +189,13 @@ let test_multiport_switch_clamps () =
   Build.outport b "y" y;
   let m = Build.finish b in
   let _, _, c = compile_eval_pair m in
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   let check sel expected =
     drive_compiled c [ vi Dtype.Int32 sel ];
     Alcotest.(check (float 0.0))
       (Printf.sprintf "sel=%d" sel)
       expected
-      (Value.to_float (Ir_compile.get_output c 0))
+      (Value.to_float (Ir_vm.get_output c 0))
   in
   check 1 10.0;
   check 2 20.0;
@@ -215,10 +215,10 @@ let test_type_inference_int_pipeline () =
   let m = Build.finish b in
   let p = Codegen.lower m in
   Alcotest.(check string) "output is int8" "int8" (Dtype.name p.Ir.outputs.(0).Ir.vty);
-  let c = Ir_compile.compile p in
-  Ir_compile.reset c;
+  let c = Ir_vm.compile ~optimize:false p in
+  Ir_vm.reset c;
   drive_compiled c [ vi Dtype.Int8 127; vi Dtype.Int8 1 ];
-  Alcotest.(check (float 0.0)) "wraps" (-128.0) (Value.to_float (Ir_compile.get_output c 0))
+  Alcotest.(check (float 0.0)) "wraps" (-128.0) (Value.to_float (Ir_vm.get_output c 0))
 
 let suites =
   [ ( "codegen.semantics",

@@ -6,8 +6,8 @@ module Codegen = Cftcg_codegen.Codegen
 module Recorder = Cftcg_coverage.Recorder
 
 let drive c inputs =
-  List.iteri (fun i v -> Ir_compile.set_input c i v) inputs;
-  Ir_compile.step c
+  List.iteri (fun i v -> Ir_vm.set_input c i v) inputs;
+  Ir_vm.step c
 
 let vb = Value.of_bool
 
@@ -15,8 +15,8 @@ let logic_setup () =
   let m = Fixtures.logic_model () in
   let p = Codegen.lower m in
   let rec_ = Recorder.create p in
-  let c = Ir_compile.compile ~hooks:(Recorder.hooks rec_) p in
-  Ir_compile.reset c;
+  let c = Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks rec_) p in
+  Ir_vm.reset c;
   (p, rec_, c)
 
 let test_empty_coverage_is_zero () =
@@ -62,8 +62,8 @@ let test_mcdc_needs_independence_pair () =
   let m = Build.finish b in
   let p = Codegen.lower m in
   let rec_ = Recorder.create p in
-  let c = Ir_compile.compile ~hooks:(Recorder.hooks rec_) p in
-  Ir_compile.reset c;
+  let c = Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks rec_) p in
+  Ir_vm.reset c;
   drive c [ vb true; vb true ];
   drive c [ vb false; vb true ];
   let r = Recorder.report rec_ in
@@ -86,8 +86,8 @@ let test_condition_vs_mcdc_difference () =
   let m = Build.finish b in
   let p = Codegen.lower m in
   let rec_ = Recorder.create p in
-  let c = Ir_compile.compile ~hooks:(Recorder.hooks rec_) p in
-  Ir_compile.reset c;
+  let c = Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks rec_) p in
+  Ir_vm.reset c;
   drive c [ vb false; vb false ];
   drive c [ vb true; vb true ];
   let r = Recorder.report rec_ in
@@ -128,8 +128,8 @@ let test_branch_total () =
 let test_multiway_decision_coverage () =
   let p = Codegen.lower (Fixtures.arith_model ()) in
   let rec_ = Recorder.create p in
-  let c = Ir_compile.compile ~hooks:(Recorder.hooks rec_) p in
-  Ir_compile.reset c;
+  let c = Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks rec_) p in
+  Ir_vm.reset c;
   let vi n = Value.of_int Dtype.Int32 n in
   let v8 n = Value.of_int Dtype.Int8 n in
   drive c [ vi 3; vi 3; v8 1 ];

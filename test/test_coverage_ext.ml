@@ -15,8 +15,8 @@ let lookup_model () =
   B.finish b
 
 let drive c v =
-  Cftcg_ir.Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 v);
-  Cftcg_ir.Ir_compile.step c
+  Cftcg_ir.Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 v);
+  Cftcg_ir.Ir_vm.step c
 
 let test_lookup_metadata () =
   let prog = Codegen.lower (lookup_model ()) in
@@ -28,8 +28,8 @@ let test_lookup_metadata () =
 let test_lookup_interval_coverage () =
   let prog = Codegen.lower (lookup_model ()) in
   let rec_ = Recorder.create prog in
-  let c = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks rec_) prog in
-  Cftcg_ir.Ir_compile.reset c;
+  let c = Cftcg_ir.Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks rec_) prog in
+  Cftcg_ir.Ir_vm.reset c;
   let pct () = (Recorder.report rec_).Recorder.lookup_pct in
   Alcotest.(check (float 0.01)) "empty" 0.0 (pct ());
   drive c 5.0;

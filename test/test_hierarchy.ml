@@ -47,17 +47,17 @@ let machine_model () =
   B.finish b
 
 let drive c kill start =
-  Cftcg_ir.Ir_compile.set_input c 0 (Value.of_bool kill);
-  Cftcg_ir.Ir_compile.set_input c 1 (Value.of_bool start);
-  Cftcg_ir.Ir_compile.step c;
-  ( Value.to_int (Cftcg_ir.Ir_compile.get_output c 0),
-    Value.to_int (Cftcg_ir.Ir_compile.get_output c 1),
-    Value.to_int (Cftcg_ir.Ir_compile.get_output c 2) )
+  Cftcg_ir.Ir_vm.set_input c 0 (Value.of_bool kill);
+  Cftcg_ir.Ir_vm.set_input c 1 (Value.of_bool start);
+  Cftcg_ir.Ir_vm.step c;
+  ( Value.to_int (Cftcg_ir.Ir_vm.get_output c 0),
+    Value.to_int (Cftcg_ir.Ir_vm.get_output c 1),
+    Value.to_int (Cftcg_ir.Ir_vm.get_output c 2) )
 
 let test_nested_semantics () =
   let prog = Codegen.lower (machine_model ()) in
-  let c = Cftcg_ir.Ir_compile.compile prog in
-  Cftcg_ir.Ir_compile.reset c;
+  let c = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
+  Cftcg_ir.Ir_vm.reset c;
   (* start: enter On -> Warmup (entry sets ready) *)
   Alcotest.(check (triple int int int)) "start" (1, 0, 0) (drive c false true);
   (* warmup holds until its own timer reaches 2 (seen before the
@@ -79,8 +79,8 @@ let test_outer_transition_priority () =
   (* kill and inner condition true at once: the outer transition
      fires; the inner Warmup->Work switch must not *)
   let prog = Codegen.lower (machine_model ()) in
-  let c = Cftcg_ir.Ir_compile.compile prog in
-  Cftcg_ir.Ir_compile.reset c;
+  let c = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
+  Cftcg_ir.Ir_vm.reset c;
   ignore (drive c false true);
   ignore (drive c false false);
   ignore (drive c false false);
@@ -97,22 +97,22 @@ let test_chart_metrics () =
 let test_interp_matches_compiled () =
   let m = machine_model () in
   let prog = Codegen.lower ~mode:Codegen.Plain m in
-  let c = Cftcg_ir.Ir_compile.compile prog in
+  let c = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
   let interp = Interp.create m in
-  Cftcg_ir.Ir_compile.reset c;
+  Cftcg_ir.Ir_vm.reset c;
   Interp.reset interp;
   let rng = Cftcg_util.Rng.create 41L in
   for step = 1 to 600 do
     let kill = Cftcg_util.Rng.int rng 8 = 0 in
     let start = Cftcg_util.Rng.bool rng in
-    Cftcg_ir.Ir_compile.set_input c 0 (Value.of_bool kill);
-    Cftcg_ir.Ir_compile.set_input c 1 (Value.of_bool start);
+    Cftcg_ir.Ir_vm.set_input c 0 (Value.of_bool kill);
+    Cftcg_ir.Ir_vm.set_input c 1 (Value.of_bool start);
     Interp.set_input interp 0 (Value.of_bool kill);
     Interp.set_input interp 1 (Value.of_bool start);
-    Cftcg_ir.Ir_compile.step c;
+    Cftcg_ir.Ir_vm.step c;
     Interp.step interp;
     for o = 0 to 2 do
-      let vc = Value.to_float (Cftcg_ir.Ir_compile.get_output c o) in
+      let vc = Value.to_float (Cftcg_ir.Ir_vm.get_output c o) in
       let vi = Value.to_float (Interp.get_output interp o) in
       if vc <> vi then
         Alcotest.failf "output %d diverges at step %d: compiled=%g interp=%g" o step vc vi

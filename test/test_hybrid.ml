@@ -103,19 +103,7 @@ let rolling_code_model () =
 
 (* which decision blocks a merged suite leaves uncovered *)
 let uncovered_blocks prog suite =
-  let recorder = Recorder.create prog in
-  let compiled = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-  let layout = Cftcg_fuzz.Layout.of_program prog in
-  List.iter
-    (fun data ->
-      Cftcg_ir.Ir_compile.reset compiled;
-      let n = min (Cftcg_fuzz.Layout.n_tuples layout data) 4096 in
-      for tuple = 0 to n - 1 do
-        Cftcg_fuzz.Layout.load_tuple layout data ~tuple compiled;
-        Cftcg_ir.Ir_compile.step compiled
-      done)
-    suite;
-  List.map (fun (block, _, _) -> block) (Recorder.uncovered recorder)
+  List.map (fun (block, _, _) -> block) (Recorder.uncovered (Cftcg.Evaluate.record prog suite))
 
 let campaign_config ?(jobs = 2) ?(stop_on_full = true) ~hybrid () =
   { Campaign.default_config with

@@ -90,18 +90,18 @@ let test_eval_semantics () =
 let test_compile_matches_eval_on_sample () =
   let p = sample_program () in
   let e = Ir_eval.create p in
-  let c = Ir_compile.compile p in
+  let c = Ir_vm.compile ~optimize:false p in
   Ir_eval.reset e;
-  Ir_compile.reset c;
+  Ir_vm.reset c;
   let rng = Cftcg_util.Rng.create 11L in
   for _ = 1 to 500 do
     let x = Cftcg_util.Rng.float rng 20.0 -. 10.0 in
     Ir_eval.set_input e 0 (Value.of_float Dtype.Float64 x);
-    Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 x);
+    Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 x);
     Ir_eval.step e;
-    Ir_compile.step c;
+    Ir_vm.step c;
     let ve = Value.to_float (Ir_eval.get_output e 0) in
-    let vc = Value.to_float (Ir_compile.get_output c 0) in
+    let vc = Value.to_float (Ir_vm.get_output c 0) in
     Alcotest.(check (float 0.0)) "outputs agree" ve vc
   done
 
@@ -132,12 +132,12 @@ let test_hooks_fire_identically () =
     Ir_eval.step ~hooks e
   in
   let via_compile hooks =
-    let c = Ir_compile.compile ~hooks p in
-    Ir_compile.reset c;
-    Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 7.5);
-    Ir_compile.step c;
-    Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 1.0);
-    Ir_compile.step c
+    let c = Ir_vm.compile ~optimize:false ~hooks p in
+    Ir_vm.reset c;
+    Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 7.5);
+    Ir_vm.step c;
+    Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 1.0);
+    Ir_vm.step c
   in
   let pe, ce, de, be = run via_eval in
   let pc, cc, dc, bc = run via_compile in
@@ -221,14 +221,14 @@ let test_select_evaluates_both_arms () =
       lookup_tables = [||];
     }
   in
-  let c = Ir_compile.compile p in
-  Ir_compile.reset c;
-  Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 3.0);
-  Ir_compile.step c;
-  Alcotest.(check (float 0.0)) "positive" 1.0 (Value.to_float (Ir_compile.get_output c 0));
-  Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 (-3.0));
-  Ir_compile.step c;
-  Alcotest.(check (float 0.0)) "negative" (-1.0) (Value.to_float (Ir_compile.get_output c 0))
+  let c = Ir_vm.compile ~optimize:false p in
+  Ir_vm.reset c;
+  Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 3.0);
+  Ir_vm.step c;
+  Alcotest.(check (float 0.0)) "positive" 1.0 (Value.to_float (Ir_vm.get_output c 0));
+  Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 (-3.0));
+  Ir_vm.step c;
+  Alcotest.(check (float 0.0)) "negative" (-1.0) (Value.to_float (Ir_vm.get_output c 0))
 
 let suites =
   [ ( "ir.core",

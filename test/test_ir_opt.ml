@@ -30,24 +30,25 @@ let differential name prog =
       on_branch = None;
     }
   in
-  let a = Ir_compile.compile ~hooks:(mk_hooks trace_a) prog in
-  let b = Ir_compile.compile ~hooks:(mk_hooks trace_b) opt in
-  Ir_compile.reset a;
-  Ir_compile.reset b;
+  let hooks_a = mk_hooks trace_a and hooks_b = mk_hooks trace_b in
+  let a = Ir_eval.create prog in
+  let b = Ir_eval.create opt in
+  Ir_eval.reset ~hooks:hooks_a a;
+  Ir_eval.reset ~hooks:hooks_b b;
   let rng = Cftcg_util.Rng.create 31L in
   for step = 1 to 300 do
     Array.iteri
       (fun i var ->
         let v = rng_input rng var in
-        Ir_compile.set_input a i v;
-        Ir_compile.set_input b i v)
+        Ir_eval.set_input a i v;
+        Ir_eval.set_input b i v)
       prog.Ir.inputs;
-    Ir_compile.step a;
-    Ir_compile.step b;
+    Ir_eval.step ~hooks:hooks_a a;
+    Ir_eval.step ~hooks:hooks_b b;
     Array.iteri
       (fun i _ ->
-        let va = Value.to_float (Ir_compile.get_output a i) in
-        let vb = Value.to_float (Ir_compile.get_output b i) in
+        let va = Value.to_float (Ir_eval.get_output a i) in
+        let vb = Value.to_float (Ir_eval.get_output b i) in
         if va <> vb && not (Float.is_nan va && Float.is_nan vb) then
           Alcotest.failf "%s: output %d diverges at step %d: %.17g vs %.17g" name i step va vb)
       prog.Ir.outputs
@@ -84,11 +85,11 @@ let test_constant_folding_works () =
     (Printf.sprintf "fewer statements (%d -> %d)" (Ir.stmt_count prog) (Ir.stmt_count opt))
     true
     (Ir.stmt_count opt < Ir.stmt_count prog);
-  let c = Ir_compile.compile opt in
-  Ir_compile.reset c;
-  Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 4.0);
-  Ir_compile.step c;
-  Alcotest.(check (float 0.0)) "value" 20.0 (Value.to_float (Ir_compile.get_output c 0))
+  let c = Ir_vm.compile ~optimize:false opt in
+  Ir_vm.reset c;
+  Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 4.0);
+  Ir_vm.step c;
+  Alcotest.(check (float 0.0)) "value" 20.0 (Value.to_float (Ir_vm.get_output c 0))
 
 let test_constant_branch_pruned () =
   (* switch with a constant-true control folds to the taken arm *)
@@ -129,11 +130,11 @@ let test_copy_propagation () =
   let prog = Codegen.lower ~mode:Codegen.Plain (Build.finish b) in
   let opt = Ir_opt.optimize prog in
   Alcotest.(check bool) "copies collapse" true (Ir.stmt_count opt <= Ir.stmt_count prog);
-  let c = Ir_compile.compile opt in
-  Ir_compile.reset c;
-  Ir_compile.set_input c 0 (Value.of_float Dtype.Float64 7.5);
-  Ir_compile.step c;
-  Alcotest.(check (float 0.0)) "identity preserved" 7.5 (Value.to_float (Ir_compile.get_output c 0))
+  let c = Ir_vm.compile ~optimize:false opt in
+  Ir_vm.reset c;
+  Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 7.5);
+  Ir_vm.step c;
+  Alcotest.(check (float 0.0)) "identity preserved" 7.5 (Value.to_float (Ir_vm.get_output c 0))
 
 let test_optimizer_is_idempotent () =
   let prog = Codegen.lower (Fixtures.kitchen_sink_model ()) in

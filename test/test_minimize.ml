@@ -58,13 +58,13 @@ let probe_set prog suite =
   let n = max prog.Cftcg_ir.Ir.n_probes 1 in
   let total = Bytes.make n '\000' in
   let hooks = Cftcg_ir.Hooks.probes_only (fun id -> Bytes.set total id '\001') in
-  let compiled = Cftcg_ir.Ir_compile.compile ~hooks prog in
+  let compiled = Cftcg_ir.Ir_vm.compile ~optimize:false ~hooks prog in
   List.iter
     (fun data ->
-      Cftcg_ir.Ir_compile.reset compiled;
+      Cftcg_ir.Ir_vm.reset compiled;
       for tuple = 0 to Layout.n_tuples layout data - 1 do
-        Layout.load_tuple layout data ~tuple compiled;
-        Cftcg_ir.Ir_compile.step compiled
+        Layout.load_tuple_vm layout data ~tuple compiled;
+        Cftcg_ir.Ir_vm.step compiled
       done)
     suite;
   total
@@ -111,12 +111,12 @@ let test_minimize_prefers_short_cases () =
 let test_detailed_report_mentions_uncovered () =
   let prog = Codegen.lower (Fixtures.logic_model ()) in
   let recorder = Recorder.create prog in
-  let compiled = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-  Cftcg_ir.Ir_compile.reset compiled;
+  let compiled = Cftcg_ir.Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks recorder) prog in
+  Cftcg_ir.Ir_vm.reset compiled;
   (* single input: half the outcomes stay uncovered *)
-  List.iteri (fun i v -> Cftcg_ir.Ir_compile.set_input compiled i v)
+  List.iteri (fun i v -> Cftcg_ir.Ir_vm.set_input compiled i v)
     [ Value.of_bool true; Value.of_bool true; Value.of_bool true ];
-  Cftcg_ir.Ir_compile.step compiled;
+  Cftcg_ir.Ir_vm.step compiled;
   let text = Recorder.detailed recorder in
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
@@ -130,11 +130,11 @@ let test_detailed_report_mentions_uncovered () =
 let test_html_report () =
   let prog = Codegen.lower (Fixtures.logic_model ()) in
   let recorder = Recorder.create prog in
-  let compiled = Cftcg_ir.Ir_compile.compile ~hooks:(Recorder.hooks recorder) prog in
-  Cftcg_ir.Ir_compile.reset compiled;
-  List.iteri (fun i v -> Cftcg_ir.Ir_compile.set_input compiled i v)
+  let compiled = Cftcg_ir.Ir_vm.compile ~optimize:false ~hooks:(Recorder.hooks recorder) prog in
+  Cftcg_ir.Ir_vm.reset compiled;
+  List.iteri (fun i v -> Cftcg_ir.Ir_vm.set_input compiled i v)
     [ Value.of_bool true; Value.of_bool false; Value.of_bool true ];
-  Cftcg_ir.Ir_compile.step compiled;
+  Cftcg_ir.Ir_vm.step compiled;
   let html =
     Cftcg_coverage.Html_report.render ~model_name:"LogicM"
       ~signal_ranges:[ ("y", 0.0, 1.0) ] recorder

@@ -66,9 +66,9 @@ let random_value rng (ty : Dtype.t) =
 
 let differential name m =
   let p = Codegen.lower ~mode:Codegen.Plain m in
-  let compiled = Ir_compile.compile p in
+  let compiled = Ir_vm.compile ~optimize:false p in
   let interp = Interp.create m in
-  Ir_compile.reset compiled;
+  Ir_vm.reset compiled;
   Interp.reset interp;
   let rng = Cftcg_util.Rng.create 2024L in
   let n_out = Array.length p.Ir.outputs in
@@ -76,13 +76,13 @@ let differential name m =
     Array.iteri
       (fun i (var : Ir.var) ->
         let v = random_value rng var.Ir.vty in
-        Ir_compile.set_input compiled i v;
+        Ir_vm.set_input compiled i v;
         Interp.set_input interp i v)
       p.Ir.inputs;
-    Ir_compile.step compiled;
+    Ir_vm.step compiled;
     Interp.step interp;
     for o = 0 to n_out - 1 do
-      let vc = Value.to_float (Ir_compile.get_output compiled o) in
+      let vc = Value.to_float (Ir_vm.get_output compiled o) in
       let vi = Value.to_float (Interp.get_output interp o) in
       if vc <> vi && not (Float.is_nan vc && Float.is_nan vi) then
         Alcotest.failf "%s: output %d diverges at step %d: compiled=%.17g interp=%.17g" name o

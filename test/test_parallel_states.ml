@@ -46,16 +46,16 @@ let model () =
   B.finish b
 
 let drive c power cmd =
-  Cftcg_ir.Ir_compile.set_input c 0 (Value.of_bool power);
-  Cftcg_ir.Ir_compile.set_input c 1 (Value.of_bool cmd);
-  Cftcg_ir.Ir_compile.step c;
-  ( Value.to_int (Cftcg_ir.Ir_compile.get_output c 0),
-    Value.to_int (Cftcg_ir.Ir_compile.get_output c 1),
-    Value.to_int (Cftcg_ir.Ir_compile.get_output c 2) )
+  Cftcg_ir.Ir_vm.set_input c 0 (Value.of_bool power);
+  Cftcg_ir.Ir_vm.set_input c 1 (Value.of_bool cmd);
+  Cftcg_ir.Ir_vm.step c;
+  ( Value.to_int (Cftcg_ir.Ir_vm.get_output c 0),
+    Value.to_int (Cftcg_ir.Ir_vm.get_output c 1),
+    Value.to_int (Cftcg_ir.Ir_vm.get_output c 2) )
 
 let test_both_regions_run () =
-  let c = Cftcg_ir.Ir_compile.compile (Codegen.lower (model ())) in
-  Cftcg_ir.Ir_compile.reset c;
+  let c = Cftcg_ir.Ir_vm.compile ~optimize:false (Codegen.lower (model ())) in
+  Cftcg_ir.Ir_vm.reset c;
   Alcotest.(check (triple int int int)) "power on" (0, 0, 0) (drive c true false);
   (* both regions active: meter ticks while motor idles *)
   Alcotest.(check (triple int int int)) "meter only" (0, 1, 0) (drive c true false);
@@ -72,10 +72,10 @@ let test_both_regions_run () =
 let test_interp_matches_compiled () =
   let m = model () in
   let prog = Codegen.lower ~mode:Codegen.Plain m in
-  let c = Cftcg_ir.Ir_compile.compile prog in
+  let c = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
   let e = Cftcg_ir.Ir_eval.create prog in
   let interp = Interp.create m in
-  Cftcg_ir.Ir_compile.reset c;
+  Cftcg_ir.Ir_vm.reset c;
   Cftcg_ir.Ir_eval.reset e;
   Interp.reset interp;
   let rng = Cftcg_util.Rng.create 51L in
@@ -83,17 +83,17 @@ let test_interp_matches_compiled () =
     let power = Cftcg_util.Rng.int rng 6 <> 0 in
     let cmd = Cftcg_util.Rng.bool rng in
     let set i v =
-      Cftcg_ir.Ir_compile.set_input c i v;
+      Cftcg_ir.Ir_vm.set_input c i v;
       Cftcg_ir.Ir_eval.set_input e i v;
       Interp.set_input interp i v
     in
     set 0 (Value.of_bool power);
     set 1 (Value.of_bool cmd);
-    Cftcg_ir.Ir_compile.step c;
+    Cftcg_ir.Ir_vm.step c;
     Cftcg_ir.Ir_eval.step e;
     Interp.step interp;
     for o = 0 to 2 do
-      let vc = Value.to_float (Cftcg_ir.Ir_compile.get_output c o) in
+      let vc = Value.to_float (Cftcg_ir.Ir_vm.get_output c o) in
       let ve = Value.to_float (Cftcg_ir.Ir_eval.get_output e o) in
       let vi = Value.to_float (Interp.get_output interp o) in
       if vc <> ve || vc <> vi then

@@ -138,13 +138,32 @@ let test_csv_header () =
   | [] -> Alcotest.fail "empty csv"
 
 let test_csv_rejects_garbage () =
-  let layout = Layout.of_inports [| ("a", Dtype.Int8) |] in
+  let column ty = Layout.of_inports [| ("a", ty) |] in
+  let int8 = column Dtype.Int8 in
   List.iter
-    (fun s ->
+    (fun (layout, s) ->
       match Testcase.of_csv layout s with
       | exception Testcase.Parse_error _ -> ()
       | _ -> Alcotest.fail ("accepted " ^ s))
-    [ ""; "wrong,header\n0,1"; "step,a\n0"; "step,a\n0,xyz"; "step,a\n0,1,2" ]
+    (List.map
+       (fun s -> (int8, s))
+       [ ""; "wrong,header\n0,1"; "step,a\n0"; "step,a\n0,xyz"; "step,a\n0,1,2" ]);
+  (* cells the dtype cannot hold exactly: out of range, non-integral,
+     or a bool other than 0/1 — each named by row and column *)
+  List.iter
+    (fun (ty, cell) ->
+      let s = "step,a\n0,0\n1," ^ cell in
+      match Testcase.of_csv (column ty) s with
+      | exception Testcase.Parse_error msg ->
+        Alcotest.(check bool) ("row and column in " ^ msg) true
+          (String.starts_with ~prefix:"row 1, column a:" msg)
+      | _ -> Alcotest.failf "accepted %s %s" (Dtype.name ty) cell)
+    [ (Dtype.UInt8, "300"); (Dtype.UInt8, "-1"); (Dtype.Int16, "40000"); (Dtype.Int8, "2.75");
+      (Dtype.Bool, "7"); (Dtype.UInt8, "256.0"); (Dtype.Bool, "-1") ];
+  (* float-formatted integers stay accepted *)
+  let data = Testcase.of_csv int8 "step,a\n0,3.0" in
+  Alcotest.(check int) "3.0 into int8" 3
+    (Value.to_int (Layout.field_value int8 data ~tuple:0 ~field:0))
 
 let test_csv_suite_files () =
   let layout = Layout.of_inports [| ("u", Dtype.Int16) |] in

@@ -20,36 +20,36 @@ let test_exec_paths_agree () =
   for model_ix = 1 to n_models do
     let m = Model_gen.generate rng in
     let prog = Codegen.lower m in
-    let compiled = Ir_compile.compile prog in
     let evaluator = Ir_eval.create prog in
+    let compiled = Ir_vm.compile ~optimize:false prog in
     let interp = Interp.create m in
-    let optimized = Ir_compile.compile (Ir_opt.optimize prog) in
-    Ir_compile.reset compiled;
+    let optimized = Ir_vm.compile (Ir_opt.optimize prog) in
+    Ir_vm.reset compiled;
     Ir_eval.reset evaluator;
     Interp.reset interp;
-    Ir_compile.reset optimized;
+    Ir_vm.reset optimized;
     let n_out = Array.length prog.Ir.outputs in
     for step = 1 to steps_per_model do
       Array.iteri
         (fun i (var : Ir.var) ->
           let v = Model_gen.random_input rng var.Ir.vty in
-          Ir_compile.set_input compiled i v;
+          Ir_vm.set_input compiled i v;
           Ir_eval.set_input evaluator i v;
           Interp.set_input interp i v;
-          Ir_compile.set_input optimized i v)
+          Ir_vm.set_input optimized i v)
         prog.Ir.inputs;
-      Ir_compile.step compiled;
+      Ir_vm.step compiled;
       Ir_eval.step evaluator;
       Interp.step interp;
-      Ir_compile.step optimized;
+      Ir_vm.step optimized;
       for o = 0 to n_out - 1 do
-        let reference = Value.to_float (Ir_compile.get_output compiled o) in
+        let reference = Value.to_float (Ir_eval.get_output evaluator o) in
         let tag which =
-          Printf.sprintf "model %d step %d output %d: compiled vs %s" model_ix step o which
+          Printf.sprintf "model %d step %d output %d: evaluator vs %s" model_ix step o which
         in
-        agree (tag "evaluator") reference (Value.to_float (Ir_eval.get_output evaluator o));
+        agree (tag "vm") reference (Value.to_float (Ir_vm.get_output compiled o));
         agree (tag "interpreter") reference (Value.to_float (Interp.get_output interp o));
-        agree (tag "optimized") reference (Value.to_float (Ir_compile.get_output optimized o))
+        agree (tag "optimized") reference (Value.to_float (Ir_vm.get_output optimized o))
       done
     done
   done
@@ -61,32 +61,32 @@ let test_instrumentation_modes_agree () =
     let m = Model_gen.generate rng in
     let progs =
       List.map
-        (fun mode -> Ir_compile.compile (Codegen.lower ~mode m))
+        (fun mode -> Ir_vm.compile ~optimize:false (Codegen.lower ~mode m))
         [ Codegen.Full; Codegen.Branchless; Codegen.Plain ]
     in
-    List.iter Ir_compile.reset progs;
+    List.iter Ir_vm.reset progs;
     let inputs = (Codegen.lower ~mode:Codegen.Plain m).Ir.inputs in
     for step = 1 to 40 do
       let vals = Array.map (fun (v : Ir.var) -> Model_gen.random_input rng v.Ir.vty) inputs in
       List.iter
         (fun c ->
-          Array.iteri (fun i v -> Ir_compile.set_input c i v) vals;
-          Ir_compile.step c)
+          Array.iteri (fun i v -> Ir_vm.set_input c i v) vals;
+          Ir_vm.step c)
         progs;
       match progs with
       | [ full; branchless; plain ] ->
         Array.iteri
           (fun o _ ->
-            let f = Value.to_float (Ir_compile.get_output full o) in
+            let f = Value.to_float (Ir_vm.get_output full o) in
             agree
               (Printf.sprintf "model %d step %d out %d full-vs-branchless" model_ix step o)
               f
-              (Value.to_float (Ir_compile.get_output branchless o));
+              (Value.to_float (Ir_vm.get_output branchless o));
             agree
               (Printf.sprintf "model %d step %d out %d full-vs-plain" model_ix step o)
               f
-              (Value.to_float (Ir_compile.get_output plain o)))
-          (Ir_compile.program full).Ir.outputs
+              (Value.to_float (Ir_vm.get_output plain o)))
+          (Ir_vm.program full).Ir.outputs
       | _ -> assert false
     done
   done

@@ -75,6 +75,13 @@ let test_with_ranges_validation () =
   (match Layout.with_ranges layout [ ("a", 5., 1.) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "inverted range accepted");
+  List.iter
+    (fun (lo, hi) ->
+      match Layout.with_ranges layout [ ("a", lo, hi) ] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "range %g:%g accepted" lo hi)
+    [ (Float.nan, 5.); (0., Float.nan); (Float.neg_infinity, 5.); (0., Float.infinity);
+      (Float.neg_infinity, Float.infinity) ];
   (* unknown names are ignored *)
   let l = Layout.with_ranges layout [ ("nope", 0., 1.) ] in
   Alcotest.(check bool) "unknown ignored" true (l.Layout.fields.(0).Layout.f_range = None)

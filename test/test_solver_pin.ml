@@ -1,5 +1,6 @@
 (* Solver transcript pins: digests of exec-budget Symexec runs and of a
-   jobs-2 hybrid campaign, recorded from the closure-backend solver.
+   jobs-2 hybrid campaign, first recorded when the solver ran on
+   closure-compiled code and unchanged since it moved to the VM.
    Any change to the solver's execution backend must leave every byte
    of these transcripts alone — suite inputs and timestamps,
    execution counts, solved and covered counts. *)

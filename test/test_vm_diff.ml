@@ -1,8 +1,8 @@
-(* Differential tests for the bytecode VM backend: on random programs
-   and random input streams, Ir_vm must be observationally identical
-   to both Ir_compile (closures) and Ir_eval (reference interpreter)
-   — same outputs, same probe sets, same condition/decision/branch
-   records. This is the correctness gate for the VM fast path. *)
+(* Differential tests for the bytecode VM: on random programs and
+   random input streams, Ir_vm must be observationally identical to
+   Ir_eval (the reference interpreter) — same outputs, same probe
+   sets, same condition/decision/branch records. This is the
+   correctness gate for the VM fast path. *)
 
 open Cftcg_model
 open Cftcg_ir
@@ -13,14 +13,12 @@ let agree name a b =
   if a <> b && not (Float.is_nan a && Float.is_nan b) then
     Alcotest.failf "%s: %.17g <> %.17g" name a b
 
-(* Run all three backends in lockstep over one random model and check
-   every output at every step. Returns unit or fails the test. *)
+(* Run the VM and the evaluator in lockstep over one random model and
+   check every output at every step. Returns unit or fails the test. *)
 let check_outputs_lockstep ~tag ~steps rng prog =
   let vm = Ir_vm.compile prog in
-  let compiled = Ir_compile.compile prog in
   let evaluator = Ir_eval.create prog in
   Ir_vm.reset vm;
-  Ir_compile.reset compiled;
   Ir_eval.reset evaluator;
   let n_out = Array.length prog.Ir.outputs in
   for step = 1 to steps do
@@ -28,17 +26,15 @@ let check_outputs_lockstep ~tag ~steps rng prog =
       (fun i (var : Ir.var) ->
         let v = Model_gen.random_input rng var.Ir.vty in
         Ir_vm.set_input vm i v;
-        Ir_compile.set_input compiled i v;
         Ir_eval.set_input evaluator i v)
       prog.Ir.inputs;
     Ir_vm.step vm;
-    Ir_compile.step compiled;
     Ir_eval.step evaluator;
     for o = 0 to n_out - 1 do
-      let reference = Value.to_float (Ir_compile.get_output compiled o) in
-      let name which = Printf.sprintf "%s step %d output %d: closure vs %s" tag step o which in
-      agree (name "vm") reference (Value.to_float (Ir_vm.get_output vm o));
-      agree (name "evaluator") reference (Value.to_float (Ir_eval.get_output evaluator o))
+      agree
+        (Printf.sprintf "%s step %d output %d: evaluator vs vm" tag step o)
+        (Value.to_float (Ir_eval.get_output evaluator o))
+        (Value.to_float (Ir_vm.get_output vm o))
     done
   done
 
@@ -50,7 +46,7 @@ let test_vm_outputs_match_random_models () =
   done
 
 (* Full-hook observational equality: probes, conditions, decisions
-   and branch-distance reports, in order, across backends. *)
+   and branch-distance reports, in order, VM against evaluator. *)
 type trace = {
   mutable probes : int list;
   mutable conds : (int * int * bool) list;
@@ -128,15 +124,6 @@ let test_vm_hooks_fire_identically () =
       run_vm vm;
       vm
     in
-    let via_compile trace =
-      let c = Ir_compile.compile ~hooks:(hooks_of trace) prog in
-      Ir_compile.reset c;
-      Array.iter
-        (fun vals ->
-          Array.iteri (fun i v -> Ir_compile.set_input c i v) vals;
-          Ir_compile.step c)
-        inputs
-    in
     let via_eval trace =
       let e = Ir_eval.create prog in
       let hooks = hooks_of trace in
@@ -147,18 +134,13 @@ let test_vm_hooks_fire_identically () =
           Ir_eval.step ~hooks e)
         inputs
     in
-    let tv = fresh_trace () and tc = fresh_trace () and te = fresh_trace () in
+    let tv = fresh_trace () and te = fresh_trace () in
     let hooked = via_vm tv in
-    via_compile tc;
     via_eval te;
     let ctx = Printf.sprintf "model %d" model_ix in
-    Alcotest.(check (list int)) (ctx ^ " probes vm=closure") tc.probes tv.probes;
     Alcotest.(check (list int)) (ctx ^ " probes vm=eval") te.probes tv.probes;
-    Alcotest.(check bool) (ctx ^ " conds vm=closure") true (tv.conds = tc.conds);
     Alcotest.(check bool) (ctx ^ " conds vm=eval") true (tv.conds = te.conds);
-    Alcotest.(check bool) (ctx ^ " decisions vm=closure") true (tv.decs = tc.decs);
     Alcotest.(check bool) (ctx ^ " decisions vm=eval") true (tv.decs = te.decs);
-    Alcotest.(check bool) (ctx ^ " branches vm=closure") true (tv.branches = tc.branches);
     Alcotest.(check bool) (ctx ^ " branches vm=eval") true (tv.branches = te.branches);
     (* branch minima, hooked and hook-free: the fold of Ir_eval's
        events in execution order *)
@@ -177,8 +159,8 @@ let test_vm_hooks_fire_identically () =
   done
 
 (* The VM's dirty-list probe buffer must describe exactly the set of
-   probes the closure backend reports through on_probe, and stay
-   internally consistent (deduplicated, byte map in sync). *)
+   probes the evaluator reports through on_probe, and stay internally
+   consistent (deduplicated, byte map in sync). *)
 let test_vm_probe_buffer_matches () =
   let rng = Rng.create 2718L in
   for model_ix = 1 to 40 do
@@ -186,20 +168,19 @@ let test_vm_probe_buffer_matches () =
     let vm = Ir_vm.compile prog in
     let fired = Hashtbl.create 64 in
     let hooks = Hooks.probes_only (fun id -> Hashtbl.replace fired id ()) in
-    let c = Ir_compile.compile ~hooks prog in
+    let e = Ir_eval.create prog in
     Ir_vm.reset vm;
-    Ir_compile.reset c;
+    Ir_eval.reset e;
     Ir_vm.clear_probes (Ir_vm.probes vm);
-    Hashtbl.reset fired;
     for step = 1 to 30 do
       Array.iteri
         (fun i (var : Ir.var) ->
           let v = Model_gen.random_input rng var.Ir.vty in
           Ir_vm.set_input vm i v;
-          Ir_compile.set_input c i v)
+          Ir_eval.set_input e i v)
         prog.Ir.inputs;
       Ir_vm.step vm;
-      Ir_compile.step c;
+      Ir_eval.step ~hooks e;
       let p = Ir_vm.probes vm in
       let dirty = Array.sub p.Ir_vm.p_dirty 0 p.Ir_vm.p_n in
       let vm_set = List.sort_uniq compare (Array.to_list dirty) in
@@ -210,10 +191,10 @@ let test_vm_probe_buffer_matches () =
           if Bytes.get p.Ir_vm.p_fired id <> '\001' then
             Alcotest.failf "model %d step %d: dirty probe %d not marked fired" model_ix step id)
         vm_set;
-      let closure_set = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) fired []) in
-      if vm_set <> closure_set then
-        Alcotest.failf "model %d step %d: probe sets differ (vm %d, closure %d)" model_ix step
-          (List.length vm_set) (List.length closure_set);
+      let eval_set = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) fired []) in
+      if vm_set <> eval_set then
+        Alcotest.failf "model %d step %d: probe sets differ (vm %d, eval %d)" model_ix step
+          (List.length vm_set) (List.length eval_set);
       Ir_vm.clear_probes p;
       if p.Ir_vm.p_n <> 0 then Alcotest.failf "clear_probes left %d dirty" p.Ir_vm.p_n;
       List.iter
@@ -225,25 +206,20 @@ let test_vm_probe_buffer_matches () =
     done
   done
 
-(* The backend must be invisible to the fuzzing algorithm: same seed,
-   same campaign — executions, coverage, metric-driven corpus and the
-   emitted test suite all identical. Three-way: closures, plain VM,
-   and the VM with the bytecode optimizer. *)
+(* The bytecode optimizer must be invisible to the fuzzing algorithm:
+   same seed, same campaign — executions, coverage, metric-driven
+   corpus and the emitted test suite all identical with the optimizer
+   on and off. *)
 let test_fuzzer_backend_parity () =
   let rng = Rng.create 424242L in
   for model_ix = 1 to 12 do
     let prog = Codegen.lower (Model_gen.generate rng) in
-    let run backend optimize =
+    let run optimize =
       Cftcg_fuzz.Fuzzer.run
-        ~config:
-          { Cftcg_fuzz.Fuzzer.default_config with
-            Cftcg_fuzz.Fuzzer.seed = 99L;
-            backend;
-            optimize
-          }
+        ~config:{ Cftcg_fuzz.Fuzzer.default_config with Cftcg_fuzz.Fuzzer.seed = 99L; optimize }
         prog (Cftcg_fuzz.Fuzzer.Exec_budget 400)
     in
-    let rc = run Cftcg_fuzz.Fuzzer.Closures true in
+    let rc = run false in
     let compare_campaign ctx (rv : Cftcg_fuzz.Fuzzer.result) =
       let open Cftcg_fuzz.Fuzzer in
       Alcotest.(check int) (ctx ^ " executions") rc.stats.executions rv.stats.executions;
@@ -260,12 +236,7 @@ let test_fuzzer_backend_parity () =
         rc.test_suite rv.test_suite;
       Alcotest.(check int) (ctx ^ " failures") (List.length rc.failures) (List.length rv.failures)
     in
-    compare_campaign
-      (Printf.sprintf "model %d vm-opt" model_ix)
-      (run Cftcg_fuzz.Fuzzer.Vm true);
-    compare_campaign
-      (Printf.sprintf "model %d vm-noopt" model_ix)
-      (run Cftcg_fuzz.Fuzzer.Vm false)
+    compare_campaign (Printf.sprintf "model %d vm-opt" model_ix) (run true)
   done
 
 (* Batching must be invisible to the fuzzing algorithm: same seed,
@@ -669,8 +640,8 @@ let edge_input rng (ty : Dtype.t) =
 
 (* Runs [runs] executions of [steps] steps each (reset between) on
    every backend and checks, after every step: identical on_branch
-   event streams from the closure backend and the VM (optimized and
-   not) against Ir_eval, and branch minima — of a hook-free
+   event streams from the VM (optimized and not) and Ir_eval, and
+   branch minima — of a hook-free
    branch-recording VM and of the hooked VM — equal to the minima
    folded from Ir_eval's events since the last reset. *)
 let check_distances ~tag ~runs ~steps ~input rng prog =
@@ -680,7 +651,7 @@ let check_distances ~tag ~runs ~steps ~input rng prog =
       [ true; false ]
   in
   let n_sites = Bytes.length (Ir_vm.branches (snd (List.hd plain))).Ir_vm.b_reached in
-  let te = fresh_trace () and tc = fresh_trace () in
+  let te = fresh_trace () in
   let expected = ref (fresh_minima n_sites) in
   let eval_hooks =
     { (hooks_of te) with
@@ -691,14 +662,12 @@ let check_distances ~tag ~runs ~steps ~input rng prog =
             fold_event !expected ix dt df) }
   in
   let e = Ir_eval.create prog in
-  let c = Ir_compile.compile ~hooks:(hooks_of tc) prog in
   let hooked = List.map (fun opt -> (opt, fresh_trace ())) [ true; false ] in
   let hooked =
     List.map (fun (opt, t) -> (opt, t, Ir_vm.compile ~hooks:(hooks_of t) ~optimize:opt prog)) hooked
   in
   let check where =
     let ctx which = Printf.sprintf "%s %s: %s" tag where which in
-    check_branch_events (ctx "closure vs eval") te.branches tc.branches;
     List.iter
       (fun (opt, t, vm) ->
         check_branch_events (ctx (Printf.sprintf "vm opt=%b vs eval" opt)) te.branches t.branches;
@@ -711,7 +680,6 @@ let check_distances ~tag ~runs ~steps ~input rng prog =
   for run = 1 to runs do
     expected := fresh_minima n_sites;
     Ir_eval.reset ~hooks:eval_hooks e;
-    Ir_compile.reset c;
     List.iter (fun (_, _, vm) -> Ir_vm.reset vm) hooked;
     List.iter (fun (_, vm) -> Ir_vm.reset vm) plain;
     check (Printf.sprintf "run %d init" run);
@@ -720,12 +688,10 @@ let check_distances ~tag ~runs ~steps ~input rng prog =
         (fun k (var : Ir.var) ->
           let v = input rng var.Ir.vty in
           Ir_eval.set_input e k v;
-          Ir_compile.set_input c k v;
           List.iter (fun (_, _, vm) -> Ir_vm.set_input vm k v) hooked;
           List.iter (fun (_, vm) -> Ir_vm.set_input vm k v) plain)
         prog.Ir.inputs;
       Ir_eval.step ~hooks:eval_hooks e;
-      Ir_compile.step c;
       List.iter (fun (_, _, vm) -> Ir_vm.step vm) hooked;
       List.iter (fun (_, vm) -> Ir_vm.step vm) plain;
       check (Printf.sprintf "run %d step %d" run step)
@@ -738,9 +704,9 @@ let test_native_distance_edge_cases () =
   check_distances ~tag:"edge" ~runs:12 ~steps:25 ~input:edge_input rng prog
 
 (* qcheck property: any generator seed yields a program on which the
-   three backends agree on outputs and probe sets. *)
+   VM and the evaluator agree on outputs. *)
 let prop_backends_agree =
-  QCheck.Test.make ~name:"vm/closure/eval agree on random programs" ~count:60
+  QCheck.Test.make ~name:"vm and eval agree on random programs" ~count:60
     QCheck.(make Gen.(int_bound 1_000_000))
     (fun seed ->
       let rng = Rng.create (Int64.of_int (seed * 2 + 1)) in
@@ -753,9 +719,9 @@ let suites =
       [ Alcotest.test_case "outputs match on random models" `Slow
           test_vm_outputs_match_random_models;
         Alcotest.test_case "hooks fire identically" `Slow test_vm_hooks_fire_identically;
-        Alcotest.test_case "probe buffer matches closure probes" `Slow
+        Alcotest.test_case "probe buffer matches eval probes" `Slow
           test_vm_probe_buffer_matches;
-        Alcotest.test_case "fuzzer campaigns identical across backends" `Slow
+        Alcotest.test_case "fuzzer campaigns identical with optimizer on and off" `Slow
           test_fuzzer_backend_parity;
         Alcotest.test_case "fuzzer campaigns identical across batch widths" `Slow
           test_fuzzer_batch_parity;

@@ -16,15 +16,10 @@
      uncovered — per-model list of decisions CFTCG left unreached
 
    Usage: main.exe [experiment ...] [--budget SECONDS] [--reps N]
-          [--seed N] [--models A,B,C] [--json] [--history]
+          [--seed N] [--models A,B,C] [--json]
           [--check-opt] [--check-obs] [--check-batch]
    --json additionally writes the speed experiment's numbers to
    BENCH_speed.json (machine-readable, tracked by CI).
-   --history appends the speed experiment's per-model throughput to
-   BENCH_history.jsonl and warns (exit code unchanged) when a model
-   drops more than 10% execs/s against the previous record — a trend
-   line, not a gate: shared-runner noise would make a hard gate
-   flaky.
    --check-opt makes the speed experiment exit non-zero unless the
    optimized VM keeps up with the plain VM on every bench model —
    measured on the instrumented fuzzing path (probes live), the one
@@ -63,9 +58,6 @@ type options = {
   mutable models : string list option;
   mutable experiments : string list;
   mutable json : bool;  (** write speed results to BENCH_speed.json *)
-  mutable history : bool;
-      (** append per-model speed results to BENCH_history.jsonl and
-          warn on >10% execs/s regressions vs the previous record *)
   mutable check_opt : bool;
       (** fail the speed experiment if the bytecode optimizer loses
           to the plain VM anywhere *)
@@ -80,7 +72,7 @@ type options = {
 
 let opts =
   { budget = 1.0; reps = 2; seed = 1; models = None; experiments = []; json = false;
-    history = false; check_opt = false; check_obs = false; check_batch = false }
+    check_opt = false; check_obs = false; check_batch = false }
 
 let parse_args () =
   let rec go = function
@@ -99,9 +91,6 @@ let parse_args () =
       go rest
     | "--json" :: rest ->
       opts.json <- true;
-      go rest
-    | "--history" :: rest ->
-      opts.history <- true;
       go rest
     | "--check-opt" :: rest ->
       opts.check_opt <- true;
@@ -887,75 +876,6 @@ let speed () =
     output_string oc (Buffer.contents buf);
     close_out oc;
     Printf.printf "\nwrote BENCH_speed.json\n"
-  end;
-  if opts.history then begin
-    (* append this run's per-model vm-opt throughput to the history
-       ledger and compare against the previous record. Warn-only. *)
-    let module Wire = Cftcg_serve.Wire in
-    let path = "BENCH_history.jsonl" in
-    let prev =
-      if not (Sys.file_exists path) then None
-      else begin
-        let ic = open_in path in
-        let last = ref None in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then last := Some line
-           done
-         with End_of_file -> ());
-        close_in ic;
-        match !last with
-        | None -> None
-        | Some line -> ( try Some (Wire.of_string line) with Wire.Parse_error _ -> None)
-      end
-    in
-    let prev_rate name =
-      match prev with
-      | Some (Wire.Obj fields) -> (
-        match List.assoc_opt "models" fields with
-        | Some (Wire.Arr models) ->
-          List.find_map
-            (function
-              | Wire.Obj mf -> (
-                match (List.assoc_opt "model" mf, List.assoc_opt "vm_opt_execs_per_s" mf) with
-                | Some (Wire.Str n), Some (Wire.Num r) when n = name -> Some r
-                | _ -> None)
-              | _ -> None)
-            models
-        | _ -> None)
-      | _ -> None
-    in
-    let regressions = ref 0 in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"ts\":%.0f,\"budget\":%g,\"models\":[" (Unix.time ()) opts.budget);
-    List.iteri
-      (fun i ms ->
-        let rate =
-          if Float.is_nan ms.ms_vm_opt_ns || ms.ms_vm_opt_ns <= 0.0 then 0.0
-          else 1e9 /. ms.ms_vm_opt_ns
-        in
-        (match prev_rate ms.ms_name with
-        | Some p when p > 0.0 && rate < 0.9 *. p ->
-          incr regressions;
-          Printf.printf "history WARN: %s vm-opt %.0f execs/s, down %.0f%% vs previous %.0f\n"
-            ms.ms_name rate
-            (100.0 *. (1.0 -. (rate /. p)))
-            p
-        | _ -> ());
-        Buffer.add_string buf
-          (Printf.sprintf "%s{\"model\":\"%s\",\"vm_opt_execs_per_s\":%.1f}"
-             (if i = 0 then "" else ",")
-             ms.ms_name rate))
-      model_rows;
-    Buffer.add_string buf "]}\n";
-    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "history: appended %d models to %s (%s)\n" (List.length model_rows) path
-      (if !regressions = 0 then "no >10% regressions"
-       else Printf.sprintf "%d regression warning(s)" !regressions)
   end;
   if opts.check_opt then begin
     (* CI gate: the optimizer must never lose to the plain VM. Uses

@@ -229,7 +229,6 @@ let fuzz_cmd =
           :: ((match telemetry with
               | Some path -> [ Telemetry.jsonl ~append:resume path ]
               | None -> [])
-             @ (if metrics_out <> None then [ Telemetry.metrics_bridge () ] else [])
              @
              match series with
              | Some s -> [ Telemetry.series_bridge s ]
@@ -271,6 +270,13 @@ let fuzz_cmd =
         in
         sink.Telemetry.close ();
         let r = pc.Cftcg.Pipeline.pc_result in
+        (* this process owns its one campaign: the gauges go unlabeled into --metrics *)
+        let gauge name help v =
+          Cftcg_obs.Metrics.(set (gauge ~help ("cftcg_campaign_" ^ name)) (float_of_int v))
+        in
+        gauge "executions" "Cumulative executions across all workers" r.Campaign.executions;
+        gauge "probes_covered" "Probes covered by the merged global corpus" r.Campaign.probes_covered;
+        gauge "corpus_size" "Global corpus size after fingerprint dedup" (List.length r.Campaign.suite);
         (match series with
         | Some s -> Cftcg_obs.Series.set_probes_total s r.Campaign.probes_total
         | None -> ());

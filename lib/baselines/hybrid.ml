@@ -31,15 +31,7 @@ let coverage_bitmap (prog : Ir.program) suite =
   let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false prog) in
   (* the probe buffer is never cleared: its fired bytes accumulate the
      whole suite's coverage *)
-  List.iter
-    (fun data ->
-      Ir_vm.reset vm;
-      let n = min (Layout.n_tuples layout data) 4096 in
-      for tuple = 0 to n - 1 do
-        Layout.load_tuple_vm layout data ~tuple vm;
-        Ir_vm.step vm
-      done)
-    suite;
+  List.iter (Layout.run_case layout vm ~max_tuples:4096) suite;
   Bytes.copy (Ir_vm.probes vm).Ir_vm.p_fired
 
 let run ?(config = default_config) (prog : Ir.program) ~time_budget =

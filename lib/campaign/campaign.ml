@@ -137,20 +137,6 @@ let solver_seed ?(shard = 0) base ~epoch ~round =
   let tag = Int64.logxor 0x5EEDC0DEL (Int64.shift_left (Int64.of_int shard) 32) in
   derive_seed (Int64.logxor base tag) ~epoch ~worker:round
 
-(* Process-global hybrid-phase health counters, snapshotted into
-   post-mortem dumps alongside the batched-VM and corpus-store
-   providers. *)
-let solver_phases_total = Atomic.make 0
-let solver_solved_total = Atomic.make 0
-let solver_execs_total = Atomic.make 0
-
-let () =
-  Flight.register_provider "campaign_solver" (fun () ->
-      Printf.sprintf "{\"phases\":%d,\"targets_closed\":%d,\"solver_executions\":%d}"
-        (Atomic.get solver_phases_total)
-        (Atomic.get solver_solved_total)
-        (Atomic.get solver_execs_total))
-
 (* Coordinator-side Algorithm-1 replay of one input: its probe-set
    bitmap (the dedup fingerprint) and its Iteration Difference
    Coverage metric (the tie-break between representatives). It is the
@@ -250,7 +236,9 @@ let start ?(config = default_config) (prog : Ir.program) =
   let n_probes = max prog.Ir.n_probes 1 in
   let code = Ir_vm.prepare ~optimize:config.fuzzer.Fuzzer.optimize prog in
   let replay = make_replayer ~code prog ~max_tuples:config.fuzzer.Fuzzer.max_tuples in
-  let emit = config.sink.Telemetry.emit in
+  (* every fact below is reported once, through this one path: the
+     log line and the campaign counters are derived from the event *)
+  let emit = Telemetry.report config.sink in
   let store =
     match config.store with
     | Some _ as s -> s
@@ -374,10 +362,9 @@ let solver_phase ?pool ?should_stop st (hy : hybrid) ~epoch =
   let targets = st.st_prog.Ir.n_probes - covered_before in
   let budget = min hy.solver_execs (max 0 (config.total_execs - st.st_executions)) in
   let shards = st.st_live_jobs in
-  emit (Telemetry.Solver_phase { epoch; round; targets; stalled_epochs = st.st_stalled });
-  Log.info
-    "solver phase %d: %d uncovered targets after %d stalled epochs, %d exec budget, %d shard(s)"
-    round targets st.st_stalled budget shards;
+  emit
+    (Telemetry.Solver_phase
+       { epoch; round; targets; stalled_epochs = st.st_stalled; budget; shards });
   let code, chains = Lazy.force st.st_solver_prep in
   let shard k () =
     let sym = { hy.solver with Symexec.seed = solver_seed ~shard:k config.seed ~epoch ~round } in
@@ -435,14 +422,10 @@ let solver_phase ?pool ?should_stop st (hy : hybrid) ~epoch =
   let covered = count_covered st.st_coverage in
   let closed = covered - covered_before in
   st.st_solver_solved <- st.st_solver_solved + closed;
-  Atomic.incr solver_phases_total;
-  ignore (Atomic.fetch_and_add solver_solved_total closed);
-  ignore (Atomic.fetch_and_add solver_execs_total executions);
   emit
     (Telemetry.Solver_done
-       { epoch; round; targets; solved = closed; executions; probes_covered = covered });
-  Log.info "solver phase %d done: closed %d/%d targets in %d execs (slowest shard %d execs)"
-    round closed targets executions slowest;
+       { epoch; round; targets; solved = closed; executions; probes_covered = covered;
+         slowest_shard_executions = slowest });
   (* restart stall detection from the post-solve coverage level: the
      next plateau is measured against what the solver left behind *)
   st.st_stalled <- 0;
@@ -544,16 +527,10 @@ let step ?workers ?max_execs ?should_stop ?pool st =
     Trace.with_span "campaign.worker"
       ~args:[ ("worker", string_of_int ix); ("epoch", string_of_int this_epoch) ]
     @@ fun () ->
-    let r =
-      Fuzzer.run ~config:fcfg ~code:st.st_code ~on_test_case ~on_progress
-        ~should_stop:(fun () ->
-          Atomic.get abort || match should_stop with Some stop -> stop () | None -> false)
-        st.st_prog (budget_for ix)
-    in
-    Log.debug "worker done: %d execs, %d/%d probes"
-      r.Fuzzer.stats.Fuzzer.executions r.Fuzzer.stats.Fuzzer.probes_covered
-      r.Fuzzer.stats.Fuzzer.probes_total;
-    r
+    Fuzzer.run ~config:fcfg ~code:st.st_code ~on_test_case ~on_progress
+      ~should_stop:(fun () ->
+        Atomic.get abort || match should_stop with Some stop -> stop () | None -> false)
+      st.st_prog (budget_for ix)
   in
   Trace.with_span "campaign.epoch" ~args:[ ("epoch", string_of_int this_epoch) ] @@ fun () ->
   (* Crash isolation: every domain body is wrapped so Domain.join
@@ -588,14 +565,14 @@ let step ?workers ?max_execs ?should_stop ?pool st =
           st.st_worker_crashes <- st.st_worker_crashes + 1;
           (* black-box capture before the policy acts: the dump
              carries the crashing job's correlation ids and the ring
-             tail leading up to the crash *)
+             tail leading up to the crash, ending with the crash's
+             own log line *)
+          emit (Telemetry.Worker_crash { worker = ix; epoch = this_epoch; message });
           let crash_fields =
             job_fields config
             @ [ ("worker", string_of_int ix); ("epoch", string_of_int this_epoch) ]
           in
-          Log.error ~fields:crash_fields "worker crashed: %s" message;
           ignore (Flight.dump ~fields:crash_fields ~reason:("worker crash: " ^ message) ());
-          emit (Telemetry.Worker_crash { worker = ix; epoch = this_epoch; message });
           emit
             (Telemetry.Failure
                { worker = ix; epoch = this_epoch; message = "worker crashed: " ^ message });
@@ -642,8 +619,6 @@ let step ?workers ?max_execs ?should_stop ?pool st =
     (Telemetry.Corpus_sync
        { epoch = this_epoch; candidates = List.length candidates;
          kept = Hashtbl.length st.st_corpus; probes_covered = covered });
-  Log.debug "merge: %d candidates, corpus %d, %d probes covered"
-    (List.length candidates) (Hashtbl.length st.st_corpus) covered;
   (* persist: entries first, manifest last, each write atomic — a
      kill at any point resumes from a consistent state. Writes are
      retried with backoff inside Corpus_store; an operation that
@@ -674,9 +649,7 @@ let step ?workers ?max_execs ?should_stop ?pool st =
          }
      with
     | e when transient e -> incr persist_failures);
-    if !persist_failures > 0 then begin
-      Log.warn "%d persist operation(s) failed after retries; will retry next epoch"
-        !persist_failures;
+    if !persist_failures > 0 then
       emit
         (Telemetry.Salvage
            { message =
@@ -684,14 +657,11 @@ let step ?workers ?max_execs ?should_stop ?pool st =
                  "epoch %d: %d persist operation(s) failed after retries; will retry next epoch"
                  this_epoch !persist_failures
            })
-    end
   | None -> ());
   emit
     (Telemetry.Epoch_end
        { epoch = this_epoch; executions = st.st_executions; probes_covered = covered;
          probes_total = st.st_prog.Ir.n_probes; corpus_size = Hashtbl.length st.st_corpus });
-  Log.info "epoch complete: %d execs total, %d/%d probes, corpus %d"
-    st.st_executions covered st.st_prog.Ir.n_probes (Hashtbl.length st.st_corpus);
   st.st_epoch_stats <-
     { ep_epoch = this_epoch; ep_executions = st.st_executions; ep_probes_covered = covered;
       ep_corpus_size = Hashtbl.length st.st_corpus }
@@ -703,10 +673,11 @@ let step ?workers ?max_execs ?should_stop ?pool st =
      all; two in a row means the failure is not transient — stop
      instead of spinning on a budget that can never be spent *)
   if results = [] then st.st_dead_epochs <- st.st_dead_epochs + 1 else st.st_dead_epochs <- 0;
+  (* read before a solver phase restarts the stall count *)
+  let stalled_epochs = st.st_stalled in
   let plateau_stop () =
     st.st_plateaued <- true;
-    Log.info "plateau: no new coverage for %d epochs, stopping" st.st_stalled;
-    emit (Telemetry.Plateau { epoch = this_epoch; stalled_epochs = st.st_stalled });
+    emit (Telemetry.Plateau { epoch = this_epoch; stalled_epochs });
     stop_with st Plateau
   in
   if config.stop_on_full && fully_covered st then stop_with st Full_coverage
@@ -732,7 +703,6 @@ let step ?workers ?max_execs ?should_stop ?pool st =
     | Some _ | None -> plateau_stop ()
   end
   else if st.st_dead_epochs >= 2 then begin
-    Log.error "stopping: %d consecutive epochs with every worker crashed" st.st_dead_epochs;
     emit (Telemetry.Dead_workers { epoch = this_epoch; dead_epochs = st.st_dead_epochs });
     stop_with st Dead_workers
   end;

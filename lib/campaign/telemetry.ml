@@ -4,15 +4,10 @@ type event =
   | Corpus_sync of { epoch : int; candidates : int; kept : int; probes_covered : int }
   | Epoch_end of { epoch : int; executions : int; probes_covered : int; probes_total : int; corpus_size : int }
   | Plateau of { epoch : int; stalled_epochs : int }
-  | Solver_phase of { epoch : int; round : int; targets : int; stalled_epochs : int }
+  | Solver_phase of { epoch : int; round : int; targets : int; stalled_epochs : int; budget : int; shards : int }
   | Solver_done of {
-      epoch : int;
-      round : int;
-      targets : int;
-      solved : int;
-      executions : int;
-      probes_covered : int;
-    }
+      epoch : int; round : int; targets : int; solved : int; executions : int; probes_covered : int;
+      slowest_shard_executions : int }
   | Dead_workers of { epoch : int; dead_epochs : int }
   | Failure of { worker : int; epoch : int; message : string }
   | Worker_crash of { worker : int; epoch : int; message : string }
@@ -77,42 +72,47 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* An event's JSONL type and its fields. *)
+let encode = function
+  | Exec_batch { worker; epoch; executions; iterations; probes_covered } ->
+    ( "exec_batch",
+      [ ("worker", `I worker); ("epoch", `I epoch); ("executions", `I executions);
+        ("iterations", `I iterations); ("probes_covered", `I probes_covered) ] )
+  | New_probe { worker; epoch; probes; executions } ->
+    ( "new_probe",
+      [ ("worker", `I worker); ("epoch", `I epoch); ("probes", `I probes);
+        ("executions", `I executions) ] )
+  | Corpus_sync { epoch; candidates; kept; probes_covered } ->
+    ( "corpus_sync",
+      [ ("epoch", `I epoch); ("candidates", `I candidates); ("kept", `I kept);
+        ("probes_covered", `I probes_covered) ] )
+  | Epoch_end { epoch; executions; probes_covered; probes_total; corpus_size } ->
+    ( "epoch_end",
+      [ ("epoch", `I epoch); ("executions", `I executions); ("probes_covered", `I probes_covered);
+        ("probes_total", `I probes_total); ("corpus_size", `I corpus_size) ] )
+  | Plateau { epoch; stalled_epochs } ->
+    ("plateau", [ ("epoch", `I epoch); ("stalled_epochs", `I stalled_epochs) ])
+  | Solver_phase { epoch; round; targets; stalled_epochs; budget; shards } ->
+    ( "solver_phase",
+      [ ("epoch", `I epoch); ("round", `I round); ("targets", `I targets);
+        ("stalled_epochs", `I stalled_epochs); ("budget", `I budget); ("shards", `I shards) ] )
+  | Solver_done { epoch; round; targets; solved; executions; probes_covered; slowest_shard_executions }
+    ->
+    ( "solver_done",
+      [ ("epoch", `I epoch); ("round", `I round); ("targets", `I targets); ("solved", `I solved);
+        ("executions", `I executions); ("probes_covered", `I probes_covered);
+        ("slowest_shard_executions", `I slowest_shard_executions) ] )
+  | Dead_workers { epoch; dead_epochs } ->
+    ("dead_workers", [ ("epoch", `I epoch); ("dead_epochs", `I dead_epochs) ])
+  | Failure { worker; epoch; message } ->
+    ("failure", [ ("worker", `I worker); ("epoch", `I epoch); ("message", `S message) ])
+  | Worker_crash { worker; epoch; message } ->
+    ("worker_crash", [ ("worker", `I worker); ("epoch", `I epoch); ("message", `S message) ])
+  | Salvage { message } -> ("salvage", [ ("message", `S message) ])
+
 let to_json ?seq e =
-  let fields =
-    match e with
-    | Exec_batch { worker; epoch; executions; iterations; probes_covered } ->
-      [ ("type", `S "exec_batch"); ("worker", `I worker); ("epoch", `I epoch);
-        ("executions", `I executions); ("iterations", `I iterations);
-        ("probes_covered", `I probes_covered) ]
-    | New_probe { worker; epoch; probes; executions } ->
-      [ ("type", `S "new_probe"); ("worker", `I worker); ("epoch", `I epoch);
-        ("probes", `I probes); ("executions", `I executions) ]
-    | Corpus_sync { epoch; candidates; kept; probes_covered } ->
-      [ ("type", `S "corpus_sync"); ("epoch", `I epoch); ("candidates", `I candidates);
-        ("kept", `I kept); ("probes_covered", `I probes_covered) ]
-    | Epoch_end { epoch; executions; probes_covered; probes_total; corpus_size } ->
-      [ ("type", `S "epoch_end"); ("epoch", `I epoch); ("executions", `I executions);
-        ("probes_covered", `I probes_covered); ("probes_total", `I probes_total);
-        ("corpus_size", `I corpus_size) ]
-    | Plateau { epoch; stalled_epochs } ->
-      [ ("type", `S "plateau"); ("epoch", `I epoch); ("stalled_epochs", `I stalled_epochs) ]
-    | Solver_phase { epoch; round; targets; stalled_epochs } ->
-      [ ("type", `S "solver_phase"); ("epoch", `I epoch); ("round", `I round);
-        ("targets", `I targets); ("stalled_epochs", `I stalled_epochs) ]
-    | Solver_done { epoch; round; targets; solved; executions; probes_covered } ->
-      [ ("type", `S "solver_done"); ("epoch", `I epoch); ("round", `I round);
-        ("targets", `I targets); ("solved", `I solved); ("executions", `I executions);
-        ("probes_covered", `I probes_covered) ]
-    | Dead_workers { epoch; dead_epochs } ->
-      [ ("type", `S "dead_workers"); ("epoch", `I epoch); ("dead_epochs", `I dead_epochs) ]
-    | Failure { worker; epoch; message } ->
-      [ ("type", `S "failure"); ("worker", `I worker); ("epoch", `I epoch);
-        ("message", `S message) ]
-    | Worker_crash { worker; epoch; message } ->
-      [ ("type", `S "worker_crash"); ("worker", `I worker); ("epoch", `I epoch);
-        ("message", `S message) ]
-    | Salvage { message } -> [ ("type", `S "salvage"); ("message", `S message) ]
-  in
+  let ty, fields = encode e in
+  let fields = ("type", `S ty) :: fields in
   let fields =
     match seq with
     | Some n -> ("seq", `I n) :: fields
@@ -235,50 +235,84 @@ let jsonl ?(append = false) ?max_bytes path =
   in
   serialized emit close_current
 
-let metrics_bridge ?registry () =
-  let module M = Cftcg_obs.Metrics in
-  let g name help = M.gauge ?registry ~help name in
-  let c name help = M.counter ?registry ~help name in
-  let execs = g "cftcg_campaign_executions" "Cumulative executions across all workers" in
-  let covered = g "cftcg_campaign_probes_covered" "Probes covered by the merged global corpus" in
-  let corpus = g "cftcg_campaign_corpus_size" "Global corpus size after fingerprint dedup" in
-  let epochs = c "cftcg_campaign_epochs_total" "Completed campaign epochs" in
-  let new_probes = c "cftcg_campaign_new_probe_events_total" "Worker inputs that lit new probes" in
-  let syncs = c "cftcg_campaign_corpus_syncs_total" "Coordinator corpus merges" in
-  let failures = c "cftcg_campaign_failures_total" "Assertion failures observed" in
-  let plateaus = c "cftcg_campaign_plateaus_total" "Early stops due to a coverage plateau" in
-  let crashes = c "cftcg_campaign_worker_crashes_total" "Worker domains that raised and were salvaged" in
-  let salvages = c "cftcg_campaign_salvage_events_total" "Corpus-store recovery actions" in
-  let solver_phases = c "cftcg_campaign_solver_phases_total" "Hybrid solver phases started" in
-  let solver_solved =
-    c "cftcg_campaign_solver_solved_total" "Probes the hybrid solver phases closed"
-  in
-  let solver_execs =
-    c "cftcg_campaign_solver_executions_total" "Executions spent inside hybrid solver phases"
-  in
-  let dead_stops =
-    c "cftcg_campaign_dead_worker_stops_total" "Campaigns stopped after consecutive dead epochs"
-  in
-  let emit = function
-    | Epoch_end { executions; probes_covered; corpus_size; _ } ->
-      M.inc epochs;
-      M.set execs (float_of_int executions);
-      M.set covered (float_of_int probes_covered);
-      M.set corpus (float_of_int corpus_size)
-    | New_probe _ -> M.inc new_probes
-    | Corpus_sync _ -> M.inc syncs
-    | Failure _ -> M.inc failures
-    | Plateau _ -> M.inc plateaus
-    | Solver_phase _ -> M.inc solver_phases
-    | Solver_done { solved; executions; _ } ->
-      M.add solver_solved solved;
-      M.add solver_execs executions
-    | Dead_workers _ -> M.inc dead_stops
-    | Worker_crash _ -> M.inc crashes
-    | Salvage _ -> M.inc salvages
-    | Exec_batch _ -> ()
-  in
-  serialized emit (fun () -> ())
+(* One human-readable line per event: the text of its log line and
+   of its progress-display line. *)
+let describe = function
+  | Exec_batch { worker; executions; probes_covered; _ } ->
+    Printf.sprintf "worker %d: %d execs, %d probes covered" worker executions probes_covered
+  | New_probe { worker; probes; executions; _ } ->
+    Printf.sprintf "worker %d: input at exec %d lit %d new probes" worker executions probes
+  | Corpus_sync { candidates; kept; probes_covered; _ } ->
+    Printf.sprintf "merge: %d candidates, corpus %d, %d probes covered" candidates kept
+      probes_covered
+  | Epoch_end { epoch; executions; probes_covered; probes_total; corpus_size } ->
+    Printf.sprintf "epoch %d: %d execs, %d/%d probes, corpus %d" epoch executions probes_covered
+      probes_total corpus_size
+  | Plateau { epoch; stalled_epochs } ->
+    Printf.sprintf "plateau: no new coverage for %d epochs (stopping at epoch %d)" stalled_epochs
+      epoch
+  | Solver_phase { epoch; round; targets; stalled_epochs; budget; shards } ->
+    Printf.sprintf
+      "solver phase %d: %d uncovered targets (plateau after %d epochs, at epoch %d), %d exec \
+       budget, %d shard(s)"
+      round targets stalled_epochs epoch budget shards
+  | Solver_done { round; targets; solved; executions; probes_covered; slowest_shard_executions; _ }
+    ->
+    Printf.sprintf
+      "solver phase %d done: closed %d/%d targets in %d execs (%d covered, slowest shard %d \
+       execs)"
+      round solved targets executions probes_covered slowest_shard_executions
+  | Dead_workers { epoch; dead_epochs } ->
+    Printf.sprintf "DEAD WORKERS: %d epochs without a surviving worker (stopping at epoch %d)"
+      dead_epochs epoch
+  | Failure { worker; message; _ } -> Printf.sprintf "FAILURE (worker %d): %s" worker message
+  | Worker_crash { worker; message; _ } ->
+    Printf.sprintf "WORKER CRASH (worker %d): %s" worker message
+  | Salvage { message } -> "salvage: " ^ message
+
+module Metrics = Cftcg_obs.Metrics
+module Log = Cftcg_obs.Log
+
+let counter name help = Metrics.counter ~help ("cftcg_campaign_" ^ name ^ "_total")
+let epochs = counter "epochs" "Completed campaign epochs"
+let new_probes = counter "new_probe_events" "Worker inputs that lit new probes"
+let syncs = counter "corpus_syncs" "Coordinator corpus merges"
+let failures = counter "failures" "Assertion failures observed"
+let plateaus = counter "plateaus" "Early stops due to a coverage plateau"
+let crashes = counter "worker_crashes" "Worker domains that raised and were salvaged"
+let salvages = counter "salvage_events" "Corpus-store recovery actions"
+let solver_phases = counter "solver_phases" "Hybrid solver phases started"
+let solver_solved = counter "solver_solved" "Probes the hybrid solver phases closed"
+let solver_execs = counter "solver_executions" "Executions spent inside hybrid solver phases"
+let dead_stops = counter "dead_worker_stops" "Campaigns stopped after consecutive dead epochs"
+
+(* Bumps the event's campaign counter and returns the level of its log
+   line; worker heartbeats and discoveries are too frequent to log. *)
+let count = function
+  | Exec_batch _ -> None
+  | New_probe _ -> Metrics.inc new_probes; None
+  | Corpus_sync _ -> Metrics.inc syncs; Some Log.Debug
+  | Epoch_end _ -> Metrics.inc epochs; Some Log.Info
+  | Plateau _ -> Metrics.inc plateaus; Some Log.Info
+  | Solver_phase _ -> Metrics.inc solver_phases; Some Log.Info
+  | Solver_done { solved; executions; _ } ->
+    Metrics.add solver_solved solved; Metrics.add solver_execs executions; Some Log.Info
+  | Dead_workers _ -> Metrics.inc dead_stops; Some Log.Error
+  | Failure _ -> Metrics.inc failures; Some Log.Warn
+  | Worker_crash _ -> Metrics.inc crashes; Some Log.Error
+  | Salvage _ -> Metrics.inc salvages; Some Log.Warn
+
+let report sink e =
+  (match count e with
+  | Some level when Log.enabled level ->
+    let worker =
+      match e with
+      | Failure { worker; _ } | Worker_crash { worker; _ } -> [ ("worker", string_of_int worker) ]
+      | _ -> []
+    in
+    Log.logf level ~fields:(("event", fst (encode e)) :: worker) "%s" (describe e)
+  | _ -> ());
+  sink.emit e
 
 let series_bridge series =
   let start = Unix.gettimeofday () in
@@ -293,42 +327,11 @@ let series_bridge series =
 
 let progress oc =
   let line = ref false in
-  let print s =
-    Printf.fprintf oc "\r%-78s%!" s;
-    line := true
-  in
   let emit = function
-    | Exec_batch { worker; executions; probes_covered; _ } ->
-      print (Printf.sprintf "  worker %d: %d execs, %d probes covered" worker executions probes_covered)
-    | Epoch_end { epoch; executions; probes_covered; probes_total; corpus_size } ->
-      print
-        (Printf.sprintf "  epoch %d: %d execs, %d/%d probes, corpus %d" epoch executions
-           probes_covered probes_total corpus_size);
-      Printf.fprintf oc "\n%!";
-      line := false
-    | Plateau { epoch; stalled_epochs } ->
-      Printf.fprintf oc "\r%-78s\n%!"
-        (Printf.sprintf "  plateau: no new coverage for %d epochs (stopping at epoch %d)"
-           stalled_epochs epoch)
-    | Solver_phase { epoch; round; targets; stalled_epochs } ->
-      Printf.fprintf oc "\r%-78s\n%!"
-        (Printf.sprintf
-           "  solver phase %d: %d uncovered targets (plateau after %d epochs, at epoch %d)"
-           round targets stalled_epochs epoch)
-    | Solver_done { round; targets; solved; executions; probes_covered; _ } ->
-      Printf.fprintf oc "\r%-78s\n%!"
-        (Printf.sprintf "  solver phase %d done: closed %d/%d targets in %d execs (%d covered)"
-           round solved targets executions probes_covered)
-    | Dead_workers { epoch; dead_epochs } ->
-      Printf.fprintf oc "\r%-78s\n%!"
-        (Printf.sprintf "  DEAD WORKERS: %d epochs without a surviving worker (stopping at epoch %d)"
-           dead_epochs epoch)
-    | Failure { worker; message; _ } ->
-      Printf.fprintf oc "\r%-78s\n%!" (Printf.sprintf "  FAILURE (worker %d): %s" worker message)
-    | Worker_crash { worker; message; _ } ->
-      Printf.fprintf oc "\r%-78s\n%!"
-        (Printf.sprintf "  WORKER CRASH (worker %d): %s" worker message)
-    | Salvage { message } -> Printf.fprintf oc "\r%-78s\n%!" ("  salvage: " ^ message)
     | New_probe _ | Corpus_sync _ -> ()
+    | e ->
+      (* a heartbeat overwrites the line; every other event commits it *)
+      line := (match e with Exec_batch _ -> true | _ -> false);
+      Printf.fprintf oc "\r%-78s%s%!" ("  " ^ describe e) (if !line then "" else "\n")
   in
   serialized emit (fun () -> if !line then Printf.fprintf oc "\n%!")

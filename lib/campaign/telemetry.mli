@@ -39,7 +39,14 @@ type event =
       (** coverage has not grown for [stalled_epochs] epochs; the
           campaign stops early (hybrid campaigns only emit this once
           the solver phases are exhausted too) *)
-  | Solver_phase of { epoch : int; round : int; targets : int; stalled_epochs : int }
+  | Solver_phase of {
+      epoch : int;
+      round : int;
+      targets : int;
+      stalled_epochs : int;
+      budget : int;  (** solver executions the phase may spend *)
+      shards : int;  (** target shards, one per live job *)
+    }
       (** a hybrid campaign hit the plateau and handed its [targets]
           still-uncovered probes to the bounded solver ([round] counts
           solver phases from 0) *)
@@ -50,6 +57,7 @@ type event =
       solved : int;  (** probes the phase newly covered (campaign replay) *)
       executions : int;  (** executions charged by the phase *)
       probes_covered : int;  (** global, after absorbing solved inputs *)
+      slowest_shard_executions : int;  (** the most any one shard spent *)
     }  (** the solver phase finished; the campaign resumes fuzzing iff [solved > 0] *)
   | Dead_workers of { epoch : int; dead_epochs : int }
       (** [dead_epochs] consecutive epochs ended with every worker
@@ -110,16 +118,17 @@ val jsonl : ?append:bool -> ?max_bytes:int -> string -> sink
     (non-append) feed removes any leftover [path.N] chain first.
     Raises [Invalid_argument] when [max_bytes < 1]. *)
 
-val metrics_bridge : ?registry:Cftcg_obs.Metrics.t -> unit -> sink
-(** Mirrors the event stream into metrics ([registry] defaults to
-    {!Cftcg_obs.Metrics.default}): campaign-level gauges
-    (executions / probes covered / corpus size, updated at each
-    [Epoch_end]) and counters (epochs, new-probe events, corpus
-    syncs, failures, plateaus, hybrid solver phases / probes solved /
-    solver executions, dead-worker stops). Updates the instruments
-    regardless of
-    {!Cftcg_obs.Metrics.collecting} — attaching the sink is the
-    opt-in. *)
+val report : sink -> event -> unit
+(** [report sink e] is how a campaign reports a fact: it bumps the
+    event's [cftcg_campaign_*_total] counter in
+    {!Cftcg_obs.Metrics.default} (collecting or not), logs
+    {!describe}[ e] with an ["event"] field naming its JSONL type when
+    its level is enabled (heartbeats and new-probe events are never
+    logged), then calls [sink.emit e]. *)
+
+val describe : event -> string
+(** The one-line text of an event: its log line, and the line
+    {!progress} displays. *)
 
 val series_bridge : Cftcg_obs.Series.t -> sink
 (** Records a coverage-over-time point (Figure 7) at every
@@ -129,7 +138,8 @@ val series_bridge : Cftcg_obs.Series.t -> sink
 
 val progress : out_channel -> sink
 (** Live one-line progress display for interactive use: heartbeats
-    overwrite the line, epoch ends and failures commit it. *)
+    overwrite the line, epoch ends and other campaign facts commit
+    it; new-probe and corpus-sync events are not shown. *)
 
 val to_json : ?seq:int -> event -> string
 (** The JSONL encoding of one event (exposed for tests). *)

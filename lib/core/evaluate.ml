@@ -7,25 +7,13 @@ module Layout = Cftcg_fuzz.Layout
    value. *)
 let compile ?hooks prog = Ir_vm.compile ?hooks ~optimize:false prog
 
-(* One test case from reset: [observe] runs after reset and after
-   every step. *)
-let run_case ?(observe = ignore) layout vm ~max_tuples data =
-  Ir_vm.reset vm;
-  observe ();
-  let n = min (Layout.n_tuples layout data) max_tuples in
-  for tuple = 0 to n - 1 do
-    Layout.load_tuple_vm layout data ~tuple vm;
-    Ir_vm.step vm;
-    observe ()
-  done
-
 let recording prog =
   let recorder = Recorder.create prog in
   (Layout.of_program prog, recorder, compile ~hooks:(Recorder.hooks recorder) prog)
 
 let record ?(max_tuples = 4096) (prog : Ir.program) suite =
   let layout, recorder, vm = recording prog in
-  List.iter (run_case layout vm ~max_tuples) suite;
+  List.iter (Layout.run_case layout vm ~max_tuples) suite;
   recorder
 
 let replay ?max_tuples prog suite = Recorder.report (record ?max_tuples prog suite)
@@ -44,7 +32,7 @@ let signal_ranges ?(max_tuples = 4096) (prog : Ir.program) suite =
         if x > maxs.(i) then maxs.(i) <- x)
       watched
   in
-  List.iter (run_case ~observe layout vm ~max_tuples) suite;
+  List.iter (Layout.run_case ~observe layout vm ~max_tuples) suite;
   Array.to_list
     (Array.mapi
        (fun i (v : Ir.var) ->
@@ -57,6 +45,6 @@ let decision_series ?(max_tuples = 4096) (prog : Ir.program) timed_suite =
   let sorted = List.sort (fun (_, a) (_, b) -> Float.compare a b) timed_suite in
   List.map
     (fun (data, time) ->
-      run_case layout vm ~max_tuples data;
+      Layout.run_case layout vm ~max_tuples data;
       (time, (Recorder.report recorder).Recorder.decision_pct))
     sorted

@@ -87,6 +87,15 @@ let load_tuple_vm t data ~tuple vm =
     (fun i f -> Ir_vm.set_input_raw vm i (Value.decode_float f.f_ty data (base + f.f_offset)))
     t.fields
 
+let run_case ?(observe = ignore) t vm ~max_tuples data =
+  Ir_vm.reset vm;
+  observe ();
+  for tuple = 0 to min (n_tuples t data) max_tuples - 1 do
+    load_tuple_vm t data ~tuple vm;
+    Ir_vm.step vm;
+    observe ()
+  done
+
 let load_tuple_bvm t data ~tuple bvm ~lane =
   let base = tuple * t.tuple_len in
   Array.iteri

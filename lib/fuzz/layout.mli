@@ -54,6 +54,12 @@ val load_tuple_vm : t -> Bytes.t -> tuple:int -> Ir_vm.t -> unit
 (** Fast path: decode tuple [tuple] directly into the VM's input
     registers. *)
 
+val run_case :
+  ?observe:(unit -> unit) -> t -> Ir_vm.t -> max_tuples:int -> Bytes.t -> unit
+(** Runs one test case from reset, stepping at most [max_tuples]
+    tuples; [observe] runs after the reset and after every step. The
+    replay loop of scoring, minimization and the solver. *)
+
 val load_tuple_bvm : t -> Bytes.t -> tuple:int -> Ir_vm_batch.t -> lane:int -> unit
 (** Same fast path into one lane of the batched lockstep VM. *)
 

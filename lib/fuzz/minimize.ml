@@ -17,12 +17,7 @@ let suite ?(max_tuples = 4096) (prog : Ir.program) cases =
   let kept_cov = Bytes.make n_probes '\000' in
   let run data =
     Ir_vm.clear_probes curr;
-    Ir_vm.reset vm;
-    let n = min (Layout.n_tuples layout data) max_tuples in
-    for tuple = 0 to n - 1 do
-      Layout.load_tuple_vm layout data ~tuple vm;
-      Ir_vm.step vm
-    done
+    Layout.run_case layout vm ~max_tuples data
   in
   let adds_coverage () =
     let fresh = ref false in

@@ -75,3 +75,6 @@ val error : ?fields:(string * string) list -> ('a, unit, string, unit) format4 -
     field whose key collides with the context (or with the reserved
     [ts]/[level]/[msg] keys) wins over the context and is emitted
     once. *)
+
+val logf : level -> ?fields:(string * string) list -> ('a, unit, string, unit) format4 -> 'a
+(** The same at a level chosen at run time. *)

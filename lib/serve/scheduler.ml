@@ -241,11 +241,13 @@ type submission = {
   sb_config : Campaign.config;  (* sink field is replaced by the job's feed sink *)
 }
 
-let store_for t dir =
+(* [on_salvage] hears the recovery actions of opening the store, so
+   only the submission that opens it reports them *)
+let store_for t dir ~on_salvage =
   match Hashtbl.find_opt t.stores dir with
   | Some s -> s
   | None ->
-    let s = Corpus_store.open_ dir in
+    let s = Corpus_store.open_ ~on_salvage dir in
     Hashtbl.replace t.stores dir s;
     s
 
@@ -259,17 +261,23 @@ let submit t (sub : submission) prog =
         (match sub.sb_tenant_budget with
         | Some b -> tn.tn_budget <- Some b
         | None -> ());
+        let job =
+          Job.create ~id ~model:sub.sb_model ~tenant:sub.sb_tenant ~weight:sub.sb_weight
+            ~config:sub.sb_config prog
+        in
+        let sink = Job.sink job in
+        let on_salvage message =
+          Log.with_ctx [ ("job", id) ] (fun () -> Telemetry.report sink (Salvage { message }))
+        in
         (* campaigns sharing a corpus directory share one sharded
            store handle, so concurrent persists cooperate through the
            per-shard mutexes instead of racing through two handles *)
         let config =
           match sub.sb_config.Campaign.corpus_dir with
-          | Some dir -> { sub.sb_config with Campaign.store = Some (store_for t dir) }
+          | Some dir -> { sub.sb_config with Campaign.store = Some (store_for t dir ~on_salvage) }
           | None -> sub.sb_config
         in
-        let job = Job.create ~id ~model:sub.sb_model ~tenant:sub.sb_tenant ~weight:sub.sb_weight ~config prog in
-        job.Job.jb_config <-
-          { config with Campaign.sink = Job.sink job; Campaign.job = Some id };
+        job.Job.jb_config <- { config with Campaign.sink; Campaign.job = Some id };
         Log.info
           ~fields:
             [ ("job", id); ("tenant", sub.sb_tenant); ("model", sub.sb_model) ]

@@ -159,12 +159,8 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
   let execute data target =
     incr executions;
     Ir_vm.clear_probes cov;
-    Ir_vm.reset vm;
-    let n = Layout.n_tuples layout data in
-    for tuple = 0 to n - 1 do
-      Layout.load_tuple_vm layout data ~tuple vm;
-      Ir_vm.step vm
-    done;
+    (* uncapped: a candidate is as long as its unrolling bound *)
+    Layout.run_case layout vm ~max_tuples:max_int data;
     record_new_coverage data;
     Ir_vm.probe_fired vm target
   in

@@ -148,6 +148,57 @@ let test_telemetry_json () =
   Alcotest.(check bool) "escapes quotes" true (contains "overflow \\\"u\\\"\\n" failure_json);
   Alcotest.(check bool) "no raw newline" true (not (String.contains failure_json '\n'))
 
+(* The README's JSONL schema sentence against the type: one value of
+   every constructor, checked by a match without a wildcard, so a new
+   constructor does not compile until it is listed here. *)
+let every_event =
+  [ Telemetry.Exec_batch { worker = 0; epoch = 0; executions = 1; iterations = 1; probes_covered = 1 };
+    Telemetry.New_probe { worker = 0; epoch = 0; probes = 1; executions = 1 };
+    Telemetry.Corpus_sync { epoch = 0; candidates = 1; kept = 1; probes_covered = 1 };
+    Telemetry.Epoch_end { epoch = 0; executions = 1; probes_covered = 1; probes_total = 2; corpus_size = 1 };
+    Telemetry.Plateau { epoch = 0; stalled_epochs = 1 };
+    Telemetry.Solver_phase { epoch = 0; round = 0; targets = 1; stalled_epochs = 1; budget = 1; shards = 1 };
+    Telemetry.Solver_done
+      { epoch = 0; round = 0; targets = 1; solved = 0; executions = 1; probes_covered = 1;
+        slowest_shard_executions = 1 };
+    Telemetry.Dead_workers { epoch = 0; dead_epochs = 2 };
+    Telemetry.Failure { worker = 0; epoch = 0; message = "m" };
+    Telemetry.Worker_crash { worker = 0; epoch = 0; message = "m" };
+    Telemetry.Salvage { message = "m" } ]
+
+let constructor_index = function
+  | Telemetry.Exec_batch _ -> 0
+  | Telemetry.New_probe _ -> 1
+  | Telemetry.Corpus_sync _ -> 2
+  | Telemetry.Epoch_end _ -> 3
+  | Telemetry.Plateau _ -> 4
+  | Telemetry.Solver_phase _ -> 5
+  | Telemetry.Solver_done _ -> 6
+  | Telemetry.Dead_workers _ -> 7
+  | Telemetry.Failure _ -> 8
+  | Telemetry.Worker_crash _ -> 9
+  | Telemetry.Salvage _ -> 10
+
+let test_telemetry_schema_doc () =
+  Alcotest.(check (list int)) "one value per constructor" (List.init 11 Fun.id)
+    (List.sort_uniq compare (List.map constructor_index every_event));
+  let readme =
+    let ic = open_in_bin (List.find Sys.file_exists [ "README.md"; "../README.md" ]) in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let find_from i needle =
+    let nl = String.length needle in
+    let rec go i = if String.sub readme i nl = needle then i else go (i + 1) in
+    go i
+  in
+  let start = find_from 0 "JSONL schema:" in
+  let sentence = String.sub readme start (find_from start ", e.g." - start) in
+  List.iter
+    (fun e ->
+      let ty = Cftcg_serve.Wire.(get_string "type" (of_string (Telemetry.to_json e))) in
+      Alcotest.(check bool) (ty ^ " in the README schema") true (contains ("`" ^ ty ^ "`") sentence))
+    every_event
+
 let test_telemetry_jsonl_file () =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "cftcg_test_events.jsonl" in
   let sink = Telemetry.jsonl path in
@@ -543,7 +594,8 @@ let suites =
         Alcotest.test_case "close is idempotent" `Quick test_telemetry_close_idempotent;
         Alcotest.test_case "multi close is exception-safe" `Quick
           test_telemetry_multi_close_exception_safe;
-        Alcotest.test_case "progress line snapshot" `Quick test_telemetry_progress_snapshot ] );
+        Alcotest.test_case "progress line snapshot" `Quick test_telemetry_progress_snapshot;
+        Alcotest.test_case "schema doc lists every type" `Quick test_telemetry_schema_doc ] );
     ( "campaign.orchestrator",
       [ Alcotest.test_case "exec-budget runs are deterministic" `Quick
           test_exec_budget_deterministic;

@@ -328,6 +328,114 @@ let test_campaign_crash_dumps_postmortem () =
   | Some snaps -> Alcotest.(check bool) "ir_vm_batch snapshot" true (obj_field "ir_vm_batch" snaps <> None)
   | None -> Alcotest.fail "no snapshots object")
 
+(* --- each campaign fact is reported once, through its event --- *)
+
+let starts_with prefix s =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+(* a jobs-2 hybrid TCP campaign that runs in well under a second and
+   still plateaus into a solver phase *)
+let hybrid_tcp_run sink =
+  let e = Option.get (Models.find "TCP") in
+  let prog = Codegen.lower ~mode:Codegen.Full (Lazy.force e.Models.model) in
+  let ccfg =
+    { Campaign.default_config with
+      Campaign.jobs = 2;
+      seed = 5L;
+      total_execs = 8_000;
+      execs_per_epoch = 312;
+      plateau_epochs = 2;
+      stop_on_full = false;
+      sink;
+      job = Some "events";
+      hybrid = Some { Campaign.default_hybrid with Campaign.solver_execs = 3_000 }
+    }
+  in
+  let r = Campaign.run ~config:ccfg prog in
+  Alcotest.(check bool) "a solver phase ran" true (r.Campaign.solver_rounds > 0);
+  r
+
+let test_one_log_line_per_event () =
+  with_log_off @@ fun () ->
+  let path = Filename.concat (temp_dir "cftcg_eventlog") "log.jsonl" in
+  Log.set_level (Some Log.Debug);
+  Log.open_file path;
+  let sink, events = Telemetry.ring ~capacity:100_000 () in
+  ignore (hybrid_tcp_run sink);
+  Log.close_file ();
+  let lines = List.map Wire.of_string (read_lines path) in
+  (* worker heartbeats and discoveries are the two unlogged kinds *)
+  let logged =
+    List.filter
+      (function Telemetry.Exec_batch _ | Telemetry.New_probe _ -> false | _ -> true)
+      (events ())
+  in
+  let expected =
+    List.map
+      (fun e ->
+        (Option.get (str_field "type" (Wire.of_string (Telemetry.to_json e))), Telemetry.describe e))
+      logged
+  in
+  let event_lines, other_lines = List.partition (fun l -> str_field "event" l <> None) lines in
+  Alcotest.(check (list (pair string string))) "one line per logged event, in emission order"
+    expected
+    (List.map
+       (fun l -> (Option.get (str_field "event" l), Option.get (str_field "msg" l)))
+       event_lines);
+  Alcotest.(check bool) "solver events logged" true
+    (List.exists (fun (ty, _) -> ty = "solver_done") expected);
+  (* the final plateau names the stall that stopped the campaign, not
+     the count the solver phase restarted *)
+  (match List.filter_map (function Telemetry.Plateau p -> Some p.stalled_epochs | _ -> None) logged with
+  | [ stalled ] -> Alcotest.(check bool) "plateau stall >= window" true (stalled >= 2)
+  | _ -> Alcotest.fail "the campaign must end on one plateau");
+  (* every other line states a fact no event carries: the campaign's
+     start, each worker's budget, and the fuzzer's own run lines *)
+  List.iter
+    (fun l ->
+      let msg = Option.get (str_field "msg" l) in
+      Alcotest.(check bool) ("line without an event: " ^ msg) true
+        (List.exists
+           (fun p -> starts_with p msg)
+           [ "campaign start"; "worker start"; "fuzzer run"; "batch fallback" ]))
+    other_lines
+
+let metric_value name prom =
+  List.find_map
+    (fun line ->
+      if starts_with (name ^ " ") line then
+        int_of_string_opt (String.sub line (String.length name + 1) (String.length line - String.length name - 1))
+      else None)
+    (String.split_on_char '\n' prom)
+
+let test_dump_carries_solver_counters () =
+  with_log_off @@ fun () ->
+  let dir = temp_dir "cftcg_solverdump" in
+  Flight.set_enabled true;
+  Flight.set_dump_dir dir;
+  let names =
+    [ "cftcg_campaign_solver_phases_total"; "cftcg_campaign_solver_solved_total";
+      "cftcg_campaign_solver_executions_total" ]
+  in
+  (* process-wide counters: this campaign's share is the delta *)
+  let before = List.map (fun n -> Metrics.value (Metrics.counter n)) names in
+  let r = hybrid_tcp_run Telemetry.null in
+  let path =
+    match Flight.dump ~reason:"after a solver phase" () with
+    | Some p -> p
+    | None -> Alcotest.fail "dump refused"
+  in
+  let prom =
+    Option.get (str_field "metrics" (Wire.of_string (String.concat "\n" (read_lines path))))
+  in
+  List.iter2
+    (fun (name, base) delta ->
+      match metric_value name prom with
+      | Some v -> Alcotest.(check int) name (base + delta) v
+      | None -> Alcotest.failf "%s missing from the dump" name)
+    (List.combine names before)
+    [ r.Campaign.solver_rounds; r.Campaign.solver_solved; r.Campaign.solver_executions ]
+
 let suites =
   [ ( "log.levels",
       [ Alcotest.test_case "level parsing" `Quick test_level_parsing;
@@ -347,4 +455,8 @@ let suites =
       [ Alcotest.test_case "hook fires on injection" `Quick test_fault_hook_fires_on_injection ] );
     ( "log.crash",
       [ Alcotest.test_case "campaign crash dumps post-mortem" `Slow
-          test_campaign_crash_dumps_postmortem ] ) ]
+          test_campaign_crash_dumps_postmortem ] );
+    ( "log.events",
+      [ Alcotest.test_case "one log line per campaign event" `Slow test_one_log_line_per_event;
+        Alcotest.test_case "dump carries solver counters" `Slow
+          test_dump_carries_solver_counters ] ) ]

@@ -399,6 +399,32 @@ let test_scheduler_worker_crash_degrades () =
            lines);
       Scheduler.shutdown sched)
 
+(* A corrupt manifest in a submitted corpus directory is quarantined
+   when the daemon opens the store; the feed of the job whose
+   submission opened it reports the action, as [fuzz --corpus] does. *)
+let test_scheduler_reports_store_salvage () =
+  let dir = fresh_dir "cftcg_serve_salvage" in
+  Unix.mkdir dir 0o755;
+  let oc = open_out (Filename.concat dir "manifest") in
+  output_string oc "not a manifest\n";
+  close_out oc;
+  let pool = Worker_pool.create 2 in
+  let sched = Scheduler.create ~quantum:200 ~pool () in
+  let config = { base_config with Campaign.corpus_dir = Some dir } in
+  let id =
+    match Scheduler.submit sched (submission ~config ()) (solar_pv ()) with
+    | Ok id -> id
+    | Error msg -> Alcotest.failf "submit: %s" msg
+  in
+  let job = wait_terminal sched id in
+  let lines, _ = Job.event_lines job in
+  let salvages =
+    List.filter (fun l -> Wire.member "type" (Wire.of_string l) = Some (Wire.Str "salvage")) lines
+  in
+  Alcotest.(check int) "one salvage line for the quarantined manifest" 1 (List.length salvages);
+  Scheduler.shutdown sched;
+  rm_rf dir
+
 (* --- HTTP daemon end to end ------------------------------------------ *)
 
 let with_daemon ?read_deadline body =
@@ -805,6 +831,8 @@ let suites =
         Alcotest.test_case "tenant budget" `Slow test_scheduler_tenant_budget;
         Alcotest.test_case "cancel and delete" `Slow test_scheduler_cancel;
         Alcotest.test_case "worker crash degrades" `Slow test_scheduler_worker_crash_degrades;
+        Alcotest.test_case "store salvage on the job feed" `Slow
+          test_scheduler_reports_store_salvage;
       ] );
     ( "serve.http",
       [

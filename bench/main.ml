@@ -17,7 +17,7 @@
 
    Usage: main.exe [experiment ...] [--budget SECONDS] [--reps N]
           [--seed N] [--models A,B,C] [--json]
-          [--check-opt] [--check-obs] [--check-batch]
+          [--check-opt] [--check-obs]
    --json additionally writes the speed experiment's numbers to
    BENCH_speed.json (machine-readable, tracked by CI).
    --check-opt makes the speed experiment exit non-zero unless the
@@ -27,13 +27,6 @@
    --check-obs makes the speed experiment exit non-zero if turning
    observability on (metrics + tracing) costs more than 2% of
    fuzzing throughput on any bench model.
-   --check-batch makes the speed experiment exit non-zero unless the
-   batched lockstep VM's zero-divergence instrumented step (same
-   input in every lane — pure dispatch amortization) beats the
-   scalar vm's instrumented step per lane (geomean >= 1.02x; idle
-   machines measure ~1.2-1.5x, the threshold tolerates CPU steal on
-   shared runners). Whole-exec batched throughput on divergent
-   inputs is reported in the speed table, ungated.
    Default: every experiment at a small smoke budget. Absolute
    numbers differ from the paper (simulated substrate, seconds-scale
    budgets); shapes and orderings are the reproduction target. *)
@@ -64,15 +57,11 @@ type options = {
   mutable check_obs : bool;
       (** fail the speed experiment if enabling observability costs
           more than 2% of fuzzing throughput anywhere *)
-  mutable check_batch : bool;
-      (** fail the speed experiment if the batched lockstep VM's
-          zero-divergence step loses to the scalar vm's instrumented
-          step per lane (geomean threshold 1.02x) *)
 }
 
 let opts =
   { budget = 1.0; reps = 2; seed = 1; models = None; experiments = []; json = false;
-    check_opt = false; check_obs = false; check_batch = false }
+    check_opt = false; check_obs = false }
 
 let parse_args () =
   let rec go = function
@@ -97,9 +86,6 @@ let parse_args () =
       go rest
     | "--check-obs" :: rest ->
       opts.check_obs <- true;
-      go rest
-    | "--check-batch" :: rest ->
-      opts.check_batch <- true;
       go rest
     | exp :: rest ->
       opts.experiments <- opts.experiments @ [ exp ];
@@ -322,9 +308,6 @@ type model_speed = {
   ms_vm_opt_ns : float;  (** VM with the Ir_opt bytecode pipeline *)
   ms_vm_step_ns : float;  (** instrumented ns/step, optimizer off *)
   ms_vm_opt_step_ns : float;  (** instrumented ns/step, optimizer on *)
-  ms_batch_ns : float;
-      (** per-input exec through the K-lane lockstep VM, campaign
-          coverage accounting included, at the fuzzer's default K *)
   ms_static : int;  (** uninstrumented instruction count, pre-opt *)
   ms_static_opt : int;
   ms_dyn : int;  (** instruction dispatches for one 16-tuple exec *)
@@ -332,10 +315,6 @@ type model_speed = {
   ms_minor_vm : float;  (** GC minor words per execution *)
   ms_minor_vm_opt : float;
 }
-
-(* default lane count the batch rows and the --check-batch gate run
-   at: what a stock campaign uses *)
-let batch_lanes = Cftcg_fuzz.Fuzzer.default_config.Cftcg_fuzz.Fuzzer.batch
 
 (* Steady-state GC minor words per call: the mutation/exec hot paths
    are meant to be allocation-free, so this should sit near zero for
@@ -415,22 +394,6 @@ let backend_execs_per_sec (e : Models.entry) =
   in
   let vm_step = step_exec false in
   let vm_opt_step = step_exec true in
-  (* K inputs per call through the batched lockstep VM, campaign
-     coverage accounting included; per-input cost is the estimate
-     divided by K *)
-  let batch_exec =
-    let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
-    let exec =
-      Cftcg_fuzz.Fuzzer.make_batch_executor ~k:batch_lanes ~layout ~prog ~g_total
-        ~max_tuples:n_tuples ~use_metric:true ()
-    in
-    let inputs =
-      Array.init batch_lanes (fun _ ->
-          Bytes.concat Bytes.empty
-            (List.init n_tuples (fun _ -> Layout.random_tuple_bytes layout rng)))
-    in
-    fun () -> ignore (exec inputs)
-  in
   let open Bechamel in
   let tests =
     Test.make_grouped ~name:"exec"
@@ -438,8 +401,7 @@ let backend_execs_per_sec (e : Models.entry) =
         Test.make ~name:"vm-opt" (Staged.stage vm_opt_exec);
         Test.make ~name:"vm" (Staged.stage vm_exec);
         Test.make ~name:"vm-step" (Staged.stage vm_step);
-        Test.make ~name:"vmopt-step" (Staged.stage vm_opt_step);
-        Test.make ~name:"batch" (Staged.stage batch_exec) ]
+        Test.make ~name:"vmopt-step" (Staged.stage vm_opt_step) ]
   in
   let estimates = bechamel_estimates tests in
   let get needle =
@@ -464,7 +426,6 @@ let backend_execs_per_sec (e : Models.entry) =
     ms_vm_opt_ns = get_exact "vm-opt";
     ms_vm_step_ns = get_exact "vm-step";
     ms_vm_opt_step_ns = get_exact "vmopt-step";
-    ms_batch_ns = get_exact "batch" /. float_of_int batch_lanes;
     ms_static = Cftcg_ir.Ir_opt.static_count lin;
     ms_static_opt = Cftcg_ir.Ir_opt.static_count lin_opt;
     ms_dyn = Cftcg_ir.Ir_opt.dynamic_count lin rows;
@@ -552,72 +513,6 @@ let paired_step_gate (e : Models.entry) =
     best_opt := Float.min !best_opt (batch opt)
   done;
   (!best_opt, !best_vm)
-
-(* Paired A/B for the --check-batch gate: the lockstep dispatch
-   amortization itself, at zero lane divergence — the same input in
-   every lane, so the measured difference is pure dispatch/decode
-   sharing, not branch agreement luck. Scalar side is the instrumented
-   vm (no optimizer) stepped once per lane; batched side is one
-   K-lane lockstep step divided by K. Whole-exec batched throughput on
-   divergent inputs is reported (not gated) in the speed table, and
-   campaigns fall back to scalar execution when the divergence
-   counters say lockstep would lose (see Fuzzer). Returns per-step
-   (batch_lane_ns, vm_ns). *)
-let paired_batch_gate (e : Models.entry) =
-  let m = Lazy.force e.Models.model in
-  let prog = Codegen.lower ~mode:Codegen.Full m in
-  let layout = Layout.of_program prog in
-  let rng = Cftcg_util.Rng.create (Int64.of_int (opts.seed + 5)) in
-  let tuple = Layout.random_tuple_bytes layout rng in
-  let scalar =
-    let vm = Cftcg_ir.Ir_vm.compile ~optimize:false prog in
-    Cftcg_ir.Ir_vm.reset vm;
-    let p = Cftcg_ir.Ir_vm.probes vm in
-    fun () ->
-      for _ = 1 to batch_lanes do
-        Layout.load_tuple_vm layout tuple ~tuple:0 vm;
-        Cftcg_ir.Ir_vm.step vm;
-        Cftcg_ir.Ir_vm.clear_probes p
-      done
-  in
-  let batched =
-    let bvm = Cftcg_ir.Ir_vm_batch.compile ~optimize:true ~k:batch_lanes prog in
-    Cftcg_ir.Ir_vm_batch.reset bvm;
-    let p = Cftcg_ir.Ir_vm_batch.probes bvm in
-    fun () ->
-      for lane = 0 to batch_lanes - 1 do
-        Layout.load_tuple_bvm layout tuple ~tuple:0 bvm ~lane
-      done;
-      Cftcg_ir.Ir_vm_batch.step bvm;
-      Cftcg_ir.Ir_vm_batch.clear_probes p
-  in
-  (* short adjacent scalar/batched round pairs; the per-pair ratio
-     cancels load drift on a contended box (both halves of a pair see
-     the same machine state), and the median pair resists spikes.
-     Returned as (batch_ns, vm_ns) with vm_ns = median ratio * best
-     batch ns, so callers see a representative per-step pair. *)
-  let round f =
-    let n = 200 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int (n * batch_lanes) *. 1e9
-  in
-  ignore (round scalar);
-  ignore (round batched);
-  let pairs = 24 in
-  let ratios = Array.make pairs 0.0 in
-  let best_b = ref infinity in
-  for i = 0 to pairs - 1 do
-    let v = round scalar in
-    let b = round batched in
-    best_b := Float.min !best_b b;
-    ratios.(i) <- v /. b
-  done;
-  Array.sort compare ratios;
-  let median = (ratios.(pairs / 2) +. ratios.((pairs - 1) / 2)) /. 2.0 in
-  (!best_b, median *. !best_b)
 
 (* Same paired A/B scheme for the --check-obs gate, but over whole
    fuzzing runs (the metric counters and sampled timing histograms
@@ -754,28 +649,16 @@ let speed () =
     model_rows;
   print_table "Speed: fuzzer executions/s (16-tuple inputs)" tx;
   (* the instrumented hot path per model — probes live, the cost every
-     campaign execution pays — and the batched lockstep VM against it *)
-  (* the lockstep dispatch-amortization measure the --check-batch gate
-     judges: same input in every lane, per-lane step time *)
-  let lockstep_rows = List.map paired_batch_gate (selected_models ()) in
-  let tb =
-    Tt.create
-      [ "Model"; "vm-instr ns/step"; "vmopt-instr ns/step"; "vm/vmopt";
-        Printf.sprintf "lockstep ns/step-lane (K=%d)" batch_lanes; "lockstep gain";
-        Printf.sprintf "batch ex/s (K=%d)" batch_lanes; "batch/vm" ]
-  in
-  List.iter2
-    (fun ms (ls_b, ls_v) ->
-      let per_s ns = if Float.is_nan ns then 0.0 else 1e9 /. ns in
+     campaign execution pays *)
+  let tb = Tt.create [ "Model"; "vm-instr ns/step"; "vmopt-instr ns/step"; "vm/vmopt" ] in
+  List.iter
+    (fun ms ->
       Tt.add_row tb
         [ ms.ms_name; Printf.sprintf "%.0f" ms.ms_vm_step_ns;
           Printf.sprintf "%.0f" ms.ms_vm_opt_step_ns;
-          Printf.sprintf "%.2fx" (ratio ms.ms_vm_step_ns ms.ms_vm_opt_step_ns);
-          Printf.sprintf "%.0f" ls_b; Printf.sprintf "%.2fx" (ratio ls_v ls_b);
-          Printf.sprintf "%.0f" (per_s ms.ms_batch_ns);
-          Printf.sprintf "%.2fx" (ratio ms.ms_vm_ns ms.ms_batch_ns) ])
-    model_rows lockstep_rows;
-  print_table "Speed: instrumented hot path and batched lockstep VM" tb;
+          Printf.sprintf "%.2fx" (ratio ms.ms_vm_step_ns ms.ms_vm_opt_step_ns) ])
+    model_rows;
+  print_table "Speed: instrumented hot path" tb;
   (* what the optimizer did to the bytecode, and what an execution
      allocates (it should be near zero) *)
   let ti =
@@ -806,10 +689,6 @@ let speed () =
   let step_geomean =
     geomean_of (List.map (fun ms -> ratio ms.ms_vm_step_ns ms.ms_vm_opt_step_ns) model_rows)
   in
-  let batch_geomean =
-    geomean_of (List.map (fun ms -> ratio ms.ms_vm_ns ms.ms_batch_ns) model_rows)
-  in
-  let lockstep_geomean = geomean_of (List.map (fun (b, v) -> ratio v b) lockstep_rows) in
   let big_dyn_cuts =
     List.length
       (List.filter
@@ -818,9 +697,7 @@ let speed () =
   in
   Printf.printf "\nvm-opt/vm geomean speedup: %.2fx; >=20%% dynamic-instruction cut on %d/%d models\n"
     geomean big_dyn_cuts (List.length model_rows);
-  Printf.printf "vmopt-instrumented/vm-instrumented step geomean: %.2fx; batch(K=%d)/vm exec geomean: %.2fx\n"
-    step_geomean batch_lanes batch_geomean;
-  Printf.printf "zero-divergence lockstep step-lane geomean gain: %.2fx\n" lockstep_geomean;
+  Printf.printf "vmopt-instrumented/vm-instrumented step geomean: %.2fx\n" step_geomean;
   if opts.json then begin
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n  \"benchmark\": \"speed\",\n  \"step_ns\": {";
@@ -834,12 +711,9 @@ let speed () =
       (Printf.sprintf
          "  \"vm_opt_geomean_speedup\": %.3f,\n\
          \  \"instr_step_geomean_speedup\": %.3f,\n\
-         \  \"batch_lanes\": %d,\n\
-         \  \"batch_geomean_speedup\": %.3f,\n\
-         \  \"batch_lockstep_geomean_speedup\": %.3f,\n\
-         \  \"models\": [" geomean step_geomean batch_lanes batch_geomean lockstep_geomean);
+         \  \"models\": [" geomean step_geomean);
     List.iteri
-      (fun i (ms, (ls_b, ls_v)) ->
+      (fun i ms ->
         let num ns = if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns in
         let per_s ns = if Float.is_nan ns then "null" else Printf.sprintf "%.1f" (1e9 /. ns) in
         let rat a b =
@@ -850,11 +724,9 @@ let speed () =
              "%s\n    { \"model\": \"%s\", \"interp_exec_ns\": %s, \
               \"vm_exec_ns\": %s, \"vm_opt_exec_ns\": %s, \"vm_instr_step_ns\": %s, \
               \"vm_opt_instr_step_ns\": %s, \"vm_opt_over_vm_instr_step\": %s, \
-              \"batch_exec_ns\": %s, \"batch_over_vm\": %s, \
-              \"batch_lockstep_step_ns\": %s, \"batch_lockstep_gain\": %s, \
               \"interp_execs_per_s\": %s, \
               \"vm_execs_per_s\": %s, \"vm_opt_execs_per_s\": %s, \
-              \"batch_execs_per_s\": %s, \"vm_opt_over_vm\": %s, \
+              \"vm_opt_over_vm\": %s, \
               \"static_insts\": %d, \"static_insts_opt\": %d, \"dyn_insts\": %d, \
               \"dyn_insts_opt\": %d, \"minor_words_per_exec\": { \
               \"vm\": %.1f, \"vm_opt\": %.1f } }"
@@ -862,15 +734,12 @@ let speed () =
              ms.ms_name (num ms.ms_interp_ns) (num ms.ms_vm_ns)
              (num ms.ms_vm_opt_ns) (num ms.ms_vm_step_ns) (num ms.ms_vm_opt_step_ns)
              (rat ms.ms_vm_step_ns ms.ms_vm_opt_step_ns)
-             (num ms.ms_batch_ns)
-             (rat ms.ms_vm_ns ms.ms_batch_ns)
-             (num ls_b) (rat ls_v ls_b)
              (per_s ms.ms_interp_ns)
-             (per_s ms.ms_vm_ns) (per_s ms.ms_vm_opt_ns) (per_s ms.ms_batch_ns)
+             (per_s ms.ms_vm_ns) (per_s ms.ms_vm_opt_ns)
              (rat ms.ms_vm_ns ms.ms_vm_opt_ns)
              ms.ms_static ms.ms_static_opt ms.ms_dyn ms.ms_dyn_opt
              ms.ms_minor_vm ms.ms_minor_vm_opt))
-      (List.combine model_rows lockstep_rows);
+      model_rows;
     Buffer.add_string buf "\n  ]\n}\n";
     let oc = open_out "BENCH_speed.json" in
     output_string oc (Buffer.contents buf);
@@ -930,56 +799,6 @@ let speed () =
     Printf.printf
       "check-opt OK: vm-opt keeps up with vm on all %d models (whole-exec and instrumented step)\n"
       (List.length model_rows)
-  end;
-  if opts.check_batch then begin
-    (* CI gate: the batched lockstep VM's dispatch amortization. At
-       zero lane divergence (same input in every lane) a batched
-       instrumented step must beat the scalar vm backend's
-       instrumented step per lane (geomean >= 1.02x over the selected
-       models) at the fuzzer's default lane count. Idle machines
-       measure ~1.2-1.5x; the near-1.0 threshold is what stays robust
-       under host CPU steal on shared single-core runners while still
-       catching any regression that makes lockstep lose outright.
-       Judged on the geomean, not per model — small register files
-       amortize less. Whole-exec batched throughput on divergent
-       fuzzing inputs is reported in the speed table but not gated:
-       it depends on how often the model's branches split the lanes,
-       which is the campaign scheduler's call (it falls back to
-       scalar execution when the divergence counters say lockstep
-       loses). Paired A/B like check-opt, with one re-measurement. *)
-    let threshold = 1.02 in
-    let measure () =
-      List.map
-        (fun e ->
-          let b, v = paired_batch_gate e in
-          (e.Models.name, if b > 0.0 then v /. b else 0.0))
-        (selected_models ())
-    in
-    let report rows =
-      List.iter
-        (fun (name, r) ->
-          Printf.printf "check-batch: %-8s lockstep step-lane %.2fx vs scalar vm step\n" name r)
-        rows;
-      geomean_of (List.map snd rows)
-    in
-    let g = report (measure ()) in
-    let g =
-      if g >= threshold then g
-      else begin
-        Printf.printf "check-batch: geomean %.2fx < %.2fx, re-measuring\n%!" g threshold;
-        (* keep the better of the two readings: a transient steal
-           window should not fail the gate when a clean one passed *)
-        Float.max g (report (measure ()))
-      end
-    in
-    if g < threshold then begin
-      Printf.eprintf
-        "check-batch FAIL: zero-divergence lockstep step geomean %.2fx < %.2fx (K=%d)\n" g
-        threshold batch_lanes;
-      exit 1
-    end;
-    Printf.printf "check-batch OK: zero-divergence lockstep step geomean %.2fx (K=%d)\n" g
-      batch_lanes
   end;
   if opts.check_obs then begin
     (* CI gate: idle-path observability (one Atomic load per guarded

@@ -175,7 +175,7 @@ let setup_logging ?(always = false) log_out log_level =
 
 let fuzz_cmd =
   let run model_path seconds execs out_dir seed ranges seed_dir jobs corpus resume telemetry
-      epoch_execs no_opt batch max_runtime epoch_deadline on_worker_crash inject_faults
+      epoch_execs no_opt max_runtime epoch_deadline on_worker_crash inject_faults
       fault_seed metrics_out trace_out coverage_csv html_out log_out log_level hybrid
       solver_budget solver_rounds =
     (* --jobs 0: one worker per hardware thread, minus the coordinator *)
@@ -206,8 +206,7 @@ let fuzz_cmd =
         Fuzzer.seed = Int64.of_int seed;
         ranges = List.map parse_range ranges;
         seeds;
-        optimize = not no_opt;
-        batch
+        optimize = not no_opt
       }
     in
     (* --hybrid needs the campaign machinery (plateau detection and
@@ -376,11 +375,6 @@ let fuzz_cmd =
   let no_opt =
     Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable the bytecode optimizer (escape hatch; campaigns are identical either way).")
   in
-  let batch =
-    Arg.(value & opt int Fuzzer.default_config.Fuzzer.batch
-         & info [ "batch" ] ~docv:"K"
-             ~doc:"Lanes of the batched lockstep VM per dispatch (default 8, 1 = scalar). Campaigns are byte-identical across settings; batching only changes throughput, and divergence-heavy models fall back to scalar automatically.")
-  in
   let max_runtime =
     Arg.(value & opt (some float) None & info [ "max-runtime" ] ~docv:"SECONDS" ~doc:"Hard wall-clock ceiling on the whole run: with $(b,--execs) the run ends at whichever limit is hit first, so a stalled target cannot hang the campaign. Without it, exec-budget runs stay purely on the virtual clock (byte-identical per seed).")
   in
@@ -414,7 +408,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a CFTCG fuzzing campaign and emit CSV test cases.")
     Term.(const run $ model_arg $ seconds $ execs $ out_dir $ seed_arg $ ranges $ seed_dir $ jobs
-          $ corpus $ resume $ telemetry $ epoch_execs $ no_opt $ batch $ max_runtime
+          $ corpus $ resume $ telemetry $ epoch_execs $ no_opt $ max_runtime
           $ epoch_deadline $ on_worker_crash $ inject_faults $ fault_seed $ metrics_out_arg
           $ trace_out_arg $ coverage_csv_arg $ html_out $ log_out_arg $ log_level_arg $ hybrid
           $ solver_budget $ solver_rounds)
@@ -589,7 +583,7 @@ let print_opcode_histogram ?(limit = 16) (bp : Ir_opt.bytecode_profile) =
     items
 
 let ir_cmd =
-  let run model_path dump instrumented profile steps batch =
+  let run model_path dump instrumented profile steps =
     let model = load_model model_path in
     let prog = Codegen.lower ~mode:Codegen.Full model in
     let lin =
@@ -635,50 +629,7 @@ let ir_cmd =
       print_string "\n== after optimization ==\n";
       (* hit counts (when profiling) belong to the optimized stream *)
       print_string (Ir_opt.disassemble ?hits opt)
-    end;
-    match batch with
-    | None -> ()
-    | Some k ->
-      if k < 1 || k > 64 then begin
-        Printf.eprintf "--batch must be in 1..64 (got %d)\n" k;
-        exit 1
-      end;
-      let module B = Cftcg_ir.Ir_vm_batch in
-      let bvm = B.compile ~k prog in
-      let blin = B.linearized bvm in
-      let n_regs = blin.Cftcg_ir.Ir_linearize.l_n_regs in
-      Printf.printf
-        "\n== batched lockstep VM (K=%d) ==\nregister file: %d planes x %d lanes (SoA; register r, lane l at r*%d+l) = %d floats, %d bytes\nprobe coverage: %d probes x %d lanes = %d bytes, lane-minor\n"
-        k n_regs k k (n_regs * k) (n_regs * k * 8)
-        prog.Cftcg_ir.Ir.n_probes k
-        (max prog.Cftcg_ir.Ir.n_probes 1 * k);
-      (* drive the lanes with independent random inputs to expose
-         where control flow splits the lane groups *)
-      let layout = Layout.of_program prog in
-      let rng = Cftcg_util.Rng.create 1L in
-      B.reset bvm;
-      for _ = 1 to steps do
-        for lane = 0 to k - 1 do
-          let tuple = Layout.random_tuple_bytes layout rng in
-          Layout.load_tuple_bvm layout tuple ~tuple:0 bvm ~lane
-        done;
-        B.step bvm
-      done;
-      let hot label code divs =
-        match divs with
-        | [] -> Printf.printf "%s: no lane divergence\n" label
-        | divs ->
-          Printf.printf "%s divergence hotspots (pc, splits, opcode):\n" label;
-          List.iteri
-            (fun i (pc, n) ->
-              if i < 10 then
-                Printf.printf "  pc %5d  %8d  %s\n" pc n (Ir_opt.opcode_name code.(pc)))
-            divs
-      in
-      Printf.printf "lane divergence over %d random steps (%d splits total):\n" steps
-        (B.total_divergence bvm);
-      hot "init" blin.Cftcg_ir.Ir_linearize.l_init (B.init_divergence bvm);
-      hot "step" blin.Cftcg_ir.Ir_linearize.l_step (B.step_divergence bvm)
+    end
   in
   let dump =
     Arg.(value & flag & info [ "dump-bytecode" ] ~doc:"Print the full disassembly before and after the optimizer pipeline.")
@@ -690,16 +641,11 @@ let ir_cmd =
     Arg.(value & flag & info [ "profile" ] ~doc:"Execute the optimized bytecode on random inputs and print the dynamic opcode histogram; with $(b,--dump-bytecode), annotate each instruction with its hit count.")
   in
   let steps =
-    Arg.(value & opt int 256 & info [ "profile-steps" ] ~docv:"N" ~doc:"Model iterations to execute in profile and $(b,--batch) modes.")
-  in
-  let batch =
-    Arg.(value & opt (some int) None
-         & info [ "batch" ] ~docv:"K"
-             ~doc:"Compile the K-lane batched lockstep VM, print its structure-of-arrays register-plane layout, and run random inputs to report the branch pcs that split lane groups most (divergence hotspots).")
+    Arg.(value & opt int 256 & info [ "profile-steps" ] ~docv:"N" ~doc:"Model iterations to execute in $(b,--profile) mode.")
   in
   Cmd.v
     (Cmd.info "ir" ~doc:"Show bytecode optimizer statistics (and optionally disassembly) for a model.")
-    Term.(const run $ model_arg $ dump $ instrumented $ profile $ steps $ batch)
+    Term.(const run $ model_arg $ dump $ instrumented $ profile $ steps)
 
 let profile_cmd =
   let run model_path execs seed out_dir =

@@ -21,9 +21,9 @@ type config = {
   batch : int;
 }
 
-(* Children are drafted in fixed-size generations regardless of the
-   batch width, so campaigns are byte-identical across batch settings
-   (see the scheduler below); [draft_size] caps the useful batch. *)
+(* Children are drafted in fixed-size generations (see the scheduler
+   below); the generation size pins the RNG stream, so changing it
+   changes every same-seed campaign. *)
 let draft_size = 16
 
 let default_config =
@@ -147,154 +147,23 @@ let make_executor ?(optimize = true) ?code ~backend:Vm ~layout ~(prog : Ir.progr
   fun ~fresh_cells data ->
     run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data
 
-(* ------------------------------------------------------------------ *)
-(* Batched execution                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* State for the K-lane chunk executor. [bx_pa]/[bx_pb] double-buffer
-   consecutive tuples' fired sets per lane, as [run_one] does with
-   the scalar buffers — the iteration-difference metric is their
-   per-lane symmetric difference, which only depends on the lane's own
-   stream and so can be computed during batched execution. [bx_acc]
-   is a detached buffer serving as a per-lane ordered distinct-fire
-   accumulator: fresh coverage depends on the campaign-global
-   [g_total], so it cannot be accounted while K inputs run
-   interleaved; instead the caller replays each lane's accumulator
-   against [g_total] in draft order after the chunk, which reproduces
-   the sequential run's fresh counts, cell discovery order and
-   [g_total] evolution exactly. That replay is what keeps same-seed
-   campaigns byte-identical across batch widths. *)
-type batch_exec = {
-  bx_vm : Ir_vm_batch.t;
-  bx_pa : Ir_vm_batch.probes;
-  bx_pb : Ir_vm_batch.probes;
-  bx_acc : Ir_vm_batch.probes;
-  bx_metric : int array;  (* per lane *)
-  bx_iters : int array;  (* per lane *)
-  bx_lane_of : int array;  (* chunk draft index -> lane *)
-}
-
-let make_batch_exec ~k code =
-  let bvm = Ir_vm_batch.of_code ~k code in
-  {
-    bx_vm = bvm;
-    bx_pa = Ir_vm_batch.probes bvm;
-    bx_pb = Ir_vm_batch.fresh_probes bvm;
-    bx_acc = Ir_vm_batch.fresh_probes bvm;
-    bx_metric = Array.make k 0;
-    bx_iters = Array.make k 0;
-    bx_lane_of = Array.make k 0;
-  }
-
-(* Executes [children.(off .. off+m-1)] through the K-lane VM in
-   lockstep. Longer inputs are assigned to lower lanes so the set of
-   still-running lanes is always a prefix and partial tuples can use
-   [step ~lanes]. Fills [bx_metric] / [bx_iters] / [bx_acc] per lane;
-   [bx_lane_of] maps chunk draft order back to lanes for the caller's
-   accounting replay. Leaves all probe buffers except [bx_acc] clean. *)
-let run_chunk bx ~layout ~max_tuples ~use_metric (children : Bytes.t array) ~off m =
-  let bvm = bx.bx_vm in
-  let kk = Ir_vm_batch.k bvm in
-  let n_of =
-    Array.init m (fun d -> min (Layout.n_tuples layout children.(off + d)) max_tuples)
+(* Retained for the benchmark's [fuzzer.batch_exec_us] row: runs up to
+   [k] inputs through one scalar executor in input order and returns
+   the summed (metric, fresh, iterations). *)
+let make_batch_executor ?optimize ?code ~k ~layout ~prog ~g_total ~max_tuples ~use_metric () =
+  let run_input =
+    make_executor ?optimize ?code ~backend:Vm ~layout ~prog ~g_total ~max_tuples ~use_metric ()
   in
-  let order = Array.init m (fun d -> d) in
-  Array.sort
-    (fun a b -> if n_of.(a) <> n_of.(b) then compare n_of.(b) n_of.(a) else compare a b)
-    order;
-  for lane = 0 to m - 1 do
-    bx.bx_lane_of.(order.(lane)) <- lane;
-    bx.bx_metric.(lane) <- 0;
-    bx.bx_iters.(lane) <- n_of.(order.(lane))
-  done;
-  Ir_vm_batch.set_probes bvm bx.bx_pa;
-  Ir_vm_batch.reset ~lanes:m bvm;
-  (* init-block probes are warm-up, not coverage (as in run_one) *)
-  Ir_vm_batch.clear_probes bx.bx_pa;
-  let max_n = Array.fold_left max 0 n_of in
-  let curr = ref bx.bx_pa in
-  let last = ref bx.bx_pb in
-  for tuple = 0 to max_n - 1 do
-    let live = ref 0 in
-    while !live < m && n_of.(order.(!live)) > tuple do
-      incr live
-    done;
-    let live = !live in
-    let c = !curr in
-    let l = !last in
-    Ir_vm_batch.set_probes bvm c;
-    for lane = 0 to live - 1 do
-      Layout.load_tuple_bvm layout children.(off + order.(lane)) ~tuple bvm ~lane
-    done;
-    Ir_vm_batch.step ~lanes:live bvm;
-    for lane = 0 to live - 1 do
-      let cd = Array.unsafe_get c.Ir_vm_batch.bp_dirty lane in
-      let cn = Array.unsafe_get c.Ir_vm_batch.bp_n lane in
-      let metric = ref 0 in
-      for j = 0 to cn - 1 do
-        let id = Array.unsafe_get cd j in
-        if use_metric && Bytes.unsafe_get l.Ir_vm_batch.bp_fired ((id * kk) + lane) = '\000'
-        then incr metric;
-        Ir_vm_batch.record bx.bx_acc ~lane id
-      done;
-      if use_metric then begin
-        let ld = Array.unsafe_get l.Ir_vm_batch.bp_dirty lane in
-        for j = 0 to Array.unsafe_get l.Ir_vm_batch.bp_n lane - 1 do
-          if
-            Bytes.unsafe_get c.Ir_vm_batch.bp_fired ((Array.unsafe_get ld j * kk) + lane)
-            = '\000'
-          then incr metric
-        done
-      end;
-      bx.bx_metric.(lane) <- bx.bx_metric.(lane) + !metric;
-      Ir_vm_batch.clear_lane l ~lane
-    done;
-    curr := l;
-    last := c
-  done;
-  (* lanes that ended early still hold their final tuple's fires *)
-  for lane = 0 to m - 1 do
-    Ir_vm_batch.clear_lane bx.bx_pa ~lane;
-    Ir_vm_batch.clear_lane bx.bx_pb ~lane
-  done
-
-(* Batched counterpart of [make_executor], exposed for benchmarks and
-   tooling: executes up to [k] inputs in lockstep per call with the
-   same coverage accounting a campaign performs (iteration metric,
-   fresh-coverage replay against [g_total] in draft order) and
-   returns the summed (metric, fresh, iterations). *)
-let make_batch_executor ?(optimize = true) ?code ~k ~layout ~(prog : Ir.program) ~g_total
-    ~max_tuples ~use_metric () =
-  (* the trailing [()] pins the set-up here: without it a partial
-     application that omits the optional arguments would defer the
-     whole body — including the instance build — to every per-call
-     positional application *)
-  let bx =
-    make_batch_exec ~k (code_for ~fn:"Fuzzer.make_batch_executor" ~optimize ?code prog)
-  in
+  let fresh_cells = ref [] in
   fun (children : Bytes.t array) ->
-    let n = Array.length children in
-    if n > k then invalid_arg "Fuzzer.make_batch_executor: more inputs than lanes";
-    run_chunk bx ~layout ~max_tuples ~use_metric children ~off:0 n;
-    let metric = ref 0 in
-    let fresh = ref 0 in
-    let iters = ref 0 in
-    let acc = bx.bx_acc in
-    for d = 0 to n - 1 do
-      let lane = bx.bx_lane_of.(d) in
-      let ad = acc.Ir_vm_batch.bp_dirty.(lane) in
-      for j = 0 to acc.Ir_vm_batch.bp_n.(lane) - 1 do
-        let id = Array.unsafe_get ad j in
-        if Bytes.unsafe_get g_total id = '\000' then begin
-          Bytes.unsafe_set g_total id '\001';
-          incr fresh
-        end
-      done;
-      metric := !metric + bx.bx_metric.(lane);
-      iters := !iters + bx.bx_iters.(lane);
-      Ir_vm_batch.clear_lane acc ~lane
-    done;
-    (!metric, !fresh, !iters)
+    if Array.length children > k then
+      invalid_arg "Fuzzer.make_batch_executor: more than k inputs";
+    Array.fold_left
+      (fun (metric, fresh, iters) data ->
+        fresh_cells := [];
+        let m, f, i = run_input ~fresh_cells data in
+        (metric + m, fresh + f, iters + i))
+      (0, 0, 0) children
 
 let count_covered g_total =
   let n = ref 0 in
@@ -374,21 +243,6 @@ let sample_mask = 255
    test runs stay fast *)
 let exec_stall_seconds = 0.002
 
-(* Process-global batched-VM health counters, snapshotted into
-   post-mortem dumps: how many runs abandoned lockstep for the scalar
-   executor, and the divergence totals that drove those decisions. *)
-let batch_fallbacks_total = Atomic.make 0
-let batch_divergence_total = Atomic.make 0
-let batch_runs_total = Atomic.make 0
-
-let () =
-  Cftcg_obs.Flight.register_provider "ir_vm_batch" (fun () ->
-      Printf.sprintf
-        "{\"batch_runs\":%d,\"scalar_fallbacks\":%d,\"divergence_total\":%d}"
-        (Atomic.get batch_runs_total)
-        (Atomic.get batch_fallbacks_total)
-        (Atomic.get batch_divergence_total))
-
 let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
     ?(on_progress = fun _ -> ()) ?(progress_every = 1024) ?(should_stop = fun () -> false)
     ?coverage_series (prog : Ir.program) budget =
@@ -400,38 +254,17 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   let rng = Rng.create config.seed in
   let n_probes = max prog.Ir.n_probes 1 in
   let g_total = Bytes.make n_probes '\000' in
-  (* Effective lane count: the batched lockstep VM runs when
-     [batch > 1]. Capped at [draft_size] — a generation can never fill
-     more lanes than it drafts. *)
-  let batch_k = max 1 (min config.batch draft_size) in
-  (* One code for the whole run: the batched executor and its scalar
-     fallback are both instances over it, so the optimizer runs at
-     most once per run — and not at all when the caller (a campaign)
-     hands its own prepared code in. *)
+  (* the optimizer runs at most once per run, and not at all when the
+     caller (a campaign) hands its own prepared code in *)
   let code =
     Trace.with_span "fuzzer.compile" @@ fun () ->
     code_for ~fn:"Fuzzer.run" ~optimize:config.optimize ?code prog
   in
-  let make_seq () =
-    `Seq
-      (make_executor ~code ~backend:Vm ~layout ~prog ~g_total ~max_tuples:config.max_tuples
-         ~use_metric:config.iteration_metric ())
+  let run_input =
+    make_executor ~code ~backend:Vm ~layout ~prog ~g_total ~max_tuples:config.max_tuples
+      ~use_metric:config.iteration_metric ()
   in
-  (* Lockstep execution only pays off when lanes mostly agree on
-     branches; on branch-heavy models the split handling costs more
-     than the amortized dispatch saves. The executor therefore starts
-     batched and watches the VM's divergence counters — a pure
-     function of the seed, so the decision is deterministic — and
-     drops to the scalar executor for the rest of the campaign once
-     splits exceed one per [batch_k] model steps. Either way the
-     campaign transcript is byte-identical: batching and the fallback
-     only change throughput. *)
-  let executor =
-    ref (if batch_k > 1 then `Batch (make_batch_exec ~k:batch_k code) else make_seq ())
-  in
-  let divergence_decided = ref (batch_k <= 1) in
-  if batch_k > 1 then Atomic.incr batch_runs_total;
-  Log.debug "fuzzer run start: seed %Ld, batch %d" config.seed batch_k;
+  Log.debug "fuzzer run start: seed %Ld" config.seed;
   let dict = if config.use_dictionary then Some (Dictionary.of_program prog) else None in
   let start = Unix.gettimeofday () in
   let deadline_execs, deadline_time =
@@ -491,11 +324,9 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   let covered_run = ref 0 in
   (* Accounting for one executed input — everything downstream of the
      backend call: counters, suite and failure capture, corpus
-     admission, per-strategy attribution. Shared by the scalar path
-     and the batched path's replay so the two produce byte-identical
-     campaigns. [fresh_cells] must hold the input's newly-covered
-     cells, latest first. [strat] is the mutation strategy index, -1
-     for seeds and blind mutation. *)
+     admission, per-strategy attribution. [fresh_cells] must hold the
+     input's newly-covered cells, latest first. [strat] is the
+     mutation strategy index, -1 for seeds and blind mutation. *)
   let account data ~metric ~fresh ~iters ~strat =
     incr executions;
     iterations := !iterations + iters;
@@ -548,8 +379,8 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       if interesting then Metrics.inc ob.ob_kept.(strat)
     | _ -> ()
   in
-  (* scalar path: one input straight through the sequential executor *)
-  let execute_seq run_input ~strat data =
+  (* one input through the executor, then its accounting *)
+  let execute ~strat data =
     fresh_cells := [];
     (* sampled timings: every [sample_mask+1]-th execution reads the
        clock around the backend call and the scoring/admission tail *)
@@ -565,79 +396,12 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       Metrics.observe ob.ob_metric_ns ((t2 -. t1) *. 1e9)
     | _ -> ()
   in
-  (* Runs [children.(0 .. n-1)] (strategy indices alongside in
-     [strats]) through the configured executor. The batched path cuts
-     the draft into K-lane chunks, runs each chunk in lockstep, then
-     replays every lane's accumulated coverage against [g_total] in
-     draft order — see [run_chunk] for why that replay makes the
-     campaign transcript independent of the batch width. Sampled exec
-     timings divide the chunk's wall time by its width so the
-     histogram stays per-input comparable across batch settings —
-     amortized dispatch shows up as a lower per-input cost, which is
-     the quantity of interest. *)
+  (* runs [children.(0 .. n-1)] in order, strategy indices alongside
+     in [strats] *)
   let process children strats n =
-    (match !executor with
-    | `Seq run_input ->
-      for d = 0 to n - 1 do
-        execute_seq run_input ~strat:strats.(d) children.(d)
-      done
-    | `Batch bx ->
-      let pos = ref 0 in
-      while !pos < n do
-        let m = min batch_k (n - !pos) in
-        (* timed iff one of the chunk's execution indices lands on the
-           sample grid, matching the scalar path's sampling density *)
-        let r = !executions land sample_mask in
-        let timed = observing && (sample_mask + 1 - r) land sample_mask < m in
-        let t0 = if timed then Unix.gettimeofday () else 0.0 in
-        run_chunk bx ~layout ~max_tuples:config.max_tuples ~use_metric:config.iteration_metric
-          children ~off:!pos m;
-        let t1 = if timed then Unix.gettimeofday () else 0.0 in
-        let acc = bx.bx_acc in
-        for d = 0 to m - 1 do
-          let lane = bx.bx_lane_of.(d) in
-          fresh_cells := [];
-          let fresh = ref 0 in
-          let ad = acc.Ir_vm_batch.bp_dirty.(lane) in
-          for j = 0 to acc.Ir_vm_batch.bp_n.(lane) - 1 do
-            let id = Array.unsafe_get ad j in
-            if Bytes.unsafe_get g_total id = '\000' then begin
-              Bytes.unsafe_set g_total id '\001';
-              incr fresh;
-              fresh_cells := id :: !fresh_cells
-            end
-          done;
-          account
-            children.(!pos + d)
-            ~metric:bx.bx_metric.(lane) ~fresh:!fresh ~iters:bx.bx_iters.(lane)
-            ~strat:strats.(!pos + d)
-        done;
-        for lane = 0 to m - 1 do
-          Ir_vm_batch.clear_lane acc ~lane
-        done;
-        (match obs with
-        | Some ob when timed ->
-          let t2 = Unix.gettimeofday () in
-          let fm = float_of_int m in
-          Metrics.observe ob.ob_exec_ns ((t1 -. t0) *. 1e9 /. fm);
-          Metrics.observe ob.ob_metric_ns ((t2 -. t1) *. 1e9 /. fm)
-        | _ -> ());
-        pos := !pos + m
-      done);
-    match !executor with
-    | `Batch bx when (not !divergence_decided) && !iterations >= 256 ->
-      divergence_decided := true;
-      let dv = Ir_vm_batch.total_divergence bx.bx_vm in
-      if dv * batch_k > !iterations then begin
-        (* the batch VM is dropped here, so bank its divergence total
-           now; runs that stay batched bank theirs at run end *)
-        ignore (Atomic.fetch_and_add batch_divergence_total dv);
-        Atomic.incr batch_fallbacks_total;
-        Log.info "batch fallback to scalar: %d splits over %d iterations (k=%d)" dv
-          !iterations batch_k;
-        executor := make_seq ()
-      end
-    | _ -> ()
+    for d = 0 to n - 1 do
+      execute ~strat:strats.(d) children.(d)
+    done
   in
   (* User-provided seed corpus first, then a handful of random short
      streams, processed as one draft. Execution consumes no
@@ -669,12 +433,10 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   in
   (* Main loop: children are drafted in generations of [draft_size]
      against a corpus frozen for the generation, then executed and
-     accounted in draft order. Drafting consumes the RNG identically
-     whatever the batch width and execution consumes none, so the
-     campaign transcript is a function of the seed alone — batch=1
-     and batch=K runs are byte-identical. The generation is clipped
-     to the remaining exec budget so Exec_budget runs stop on exactly
-     the same input as before. *)
+     accounted in draft order. Execution consumes no randomness, so
+     the campaign transcript is a function of the seed alone. The
+     generation is clipped to the remaining exec budget so Exec_budget
+     runs stop on exactly the budget. *)
   let draft = Array.make draft_size Bytes.empty in
   let draft_strat = Array.make draft_size (-1) in
   while should_continue () do
@@ -720,10 +482,6 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   (match coverage_series with
   | Some s -> Series.record s ~time:(elapsed_now ()) ~execs:!executions ~covered:!covered_run
   | None -> ());
-  (match !executor with
-  | `Batch bx when batch_k > 1 ->
-    ignore (Atomic.fetch_and_add batch_divergence_total (Ir_vm_batch.total_divergence bx.bx_vm))
-  | _ -> ());
   Log.debug "fuzzer run done: %d execs, %d/%d probes, corpus %d" !executions !covered_run
     prog.Ir.n_probes !corpus_n;
   { test_suite = List.rev !suite; failures = List.rev !failures; stats = snapshot () }

@@ -50,28 +50,11 @@ type config = {
           true; not consulted when {!run} is handed prepared code).
           Same campaigns either way — CLI [--no-opt] is the escape hatch *)
   batch : int;
-      (** lanes of the batched lockstep VM ({!Ir_vm_batch}) executed
-          per dispatch (default 8; clamped to [1 .. draft_size]; [1]
-          runs scalar). The scheduler drafts children in fixed-size generations and
-          replays coverage in draft order, so same-seed campaigns are
-          byte-identical across batch settings — batching only buys
-          throughput. Lockstep only pays off when lanes mostly agree
-          at branches, so after a fixed warm-up the run inspects the
-          batched VM's divergence counters and permanently falls back
-          to scalar execution if the model splits lanes more than
-          once per batched step on average. The decision is a pure
-          function of seed and bytecode — still deterministic, still
-          byte-identical *)
+      (** not consulted: {!run} executes one input at a time. Kept only
+          because the repository benchmark still reads it *)
 }
 
 val default_config : config
-
-val draft_size : int
-(** Children drafted per scheduler generation (16). Constant across
-    batch settings — the batch width only controls how many lanes
-    execute a generation together — which is what pins the RNG stream
-    and corpus admission order, keeping campaigns byte-identical from
-    [batch = 1] to [batch = draft_size]. *)
 
 type budget =
   | Time_budget of float  (** seconds of wall clock *)
@@ -144,10 +127,9 @@ val run :
     Code: the run executes [code] when given — it must have been
     prepared from [prog] itself (a different program raises
     [Invalid_argument]), and then [config.optimize] is not consulted.
-    Without it the run calls {!Ir_vm.prepare} once and builds both
-    the batched executor and its scalar fallback from that one code,
-    so the optimizer runs at most once per run. A campaign passes the
-    code it prepared at start, so its workers never optimize.
+    Without it the run calls {!Ir_vm.prepare} once, so the optimizer
+    runs at most once per run. A campaign passes the code it prepared
+    at start, so its workers never optimize.
 
     Observability: when {!Cftcg_obs.Metrics.collecting} is on, the run
     maintains per-strategy effectiveness counters (picked / new
@@ -200,12 +182,9 @@ val make_batch_executor :
   unit ->
   Bytes.t array ->
   int * int * int
-(** Batched counterpart of {!make_executor}: each call executes up to
-    [k] inputs in lockstep through {!Ir_vm_batch} with the campaign's
-    full coverage accounting (iteration metric, fresh replay against
-    [g_total] in input order) and returns the summed
-    (metric, fresh, iterations). [code] and [optimize] as in
-    {!make_executor}. The trailing [unit] closes the set-up
-    partial application — apply through [()] once and
-    reuse the returned function per chunk. The number the batch
-    scheduler's throughput gate measures. *)
+(** {!make_executor} over an array: each call runs up to [k] inputs
+    (more raises [Invalid_argument]) in input order against [g_total]
+    and returns the summed (metric, fresh, iterations). [code] and
+    [optimize] as in {!make_executor}; apply through [()] once and
+    reuse the result per call. Kept only for the repository
+    benchmark's [fuzzer.batch_exec_us] row. *)

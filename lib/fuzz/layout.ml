@@ -96,13 +96,6 @@ let run_case ?(observe = ignore) t vm ~max_tuples data =
     observe ()
   done
 
-let load_tuple_bvm t data ~tuple bvm ~lane =
-  let base = tuple * t.tuple_len in
-  Array.iteri
-    (fun i f ->
-      Ir_vm_batch.set_input_raw bvm ~lane i (Value.decode_float f.f_ty data (base + f.f_offset)))
-    t.fields
-
 let load_tuple_values t data ~tuple =
   let base = tuple * t.tuple_len in
   Array.map (fun f -> Value.decode f.f_ty data (base + f.f_offset)) t.fields

@@ -60,9 +60,6 @@ val run_case :
     tuples; [observe] runs after the reset and after every step. The
     replay loop of scoring, minimization and the solver. *)
 
-val load_tuple_bvm : t -> Bytes.t -> tuple:int -> Ir_vm_batch.t -> lane:int -> unit
-(** Same fast path into one lane of the batched lockstep VM. *)
-
 val load_tuple_values : t -> Bytes.t -> tuple:int -> Value.t array
 (** Boxed decode, for the reference evaluator and CSV output. *)
 

@@ -50,13 +50,13 @@ type branches = private {
     Sharing is safe across domains: nothing writes a code's arrays
     after {!prepare} returns (execution only reads the instruction
     streams, and {!reset} copies the constant pool {e into} the
-    instance's registers), so any number of instances — scalar or
-    {!Ir_vm_batch} — may run over one code concurrently. *)
+    instance's registers), so any number of instances may run over
+    one code concurrently. *)
 
 type code = private Ir_linearize.t
 (** Bytecode without hook instructions: probe-only for the fuzzing
-    loop, the campaign replayer and {!Ir_vm_batch}; branch-recording
-    for the solver. *)
+    loop and the campaign replayer; branch-recording for the
+    solver. *)
 
 type t
 
@@ -68,7 +68,7 @@ val prepare : ?optimize:bool -> ?branches:bool -> Ir.program -> code
     [read_raw] of scratch variables outside the I/O + state + read
     set may see stale values. [branches] (default [false]) also
     lowers every [If]'s branch distances, so instances record
-    {!branches}; such code does not run on {!Ir_vm_batch}. *)
+    {!branches}. *)
 
 val of_code : code -> t
 (** A fresh instance over [code], with its own register file and

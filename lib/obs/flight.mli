@@ -12,9 +12,8 @@
 
     A {e dump} ({!dump}) serializes the merged ring tails of every
     domain, a snapshot of the default metrics registry, and whatever
-    {e providers} other layers registered (batched-VM divergence
-    counters, recent corpus-store operations) into
-    [postmortem-<ts>.json]. The campaign layer calls it when the
+    {e providers} other layers registered (recent corpus-store
+    operations) into [postmortem-<ts>.json]. The campaign layer calls it when the
     crash-isolation path salvages a worker; the serve daemon calls it
     when it aborts. *)
 

@@ -323,9 +323,10 @@ let test_campaign_crash_dumps_postmortem () =
     Alcotest.(check (option string)) "correlates the job" (Some "crashjob") (str_field "job" f);
     Alcotest.(check bool) "names the worker" true (str_field "worker" f <> None)
   | None -> Alcotest.fail "no fields object");
-  (* the divergence/fallback provider made it into the dump *)
+  (* a registered provider made it into the dump *)
   (match obj_field "snapshots" j with
-  | Some snaps -> Alcotest.(check bool) "ir_vm_batch snapshot" true (obj_field "ir_vm_batch" snaps <> None)
+  | Some snaps ->
+    Alcotest.(check bool) "corpus_store snapshot" true (obj_field "corpus_store" snaps <> None)
   | None -> Alcotest.fail "no snapshots object")
 
 (* --- each campaign fact is reported once, through its event --- *)
@@ -397,7 +398,7 @@ let test_one_log_line_per_event () =
       Alcotest.(check bool) ("line without an event: " ^ msg) true
         (List.exists
            (fun p -> starts_with p msg)
-           [ "campaign start"; "worker start"; "fuzzer run"; "batch fallback" ]))
+           [ "campaign start"; "worker start"; "fuzzer run" ]))
     other_lines
 
 let metric_value name prom =

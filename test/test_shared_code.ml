@@ -11,8 +11,6 @@ module Campaign = Cftcg_campaign.Campaign
 module Models = Cftcg_bench_models.Bench_models
 module Rng = Cftcg_util.Rng
 module Trace = Cftcg_obs.Trace
-module Log = Cftcg_obs.Log
-module Flight = Cftcg_obs.Flight
 
 let bench_prog name =
   let e = Option.get (Models.find name) in
@@ -38,39 +36,14 @@ let count_optimizer_runs f =
       in
       (r, n))
 
-let contains needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let test_fuzzer_run_optimizes_once () =
   let prog = bench_prog "RAC" in
-  (* the batch-to-scalar fallback is logged; the flight ring keeps the
-     line so the test can check this run really took that path *)
-  Log.set_level (Some Log.Info);
-  Flight.set_enabled true;
-  Flight.clear ();
   let (_ : Fuzzer.result), n =
-    Fun.protect
-      ~finally:(fun () ->
-        Log.set_level None;
-        Flight.set_enabled false;
-        Flight.clear ())
-      (fun () ->
-        let r, n =
-          count_optimizer_runs (fun () ->
-              Fuzzer.run ~config:{ Fuzzer.default_config with Fuzzer.seed = 3L } prog
-                (Fuzzer.Exec_budget 2000))
-        in
-        Alcotest.(check bool) "default batch width is batched" true
-          (Fuzzer.default_config.Fuzzer.batch > 1);
-        Alcotest.(check bool) "the run fell back to scalar" true
-          (List.exists
-             (fun (e : Flight.entry) -> contains "batch fallback to scalar" e.Flight.fl_msg)
-             (Flight.recent ()));
-        (r, n))
+    count_optimizer_runs (fun () ->
+        Fuzzer.run ~config:{ Fuzzer.default_config with Fuzzer.seed = 3L } prog
+          (Fuzzer.Exec_budget 2000))
   in
-  Alcotest.(check int) "one optimizer pass for the batched executor and its fallback" 1 n
+  Alcotest.(check int) "one optimizer pass per run" 1 n
 
 let test_campaign_optimizes_once () =
   let prog = bench_prog "TCP" in
@@ -100,16 +73,15 @@ let test_campaign_optimizes_once () =
   in
   Alcotest.(check int) "no optimizer pass with optimize off" 0 n_off
 
-(* Two domains fuzz at once from one prepared code — one through the
-   batched executor (and its scalar fallback), one scalar — and must
-   find exactly what runs that each prepare their own code find. *)
+(* Two domains fuzz at once from one prepared code and must find
+   exactly what runs that each prepare their own code find. *)
 let test_shared_code_fuzzer_parity () =
   List.iter
     (fun name ->
       let prog = bench_prog name in
       let code = Ir_vm.prepare prog in
-      let cfg seed batch = { Fuzzer.default_config with Fuzzer.seed; batch } in
-      let runs = [ cfg 21L 8; cfg 22L 1 ] in
+      let cfg seed = { Fuzzer.default_config with Fuzzer.seed } in
+      let runs = [ cfg 21L; cfg 22L ] in
       let budget = Fuzzer.Exec_budget 4000 in
       let shared =
         List.map (fun config -> Domain.spawn (fun () -> Fuzzer.run ~config ~code prog budget)) runs
@@ -124,9 +96,10 @@ let test_shared_code_fuzzer_parity () =
         (List.combine shared own))
     [ "RAC"; "SolarPV" ]
 
-(* Executor level: scalar and batched instances over one shared code,
-   driven from two domains at once, return per-input results and
-   coverage bitmaps identical to executors that prepare their own. *)
+(* Executor level: a per-input and an array executor over one shared
+   code, driven from two domains at once, return results and coverage
+   bitmaps identical to executors that prepare their own; the array
+   executor's per-call sums are the per-input results summed. *)
 let test_shared_code_executor_parity () =
   let prog = bench_prog "SolarPV" in
   let layout = Layout.of_program prog in
@@ -147,7 +120,7 @@ let test_shared_code_executor_parity () =
     let per_input = Array.map (fun data -> run ~fresh_cells:(ref []) data) inputs in
     (per_input, g_total)
   in
-  let batched ?code () =
+  let chunked ?code () =
     let g_total = Bytes.make n_probes '\000' in
     let run =
       Fuzzer.make_batch_executor ?code ~k ~layout ~prog ~g_total ~max_tuples:256
@@ -160,10 +133,26 @@ let test_shared_code_executor_parity () =
   in
   let code = Ir_vm.prepare prog in
   let ds = Domain.spawn (fun () -> scalar ~code ()) in
-  let db = Domain.spawn (fun () -> batched ~code ()) in
-  let shared_s = Domain.join ds and shared_b = Domain.join db in
-  Alcotest.(check bool) "scalar: shared code = own compile" true (shared_s = scalar ());
-  Alcotest.(check bool) "batched: shared code = own compile" true (shared_b = batched ());
+  let dc = Domain.spawn (fun () -> chunked ~code ()) in
+  let shared_s = Domain.join ds and shared_c = Domain.join dc in
+  Alcotest.(check bool) "per input: shared code = own compile" true (shared_s = scalar ());
+  Alcotest.(check bool) "array: shared code = own compile" true (shared_c = chunked ());
+  let per_input, g_s = shared_s and per_chunk, g_c = shared_c in
+  Alcotest.(check bool) "same coverage bitmap" true (Bytes.equal g_s g_c);
+  Array.iteri
+    (fun c sums ->
+      let add (m, f, i) (m', f', i') = (m + m', f + f', i + i') in
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "chunk %d sums its inputs" c)
+        (Array.fold_left add (0, 0, 0) (Array.sub per_input (c * k) k))
+        sums)
+    per_chunk;
+  (match
+     Fuzzer.make_batch_executor ~k ~layout ~prog ~g_total:(Bytes.make n_probes '\000')
+       ~max_tuples:256 ~use_metric:true () (Array.sub inputs 0 (k + 1))
+   with
+  | _ -> Alcotest.fail "more inputs than k must be rejected"
+  | exception Invalid_argument _ -> ());
   (* the code is still the code: a fresh instance over it matches a
      freshly compiled VM step for step *)
   let a = Ir_vm.of_code code and b = Ir_vm.compile prog in
@@ -189,13 +178,6 @@ let test_mismatched_code_rejected () =
   | _ -> Alcotest.fail "code prepared from another program must be rejected"
   | exception Invalid_argument _ -> ()
 
-(* the batched VM has no branch-record or distance arms *)
-let test_branch_code_not_batched () =
-  let code = Ir_vm.prepare ~optimize:false ~branches:true (bench_prog "TCP") in
-  match Ir_vm_batch.of_code ~k:4 code with
-  | _ -> Alcotest.fail "branch-recording code must be refused by the batched VM"
-  | exception Invalid_argument _ -> ()
-
 let suites =
   [ ( "fuzz.shared_code",
       [ Alcotest.test_case "Fuzzer.run optimizes once" `Quick test_fuzzer_run_optimizes_once;
@@ -203,6 +185,5 @@ let suites =
         Alcotest.test_case "two domains, one code: runs" `Slow test_shared_code_fuzzer_parity;
         Alcotest.test_case "two domains, one code: executors" `Quick
           test_shared_code_executor_parity;
-        Alcotest.test_case "mismatched code rejected" `Quick test_mismatched_code_rejected;
-        Alcotest.test_case "branch code not batched" `Quick test_branch_code_not_batched ] )
+        Alcotest.test_case "mismatched code rejected" `Quick test_mismatched_code_rejected ] )
   ]

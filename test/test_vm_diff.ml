@@ -239,64 +239,6 @@ let test_fuzzer_backend_parity () =
     compare_campaign (Printf.sprintf "model %d vm-opt" model_ix) (run true)
   done
 
-(* Batching must be invisible to the fuzzing algorithm: same seed,
-   same campaign transcript whatever the lane count — the batched
-   scheduler's draft-order coverage replay pins executions, the
-   emitted suite (bytes and timestamps), failures and corpus
-   evolution. Checked for K ∈ {1, 4, 16} with the optimizer on and
-   off, against the scalar batch=1 run. *)
-let test_fuzzer_batch_parity () =
-  let rng = Rng.create 515151L in
-  for model_ix = 1 to 8 do
-    let prog = Codegen.lower (Model_gen.generate rng) in
-    let run batch optimize =
-      Cftcg_fuzz.Fuzzer.run
-        ~config:
-          { Cftcg_fuzz.Fuzzer.default_config with
-            Cftcg_fuzz.Fuzzer.seed = 7L;
-            batch;
-            optimize
-          }
-        prog (Cftcg_fuzz.Fuzzer.Exec_budget 400)
-    in
-    let rc = run 1 true in
-    let compare_campaign ctx (rv : Cftcg_fuzz.Fuzzer.result) =
-      let open Cftcg_fuzz.Fuzzer in
-      Alcotest.(check int) (ctx ^ " executions") rc.stats.executions rv.stats.executions;
-      Alcotest.(check int) (ctx ^ " iterations") rc.stats.iterations rv.stats.iterations;
-      Alcotest.(check int) (ctx ^ " probes covered") rc.stats.probes_covered
-        rv.stats.probes_covered;
-      Alcotest.(check int) (ctx ^ " corpus size") rc.stats.corpus_size rv.stats.corpus_size;
-      Alcotest.(check int) (ctx ^ " suite size") (List.length rc.test_suite)
-        (List.length rv.test_suite);
-      List.iter2
-        (fun (a : test_case) (b : test_case) ->
-          if
-            (not (Bytes.equal a.tc_data b.tc_data))
-            || a.tc_new_probes <> b.tc_new_probes || a.tc_time <> b.tc_time
-          then Alcotest.failf "%s: test suites diverge" ctx)
-        rc.test_suite rv.test_suite;
-      Alcotest.(check int) (ctx ^ " failures") (List.length rc.failures) (List.length rv.failures);
-      List.iter2
-        (fun (a : failure) (b : failure) ->
-          if
-            (not (Bytes.equal a.f_data b.f_data))
-            || a.f_time <> b.f_time || a.f_message <> b.f_message
-          then Alcotest.failf "%s: failures diverge" ctx)
-        rc.failures rv.failures
-    in
-    List.iter
-      (fun batch ->
-        List.iter
-          (fun optimize ->
-            if not (batch = 1 && optimize) then
-              compare_campaign
-                (Printf.sprintf "model %d batch=%d opt=%b" model_ix batch optimize)
-                (run batch optimize))
-          [ true; false ])
-      [ 1; 4; 16 ]
-  done
-
 (* The bytecode optimizer must be observationally invisible on the VM
    itself: outputs, dirty probe lists (same order) and full hook
    traces identical with and without it. *)
@@ -373,133 +315,6 @@ let prop_optimizer_invisible =
       let rng = Rng.create (Int64.of_int ((seed * 2) + 1)) in
       let prog = Codegen.lower (Model_gen.generate rng) in
       check_opt_lockstep ~tag:(Printf.sprintf "seed %d" seed) ~steps:25 rng prog;
-      true)
-
-(* The batched lockstep VM must be per-lane bit-identical to the
-   scalar VM: K independent scalar instances fed the same per-lane
-   input streams agree with the K-lane batch on every output and on
-   every lane's dirty probe list (same order) at every step. *)
-let check_batch_lockstep ~tag ~kk ~steps ~optimize rng prog =
-  let bvm = Ir_vm_batch.compile ~optimize ~k:kk prog in
-  let scalars = Array.init kk (fun _ -> Ir_vm.compile ~optimize prog) in
-  Ir_vm_batch.reset bvm;
-  Array.iter Ir_vm.reset scalars;
-  Ir_vm_batch.clear_probes (Ir_vm_batch.probes bvm);
-  Array.iter (fun vm -> Ir_vm.clear_probes (Ir_vm.probes vm)) scalars;
-  let n_out = Array.length prog.Ir.outputs in
-  for step = 1 to steps do
-    for lane = 0 to kk - 1 do
-      Array.iteri
-        (fun i (var : Ir.var) ->
-          let v = Model_gen.random_input rng var.Ir.vty in
-          Ir_vm_batch.set_input bvm ~lane i v;
-          Ir_vm.set_input scalars.(lane) i v)
-        prog.Ir.inputs
-    done;
-    Ir_vm_batch.step bvm;
-    Array.iter Ir_vm.step scalars;
-    for lane = 0 to kk - 1 do
-      for o = 0 to n_out - 1 do
-        agree
-          (Printf.sprintf "%s step %d lane %d output %d: scalar vs batch" tag step lane o)
-          (Value.to_float (Ir_vm.get_output scalars.(lane) o))
-          (Value.to_float (Ir_vm_batch.get_output bvm ~lane o))
-      done;
-      let sp = Ir_vm.probes scalars.(lane) in
-      let scalar_dirty = Array.to_list (Array.sub sp.Ir_vm.p_dirty 0 sp.Ir_vm.p_n) in
-      let bp = Ir_vm_batch.probes bvm in
-      let batch_dirty =
-        Array.to_list (Array.sub bp.Ir_vm_batch.bp_dirty.(lane) 0 bp.Ir_vm_batch.bp_n.(lane))
-      in
-      Alcotest.(check (list int))
-        (Printf.sprintf "%s step %d lane %d dirty probes" tag step lane)
-        scalar_dirty batch_dirty;
-      List.iter
-        (fun id ->
-          if not (Ir_vm_batch.probe_fired bvm ~lane id) then
-            Alcotest.failf "%s step %d lane %d: dirty probe %d not marked in packed bytes" tag
-              step lane id)
-        batch_dirty;
-      Ir_vm.clear_probes sp;
-      Ir_vm_batch.clear_lane bp ~lane;
-      if bp.Ir_vm_batch.bp_n.(lane) <> 0 then
-        Alcotest.failf "%s: clear_lane left %d dirty" tag bp.Ir_vm_batch.bp_n.(lane)
-    done
-  done
-
-let test_batch_matches_scalar () =
-  let rng = Rng.create 7777L in
-  List.iter
-    (fun kk ->
-      for model_ix = 1 to 10 do
-        let prog = Codegen.lower (Model_gen.generate rng) in
-        check_batch_lockstep
-          ~tag:(Printf.sprintf "k=%d model %d" kk model_ix)
-          ~kk ~steps:25 ~optimize:true rng prog
-      done)
-    [ 1; 4; 16 ]
-
-let test_batch_matches_scalar_noopt () =
-  let rng = Rng.create 8888L in
-  for model_ix = 1 to 8 do
-    let prog = Codegen.lower (Model_gen.generate rng) in
-    check_batch_lockstep
-      ~tag:(Printf.sprintf "noopt model %d" model_ix)
-      ~kk:4 ~steps:20 ~optimize:false rng prog
-  done
-
-(* Partial batches: lanes beyond ?lanes must be untouched by step. *)
-let test_batch_partial_lanes () =
-  let rng = Rng.create 9999L in
-  for model_ix = 1 to 8 do
-    let prog = Codegen.lower (Model_gen.generate rng) in
-    let kk = 8 in
-    let live = 3 in
-    let bvm = Ir_vm_batch.compile ~k:kk prog in
-    let scalars = Array.init live (fun _ -> Ir_vm.compile prog) in
-    Ir_vm_batch.reset ~lanes:live bvm;
-    Array.iter Ir_vm.reset scalars;
-    Ir_vm_batch.clear_probes (Ir_vm_batch.probes bvm);
-    Array.iter (fun vm -> Ir_vm.clear_probes (Ir_vm.probes vm)) scalars;
-    let n_out = Array.length prog.Ir.outputs in
-    for step = 1 to 15 do
-      for lane = 0 to live - 1 do
-        Array.iteri
-          (fun i (var : Ir.var) ->
-            let v = Model_gen.random_input rng var.Ir.vty in
-            Ir_vm_batch.set_input bvm ~lane i v;
-            Ir_vm.set_input scalars.(lane) i v)
-          prog.Ir.inputs
-      done;
-      Ir_vm_batch.step ~lanes:live bvm;
-      Array.iter Ir_vm.step scalars;
-      for lane = 0 to live - 1 do
-        for o = 0 to n_out - 1 do
-          agree
-            (Printf.sprintf "model %d step %d lane %d output %d" model_ix step lane o)
-            (Value.to_float (Ir_vm.get_output scalars.(lane) o))
-            (Value.to_float (Ir_vm_batch.get_output bvm ~lane o))
-        done
-      done;
-      (* idle lanes fire nothing *)
-      let bp = Ir_vm_batch.probes bvm in
-      for lane = live to kk - 1 do
-        if bp.Ir_vm_batch.bp_n.(lane) <> 0 then
-          Alcotest.failf "model %d step %d: idle lane %d fired %d probes" model_ix step lane
-            bp.Ir_vm_batch.bp_n.(lane)
-      done
-    done
-  done
-
-let prop_batch_matches_scalar =
-  QCheck.Test.make ~name:"batched VM lanes bit-identical to scalar VM" ~count:40
-    QCheck.(make Gen.(pair (int_bound 1_000_000) (int_range 1 16)))
-    (fun (seed, kk) ->
-      let rng = Rng.create (Int64.of_int ((seed * 2) + 1)) in
-      let prog = Codegen.lower (Model_gen.generate rng) in
-      check_batch_lockstep
-        ~tag:(Printf.sprintf "seed %d k=%d" seed kk)
-        ~kk ~steps:15 ~optimize:true rng prog;
       true)
 
 (* --- Native branch distances --------------------------------------- *)
@@ -723,16 +538,9 @@ let suites =
           test_vm_probe_buffer_matches;
         Alcotest.test_case "fuzzer campaigns identical with optimizer on and off" `Slow
           test_fuzzer_backend_parity;
-        Alcotest.test_case "fuzzer campaigns identical across batch widths" `Slow
-          test_fuzzer_batch_parity;
         Alcotest.test_case "optimizer invisible on random models" `Slow
           test_optimizer_invisible_on_random_models;
         Alcotest.test_case "optimizer invisible to hooks" `Slow test_optimizer_invisible_to_hooks;
         Alcotest.test_case "native distances: edge operands" `Slow test_native_distance_edge_cases;
-        Alcotest.test_case "batched VM matches scalar (K=1,4,16)" `Slow test_batch_matches_scalar;
-        Alcotest.test_case "batched VM matches scalar unoptimized" `Slow
-          test_batch_matches_scalar_noopt;
-        Alcotest.test_case "batched VM partial lanes" `Slow test_batch_partial_lanes;
         QCheck_alcotest.to_alcotest ~verbose:false prop_backends_agree;
-        QCheck_alcotest.to_alcotest ~verbose:false prop_optimizer_invisible;
-        QCheck_alcotest.to_alcotest ~verbose:false prop_batch_matches_scalar ] ) ]
+        QCheck_alcotest.to_alcotest ~verbose:false prop_optimizer_invisible ] ) ]

@@ -344,8 +344,8 @@ let backend_execs_per_sec (e : Models.entry) =
   let fuzz_exec ~optimize =
     let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
     let exec =
-      Cftcg_fuzz.Fuzzer.make_executor ~optimize ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog
-        ~g_total ~max_tuples:n_tuples ~use_metric:true ()
+      Cftcg_fuzz.Fuzzer.make_executor ~code:(Cftcg_ir.Ir_vm.prepare ~optimize prog)
+        ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog ~g_total ~max_tuples:n_tuples ~use_metric:true ()
     in
     let cells = ref [] in
     (* steady state: g_total saturates after the first call, so later
@@ -453,8 +453,8 @@ let paired_vm_gate (e : Models.entry) =
   let mk optimize =
     let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
     let exec =
-      Cftcg_fuzz.Fuzzer.make_executor ~optimize ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog
-        ~g_total ~max_tuples:n_tuples ~use_metric:true ()
+      Cftcg_fuzz.Fuzzer.make_executor ~code:(Cftcg_ir.Ir_vm.prepare ~optimize prog)
+        ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog ~g_total ~max_tuples:n_tuples ~use_metric:true ()
     in
     let cells = ref [] in
     fun () -> ignore (exec ~fresh_cells:cells input)
@@ -835,6 +835,17 @@ let speed () =
     Bytes.concat Bytes.empty (List.init 16 (fun _ -> Layout.random_tuple_bytes layout rng2))
   in
   let dict = Cftcg_fuzz.Dictionary.of_program prog_full in
+  (* the fuzzer's executor, built once: the row times one 16-tuple
+     replay, not the code preparation a one-shot replay_metric pays *)
+  let metric_replay =
+    let g_total = Bytes.make (max prog_full.Cftcg_ir.Ir.n_probes 1) '\000' in
+    let exec =
+      Cftcg_fuzz.Fuzzer.make_executor ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog:prog_full ~g_total
+        ~max_tuples:256 ~use_metric:true ()
+    in
+    let cells = ref [] in
+    fun () -> ignore (exec ~fresh_cells:cells parent)
+  in
   let component_tests =
     let open Bechamel in
     Test.make_grouped ~name:"fuzz"
@@ -846,7 +857,7 @@ let speed () =
           (Staged.stage (fun () ->
                ignore (Cftcg_fuzz.Mutate.mutate_blind rng2 parent ~other:parent ~max_len:2304)));
         Test.make ~name:"metric-replay-16-tuples"
-          (Staged.stage (fun () -> ignore (Cftcg_fuzz.Fuzzer.replay_metric prog_full parent))) ]
+          (Staged.stage metric_replay) ]
   in
   let comp = bechamel_estimates component_tests in
   let t2 = Tt.create [ "Fuzzing-loop component"; "ns/op"; "ops/s" ] in

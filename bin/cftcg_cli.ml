@@ -175,7 +175,7 @@ let setup_logging ?(always = false) log_out log_level =
 
 let fuzz_cmd =
   let run model_path seconds execs out_dir seed ranges seed_dir jobs corpus resume telemetry
-      epoch_execs no_opt max_runtime epoch_deadline on_worker_crash inject_faults
+      epoch_execs max_runtime epoch_deadline on_worker_crash inject_faults
       fault_seed metrics_out trace_out coverage_csv html_out log_out log_level hybrid
       solver_budget solver_rounds =
     (* --jobs 0: one worker per hardware thread, minus the coordinator *)
@@ -205,14 +205,21 @@ let fuzz_cmd =
       { Fuzzer.default_config with
         Fuzzer.seed = Int64.of_int seed;
         ranges = List.map parse_range ranges;
-        seeds;
-        optimize = not no_opt
+        seeds
       }
     in
     (* --hybrid needs the campaign machinery (plateau detection and
        the coordinator's merged coverage map), so it forces the
        campaign path even single-worker *)
     let parallel = jobs > 1 || corpus <> None || resume || telemetry <> None || hybrid in
+    (* one budget rule for both paths: --execs overrides time, else
+       --time is the wall ceiling; --max-runtime caps either *)
+    let wall =
+      match (execs, max_runtime) with
+      | Some _, _ -> max_runtime
+      | None, Some s -> Some (Float.min s seconds)
+      | None, None -> Some seconds
+    in
     let series_ref = ref None in
     let layout, prog, suite =
       with_observability ~want_series:(html_out <> None) ~metrics_out ~trace_out ~coverage_csv
@@ -238,17 +245,14 @@ let fuzz_cmd =
           { Campaign.default_config with
             Campaign.jobs = jobs;
             seed = Int64.of_int seed;
-            total_execs =
-              (match execs with
-              | Some n -> n
-              | None -> Campaign.default_config.Campaign.total_execs);
+            total_execs = Option.value execs ~default:max_int;
             execs_per_epoch = epoch_execs;
             fuzzer = config;
             corpus_dir = corpus;
             resume;
             sink;
             on_worker_crash;
-            max_runtime;
+            max_runtime = wall;
             epoch_deadline;
             job = Some (Printf.sprintf "fuzz-%d" (Unix.getpid ()));
             hybrid =
@@ -302,11 +306,10 @@ let fuzz_cmd =
       end
       else begin
         let budget =
-          match (execs, max_runtime) with
+          match (execs, wall) with
           | Some n, Some s -> Fuzzer.Wall_budget { max_execs = n; max_seconds = s }
           | Some n, None -> Fuzzer.Exec_budget n
-          | None, Some s -> Fuzzer.Time_budget (Float.min s seconds)
-          | None, None -> Fuzzer.Time_budget seconds
+          | None, s -> Fuzzer.Time_budget (Option.value s ~default:seconds)
         in
         let campaign = Cftcg.Pipeline.run_campaign ~config ?coverage_series:series model budget in
         let stats = campaign.Cftcg.Pipeline.fuzz.Fuzzer.stats in
@@ -343,7 +346,7 @@ let fuzz_cmd =
     Printf.printf "wrote %d test cases to %s\n" (List.length paths) out_dir
   in
   let seconds =
-    Arg.(value & opt float 5.0 & info [ "t"; "time" ] ~docv:"SECONDS" ~doc:"Time budget.")
+    Arg.(value & opt float 5.0 & info [ "t"; "time" ] ~docv:"SECONDS" ~doc:"Time budget, single-worker and campaign runs alike; ignored when $(b,--execs) is given. $(b,--max-runtime), if smaller, wins.")
   in
   let execs =
     Arg.(value & opt (some int) None & info [ "execs" ] ~docv:"N" ~doc:"Execution budget (overrides time).")
@@ -371,9 +374,6 @@ let fuzz_cmd =
   in
   let epoch_execs =
     Arg.(value & opt int 1000 & info [ "epoch-execs" ] ~docv:"N" ~doc:"Per-worker executions between corpus merges (parallel mode).")
-  in
-  let no_opt =
-    Arg.(value & flag & info [ "no-opt" ] ~doc:"Disable the bytecode optimizer (escape hatch; campaigns are identical either way).")
   in
   let max_runtime =
     Arg.(value & opt (some float) None & info [ "max-runtime" ] ~docv:"SECONDS" ~doc:"Hard wall-clock ceiling on the whole run: with $(b,--execs) the run ends at whichever limit is hit first, so a stalled target cannot hang the campaign. Without it, exec-budget runs stay purely on the virtual clock (byte-identical per seed).")
@@ -408,7 +408,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a CFTCG fuzzing campaign and emit CSV test cases.")
     Term.(const run $ model_arg $ seconds $ execs $ out_dir $ seed_arg $ ranges $ seed_dir $ jobs
-          $ corpus $ resume $ telemetry $ epoch_execs $ no_opt $ max_runtime
+          $ corpus $ resume $ telemetry $ epoch_execs $ max_runtime
           $ epoch_deadline $ on_worker_crash $ inject_faults $ fault_seed $ metrics_out_arg
           $ trace_out_arg $ coverage_csv_arg $ html_out $ log_out_arg $ log_level_arg $ hybrid
           $ solver_budget $ solver_rounds)

@@ -234,7 +234,7 @@ let start ?(config = default_config) (prog : Ir.program) =
   if (Layout.of_program prog).Layout.tuple_len = 0 then
     invalid_arg "Campaign.start: model has no inports";
   let n_probes = max prog.Ir.n_probes 1 in
-  let code = Ir_vm.prepare ~optimize:config.fuzzer.Fuzzer.optimize prog in
+  let code = Ir_vm.prepare prog in
   let replay = make_replayer ~code prog ~max_tuples:config.fuzzer.Fuzzer.max_tuples in
   (* every fact below is reported once, through this one path: the
      log line and the campaign counters are derived from the event *)

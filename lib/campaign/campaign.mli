@@ -102,7 +102,9 @@ val stop_reason_string : stop_reason -> string
 type config = {
   jobs : int;  (** concurrent workers (>= 1) *)
   seed : int64;  (** campaign master seed; worker streams split from it *)
-  total_execs : int;  (** global execution budget across all workers and epochs *)
+  total_execs : int;
+      (** global execution budget across all workers and epochs;
+          [max_int] for none (a campaign bounded by [max_runtime]) *)
   execs_per_epoch : int;  (** per-worker executions between corpus syncs *)
   plateau_epochs : int;  (** stop after this many epochs without new coverage *)
   max_epochs : int;  (** hard epoch cap; 0 = until budget exhausted *)

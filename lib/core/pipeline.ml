@@ -12,10 +12,9 @@ type generated = {
 
 let span = Cftcg_obs.Trace.with_span
 
-let generate ?(mode = Codegen.Full) ?(optimize = true) m =
+let generate ?(mode = Codegen.Full) m =
   span "pipeline.generate" @@ fun () ->
   let program = Codegen.lower ~mode m in
-  let program = if optimize then Ir_opt.optimize program else program in
   { program; layout = Layout.of_program program }
 
 type campaign = {
@@ -24,9 +23,9 @@ type campaign = {
   coverage : Recorder.report;
 }
 
-let run_campaign ?(config = Fuzzer.default_config) ?(mode = Codegen.Full) ?(optimize = true)
-    ?coverage_series m budget =
-  let gen = generate ~mode ~optimize m in
+let run_campaign ?(config = Fuzzer.default_config) ?(mode = Codegen.Full) ?coverage_series m
+    budget =
+  let gen = generate ~mode m in
   (match coverage_series with
   | Some s -> Cftcg_obs.Series.set_probes_total s gen.program.Ir.n_probes
   | None -> ());
@@ -49,9 +48,8 @@ type parallel_campaign = {
   pc_coverage : Recorder.report;
 }
 
-let run_parallel_campaign ?(config = Campaign.default_config) ?(mode = Codegen.Full)
-    ?(optimize = true) m =
-  let gen = generate ~mode ~optimize m in
+let run_parallel_campaign ?(config = Campaign.default_config) ?(mode = Codegen.Full) m =
+  let gen = generate ~mode m in
   let result = Campaign.run ~config gen.program in
   let scoring_prog =
     match mode with

@@ -16,11 +16,13 @@ type generated = {
   layout : Cftcg_fuzz.Layout.t;  (** fuzz driver field layout *)
 }
 
-val generate : ?mode:Codegen.mode -> ?optimize:bool -> Graph.t -> generated
+val generate : ?mode:Codegen.mode -> Graph.t -> generated
 (** Fuzzing Code Generation: parse/validate, schedule, instrument,
-    synthesize. [optimize] (default [true]) runs the IR optimizer —
-    the "Maximize Execution Speed" objective. The C fuzz code and
-    driver are not built here: {!Cftcg_ir.Cemit.emit_program} and
+    synthesize — [program] is exactly [Codegen.lower ~mode m]. The
+    "Maximize Execution Speed" objective is met later, by the one
+    bytecode optimizer {!Cftcg_ir.Ir_vm.prepare} runs when a fuzzer
+    prepares this program's code. The C fuzz code and driver are not
+    built here: {!Cftcg_ir.Cemit.emit_program} and
     {!Cftcg_ir.Cemit.emit_fuzz_driver} emit them from [program] on
     demand. *)
 
@@ -31,7 +33,7 @@ type campaign = {
 }
 
 val run_campaign :
-  ?config:Fuzzer.config -> ?mode:Codegen.mode -> ?optimize:bool ->
+  ?config:Fuzzer.config -> ?mode:Codegen.mode ->
   ?coverage_series:Cftcg_obs.Series.t -> Graph.t -> Fuzzer.budget -> campaign
 (** Generates, fuzzes, and scores one model in one call.
     [coverage_series] is handed to {!Fuzzer.run} (Figure-7
@@ -47,8 +49,7 @@ type parallel_campaign = {
 }
 
 val run_parallel_campaign :
-  ?config:Campaign.config -> ?mode:Codegen.mode -> ?optimize:bool -> Graph.t ->
-  parallel_campaign
+  ?config:Campaign.config -> ?mode:Codegen.mode -> Graph.t -> parallel_campaign
 (** Generates and runs a multi-worker ensemble campaign
     ({!Cftcg_campaign.Campaign}): N fuzzing domains in epochs with
     corpus merge/redistribution between epochs, optional on-disk

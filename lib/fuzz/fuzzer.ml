@@ -17,7 +17,6 @@ type config = {
   ranges : (string * float * float) list;
   seeds : Bytes.t list;
   use_dictionary : bool;
-  optimize : bool;
   batch : int;
 }
 
@@ -28,7 +27,7 @@ let draft_size = 16
 
 let default_config =
   { seed = 1L; max_tuples = 256; corpus_cap = 256; field_aware = true; iteration_metric = true;
-    ranges = []; seeds = []; use_dictionary = true; optimize = true; batch = 8 }
+    ranges = []; seeds = []; use_dictionary = true; batch = 8 }
 
 type budget =
   | Time_budget of float
@@ -124,24 +123,24 @@ let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells da
 (* The VM code an executor runs: the caller's prepared code (checked
    against [prog], so a mismatched pair fails here rather than
    fuzzing the wrong program), else a fresh [Ir_vm.prepare]. *)
-let code_for ~fn ~optimize ?code (prog : Ir.program) =
+let code_for ~fn ?code (prog : Ir.program) =
   match code with
   | Some c ->
     if (c : Ir_vm.code :> Ir_linearize.t).Ir_linearize.l_prog != prog then
       invalid_arg (fn ^ ": code was prepared from a different program");
     c
-  | None -> Ir_vm.prepare ~optimize prog
+  | None -> Ir_vm.prepare prog
 
 (* Builds the per-input execution function; it returns (metric,
    fresh, iterations). [backend] has one value and selects nothing. *)
-let make_executor ?(optimize = true) ?code ~backend:Vm ~layout ~(prog : Ir.program) ~g_total
+let make_executor ?code ~backend:Vm ~layout ~(prog : Ir.program) ~g_total
     ~max_tuples ~use_metric () =
   (* the trailing [()] makes the one-time set-up happen at this
      application even when the optional arguments are omitted —
      otherwise OCaml defers optional-argument discharge (and this
      whole body) to the first positional application, i.e. to every
      input *)
-  let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.make_executor" ~optimize ?code prog) in
+  let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.make_executor" ?code prog) in
   let pa = Ir_vm.probes vm in
   let pb = Ir_vm.fresh_probes vm in
   fun ~fresh_cells data ->
@@ -150,9 +149,9 @@ let make_executor ?(optimize = true) ?code ~backend:Vm ~layout ~(prog : Ir.progr
 (* Retained for the benchmark's [fuzzer.batch_exec_us] row: runs up to
    [k] inputs through one scalar executor in input order and returns
    the summed (metric, fresh, iterations). *)
-let make_batch_executor ?optimize ?code ~k ~layout ~prog ~g_total ~max_tuples ~use_metric () =
+let make_batch_executor ?code ~k ~layout ~prog ~g_total ~max_tuples ~use_metric () =
   let run_input =
-    make_executor ?optimize ?code ~backend:Vm ~layout ~prog ~g_total ~max_tuples ~use_metric ()
+    make_executor ?code ~backend:Vm ~layout ~prog ~g_total ~max_tuples ~use_metric ()
   in
   let fresh_cells = ref [] in
   fun (children : Bytes.t array) ->
@@ -258,7 +257,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
      caller (a campaign) hands its own prepared code in *)
   let code =
     Trace.with_span "fuzzer.compile" @@ fun () ->
-    code_for ~fn:"Fuzzer.run" ~optimize:config.optimize ?code prog
+    code_for ~fn:"Fuzzer.run" ?code prog
   in
   let run_input =
     make_executor ~code ~backend:Vm ~layout ~prog ~g_total ~max_tuples:config.max_tuples
@@ -489,8 +488,10 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
 let replay_metric ?(config = default_config) (prog : Ir.program) data =
   let layout = Layout.of_program prog in
   let g_total = Bytes.make (max prog.Ir.n_probes 1) '\000' in
+  (* one input: the optimizer would cost more than it saves, and the
+     metric does not depend on it *)
   let run_input =
-    make_executor ~optimize:config.optimize ~backend:Vm ~layout ~prog ~g_total
+    make_executor ~code:(Ir_vm.prepare ~optimize:false prog) ~backend:Vm ~layout ~prog ~g_total
       ~max_tuples:config.max_tuples ~use_metric:true ()
   in
   let metric, _, _ = run_input ~fresh_cells:(ref []) data in

@@ -45,10 +45,6 @@ type config = {
   use_dictionary : bool;
       (** harvest comparison constants from the generated code and
           use them in value mutations (default true) *)
-  optimize : bool;
-      (** run {!Ir_opt.optimize_bytecode} on the bytecode (default
-          true; not consulted when {!run} is handed prepared code).
-          Same campaigns either way — CLI [--no-opt] is the escape hatch *)
   batch : int;
       (** not consulted: {!run} executes one input at a time. Kept only
           because the repository benchmark still reads it *)
@@ -126,10 +122,12 @@ val run :
 
     Code: the run executes [code] when given — it must have been
     prepared from [prog] itself (a different program raises
-    [Invalid_argument]), and then [config.optimize] is not consulted.
-    Without it the run calls {!Ir_vm.prepare} once, so the optimizer
-    runs at most once per run. A campaign passes the code it prepared
-    at start, so its workers never optimize.
+    [Invalid_argument]). Without it the run calls {!Ir_vm.prepare}
+    once, so the one bytecode optimizer runs at most once per run. A
+    campaign passes the code it prepared at start, so its workers
+    never optimize. There is no switch for unoptimized fuzzing: pass
+    [~code:(Ir_vm.prepare ~optimize:false prog)] — same-seed runs find
+    the same suite either way.
 
     Observability: when {!Cftcg_obs.Metrics.collecting} is on, the run
     maintains per-strategy effectiveness counters (picked / new
@@ -143,10 +141,13 @@ val run :
 
 val replay_metric : ?config:config -> Ir.program -> Bytes.t -> int
 (** Executes one input and returns its Iteration Difference Coverage
-    metric — Algorithm 1 exactly, exposed for tests and examples. *)
+    metric — Algorithm 1 exactly, exposed for tests and examples. A
+    one-shot helper: every call prepares [prog]'s code afresh
+    (unoptimized, since one input does not repay the optimizer and
+    the metric does not depend on it). To replay many inputs, build a
+    {!make_executor} once. *)
 
 val make_executor :
-  ?optimize:bool ->
   ?code:Ir_vm.code ->
   backend:backend ->
   layout:Layout.t ->
@@ -161,9 +162,10 @@ val make_executor :
 (** The fuzzer's inner loop, as used by {!run}: executes one input
     against the campaign-global coverage bytes [g_total] and returns
     (iteration-difference metric, newly covered probes, model
-    iterations). It runs a fresh {!Ir_vm} instance over [code] when given (prepared from [prog];
-    [optimize] is then not consulted), else over
-    [Ir_vm.prepare ~optimize prog]. The set-up happens once at the
+    iterations). It runs a fresh {!Ir_vm} instance over [code] when
+    given (prepared from [prog]), else over [Ir_vm.prepare prog] —
+    optimized; pass [~code:(Ir_vm.prepare ~optimize:false prog)] for
+    unoptimized execution. The set-up happens once at the
     [()] application — apply through [()] once and reuse the result
     per input; the explicit [unit] stops omitted optional arguments
     from silently deferring the set-up to every input. Exposed for
@@ -171,7 +173,6 @@ val make_executor :
     whole campaign. *)
 
 val make_batch_executor :
-  ?optimize:bool ->
   ?code:Ir_vm.code ->
   k:int ->
   layout:Layout.t ->
@@ -184,7 +185,7 @@ val make_batch_executor :
   int * int * int
 (** {!make_executor} over an array: each call runs up to [k] inputs
     (more raises [Invalid_argument]) in input order against [g_total]
-    and returns the summed (metric, fresh, iterations). [code] and
-    [optimize] as in {!make_executor}; apply through [()] once and
+    and returns the summed (metric, fresh, iterations). [code] as in
+    {!make_executor}; apply through [()] once and
     reuse the result per call. Kept only for the repository
     benchmark's [fuzzer.batch_exec_us] row. *)

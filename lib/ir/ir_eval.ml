@@ -198,5 +198,3 @@ let step ?(hooks = Hooks.none) t = exec_stmts hooks t.store t.anno_step
 let get_output t i = t.store.(t.prog.Ir.outputs.(i).Ir.vid)
 
 let get_var t (v : Ir.var) = t.store.(v.Ir.vid)
-
-let eval_expr t e = eval t.store e

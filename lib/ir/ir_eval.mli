@@ -26,9 +26,6 @@ val get_output : t -> int -> Value.t
 val get_var : t -> Ir.var -> Value.t
 (** Reads any variable — used by tests to inspect states. *)
 
-val eval_expr : t -> Ir.expr -> Value.t
-(** Evaluates an expression against the current store. *)
-
 val branch_distances : Ir.expr -> (Ir.expr -> Value.t) -> float * float
 (** [branch_distances cond eval] returns
     [(distance_to_true, distance_to_false)] for a boolean condition

@@ -1,256 +1,19 @@
 open Cftcg_model
 
-(* ------------------------------------------------------------------ *)
-(* Constant folding                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let rec has_read = function
-  | Ir.Const _ -> false
-  | Ir.Read _ -> true
-  | Ir.Unop (_, a) -> has_read a
-  | Ir.Binop (_, _, a, b) -> has_read a || has_read b
-  | Ir.Select (c, a, b) -> has_read c || has_read a || has_read b
-
-(* Evaluate a closed expression with the exact runtime semantics by
-   running it through the reference evaluator on an empty store. *)
-let eval_closed e =
-  if has_read e then None
-  else begin
-    let dummy =
-      {
-        Ir.prog_name = "const";
-        n_vars = 0;
-        inputs = [||];
-        outputs = [||];
-        states = [||];
-        init = [];
-        step = [];
-        n_probes = 0;
-        decisions = [||];
-        assertions = [||];
-        lookup_tables = [||];
-      }
-    in
-    Some (Ir_eval.eval_expr (Ir_eval.create dummy) e)
-  end
-
-let rec fold_expr e =
-  let folded =
-    match e with
-    | Ir.Const _ | Ir.Read _ -> e
-    | Ir.Unop (op, a) -> Ir.Unop (op, fold_expr a)
-    | Ir.Binop (op, ty, a, b) -> Ir.Binop (op, ty, fold_expr a, fold_expr b)
-    | Ir.Select (c, a, b) -> (
-      let c = fold_expr c in
-      let a = fold_expr a in
-      let b = fold_expr b in
-      match eval_closed c with
-      | Some cv ->
-        (* arms are pure expressions, so dropping one is sound *)
-        if Value.is_true cv then a else b
-      | None -> Ir.Select (c, a, b))
-  in
-  match folded with
-  | Ir.Const _ | Ir.Read _ -> folded
-  | folded -> (
-    match eval_closed folded with
-    | Some v ->
-      (* keep the static type stable: folding must not change the
-         wrap/saturate behaviour of the surrounding operator *)
-      if Dtype.equal (Value.dtype v) (Ir.type_of folded) then Ir.Const v else folded
-    | None -> folded)
-
-let rec fold_stmt (s : Ir.stmt) : Ir.stmt list =
-  match s with
-  | Ir.Assign (v, e) -> [ Ir.Assign (v, fold_expr e) ]
-  | Ir.Probe _ | Ir.Comment _ | Ir.Record_decision _ -> [ s ]
-  | Ir.Record_cond { dec; cond_ix; value } ->
-    [ Ir.Record_cond { dec; cond_ix; value = fold_expr value } ]
-  | Ir.If { cond; dec; then_; else_ } -> (
-    let cond = fold_expr cond in
-    let then_ = fold_stmts then_ in
-    let else_ = fold_stmts else_ in
-    match eval_closed cond with
-    | Some cv -> if Value.is_true cv then then_ else else_
-    | None -> [ Ir.If { cond; dec; then_; else_ } ])
-
-and fold_stmts stmts = List.concat_map fold_stmt stmts
-
-let constant_fold (p : Ir.program) =
-  { p with Ir.init = fold_stmts p.Ir.init; step = fold_stmts p.Ir.step }
-
-(* ------------------------------------------------------------------ *)
-(* Copy propagation (straight-line, conservative across branches)     *)
-(* ------------------------------------------------------------------ *)
-
-module Env = Map.Make (Int)
-
-(* env maps vid -> replacement expr (Const or Read of an equal-typed
-   var). Invalidation removes entries whose target or source was
-   rewritten. *)
-let kill vid env =
-  Env.filter
-    (fun target repl ->
-      target <> vid
-      &&
-      match repl with
-      | Ir.Read w -> w.Ir.vid <> vid
-      | _ -> true)
-    env
-
-let rec subst env e =
-  match e with
-  | Ir.Const _ -> e
-  | Ir.Read v -> (
-    match Env.find_opt v.Ir.vid env with
-    | Some repl -> repl
-    | None -> e)
-  | Ir.Unop (op, a) -> Ir.Unop (op, subst env a)
-  | Ir.Binop (op, ty, a, b) -> Ir.Binop (op, ty, subst env a, subst env b)
-  | Ir.Select (c, a, b) -> Ir.Select (subst env c, subst env a, subst env b)
-
-let rec propagate_block env stmts =
-  match stmts with
-  | [] -> ([], env)
-  | s :: rest -> (
-    match s with
-    | Ir.Assign (v, e) ->
-      let e = subst env e in
-      let env = kill v.Ir.vid env in
-      let env =
-        match e with
-        | Ir.Const c -> Env.add v.Ir.vid (Ir.Const (Value.cast v.Ir.vty c)) env
-        | Ir.Read w when Dtype.equal w.Ir.vty v.Ir.vty && w.Ir.vid <> v.Ir.vid ->
-          Env.add v.Ir.vid (Ir.Read w) env
-        | _ -> env
-      in
-      let rest', env' = propagate_block env rest in
-      (Ir.Assign (v, e) :: rest', env')
-    | Ir.Record_cond { dec; cond_ix; value } ->
-      let rest', env' = propagate_block env rest in
-      (Ir.Record_cond { dec; cond_ix; value = subst env value } :: rest', env')
-    | Ir.Probe _ | Ir.Comment _ | Ir.Record_decision _ ->
-      let rest', env' = propagate_block env rest in
-      (s :: rest', env')
-    | Ir.If { cond; dec; then_; else_ } ->
-      let cond = subst env cond in
-      let then_, _ = propagate_block env then_ in
-      let else_, _ = propagate_block env else_ in
-      (* conservative: forget everything after a branch join *)
-      let rest', env' = propagate_block Env.empty rest in
-      (Ir.If { cond; dec; then_; else_ } :: rest', env'))
-
-let propagate_copies (p : Ir.program) =
-  let init, _ = propagate_block Env.empty p.Ir.init in
-  let step, _ = propagate_block Env.empty p.Ir.step in
-  { p with Ir.init = init; step }
-
-(* ------------------------------------------------------------------ *)
-(* Dead assignment elimination                                         *)
-(* ------------------------------------------------------------------ *)
-
-let rec expr_reads acc = function
-  | Ir.Const _ -> acc
-  | Ir.Read v -> v.Ir.vid :: acc
-  | Ir.Unop (_, a) -> expr_reads acc a
-  | Ir.Binop (_, _, a, b) -> expr_reads (expr_reads acc a) b
-  | Ir.Select (c, a, b) -> expr_reads (expr_reads (expr_reads acc c) a) b
-
-let rec stmt_reads acc = function
-  | Ir.Assign (_, e) -> expr_reads acc e
-  | Ir.If { cond; then_; else_; _ } ->
-    let acc = expr_reads acc cond in
-    let acc = List.fold_left stmt_reads acc then_ in
-    List.fold_left stmt_reads acc else_
-  | Ir.Record_cond { value; _ } -> expr_reads acc value
-  | Ir.Probe _ | Ir.Comment _ | Ir.Record_decision _ -> acc
-
-module IS = Set.Make (Int)
-
-(* Backward liveness over one statement list. Returns the rewritten
-   list and the live-in set. A statement list is re-executed every
-   step, so the end-of-step live set must include every variable whose
-   value can survive into the next step: outputs, states, and any
-   variable read anywhere in the step (conservative). *)
-let rec dce_block live_out stmts =
-  match stmts with
-  | [] -> ([], live_out)
-  | s :: rest -> (
-    let rest', live = dce_block live_out rest in
-    match s with
-    | Ir.Assign (v, e) ->
-      if IS.mem v.Ir.vid live then begin
-        let live = IS.remove v.Ir.vid live in
-        let live = List.fold_left (fun acc r -> IS.add r acc) live (expr_reads [] e) in
-        (Ir.Assign (v, e) :: rest', live)
-      end
-      else (rest', live) (* dead store *)
-    | Ir.If { cond; dec; then_; else_ } ->
-      let then', live_t = dce_block live then_ in
-      let else', live_e = dce_block live else_ in
-      let live = IS.union live_t live_e in
-      let live = List.fold_left (fun acc r -> IS.add r acc) live (expr_reads [] cond) in
-      (Ir.If { cond; dec; then_ = then'; else_ = else' } :: rest', live)
-    | Ir.Record_cond { value; _ } ->
-      let live = List.fold_left (fun acc r -> IS.add r acc) live (expr_reads [] value) in
-      (s :: rest', live)
-    | Ir.Probe _ | Ir.Comment _ | Ir.Record_decision _ -> (s :: rest', live))
-
-let eliminate_dead_assignments (p : Ir.program) =
-  let always_live =
-    let add acc (v : Ir.var) = IS.add v.Ir.vid acc in
-    let acc = Array.fold_left add IS.empty p.Ir.outputs in
-    let acc = Array.fold_left add acc p.Ir.states in
-    Array.fold_left add acc p.Ir.inputs
-  in
-  let read_somewhere =
-    List.fold_left stmt_reads [] p.Ir.step |> List.fold_left (fun acc r -> IS.add r acc) IS.empty
-  in
-  let end_live = IS.union always_live read_somewhere in
-  let step, _ = dce_block end_live p.Ir.step in
-  (* init establishes state: keep it intact *)
-  { p with Ir.step }
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* Each tree pass gets its own trace span so `cftcg profile` shows
-   where compile time goes; spans are one boolean load when tracing
-   is off. *)
+(* Each pass gets its own trace span so `cftcg profile` shows where
+   compile time goes; spans are one boolean load when tracing is off. *)
 let span = Cftcg_obs.Trace.with_span
-
-let one_round p =
-  let p = span "ir_opt.constant_fold" (fun () -> constant_fold p) in
-  let p = span "ir_opt.propagate_copies" (fun () -> propagate_copies p) in
-  span "ir_opt.eliminate_dead_assignments" (fun () -> eliminate_dead_assignments p)
-
-let optimize p =
-  let rec go n p =
-    if n = 0 then p
-    else begin
-      let p' = one_round p in
-      if Ir.stmt_count p' = Ir.stmt_count p then p' else go (n - 1) p'
-    end
-  in
-  span "ir_opt.optimize" (fun () -> go 4 p)
-
-let stats before after =
-  Printf.sprintf "%d -> %d statements (%.0f%% removed)" (Ir.stmt_count before)
-    (Ir.stmt_count after)
-    (100.0
-    *. float_of_int (Ir.stmt_count before - Ir.stmt_count after)
-    /. float_of_int (max 1 (Ir.stmt_count before)))
 
 (* ================================================================== *)
 (* Bytecode optimizer                                                  *)
 (*                                                                     *)
-(* Rewrites Ir_linearize bytecode before Ir_vm execution. The tree-    *)
-(* level passes above cannot see linearization artifacts: every        *)
-(* comparison materializes a float register that one jz consumes,      *)
-(* port-wiring copies survive as MOVs, and saturation bounds /         *)
-(* float32 rounding turn single IR nodes into instruction pairs.       *)
-(* These passes work on the decoded instruction stream:                *)
+(* Rewrites Ir_linearize bytecode before Ir_vm execution. Working on   *)
+(* the instruction stream rather than the IR tree lets it see          *)
+(* linearization artifacts: every comparison materializes a float      *)
+(* register that one jz consumes, port-wiring copies survive as MOVs,  *)
+(* and saturation bounds / float32 rounding turn single IR nodes into  *)
+(* instruction pairs. The passes work on the decoded instruction       *)
+(* stream:                                                             *)
 (*   1. constant folding + propagation through the register file       *)
 (*   2. copy propagation and move elimination                          *)
 (*   3. unreachable-code elimination                                   *)

@@ -1,42 +1,15 @@
-(** IR optimization passes.
+(** The bytecode optimizer.
 
     The paper compiles its generated code with Clang -O2 and
-    configures Simulink's "Maximize Execution Speed" objective; these
-    passes stand in for that step on our IR. All passes preserve
-    observable behaviour — outputs, states, probe/record events —
-    which the test suite checks by differential execution.
-
-    Passes:
-    - {b constant folding}: evaluates operator trees over constants
-      (using the exact runtime semantics of {!Ir_eval}) and prunes
-      [If]s whose condition folds, keeping instrumentation of the
-      surviving arm;
-    - {b copy propagation}: rewrites reads of variables that were
-      assigned a constant or another variable still holding the same
-      value (within straight-line regions; invalidated across
-      branches and writes);
-    - {b dead assignment elimination}: drops assignments to scratch
-      variables that are never read afterwards (outputs and states
-      are always live). *)
-
-val constant_fold : Ir.program -> Ir.program
-
-val propagate_copies : Ir.program -> Ir.program
-
-val eliminate_dead_assignments : Ir.program -> Ir.program
-
-val optimize : Ir.program -> Ir.program
-(** Runs all passes to a small fixpoint (at most 4 rounds). *)
-
-val stats : Ir.program -> Ir.program -> string
-(** Human-readable before/after statement counts. *)
-
-(** {1 Bytecode optimizer}
-
-    A second pass pipeline over {!Ir_linearize} bytecode, run by
-    {!Ir_vm.compile} (default on; [?optimize:false] or the CLI
-    [--no-opt] disables it). The tree passes above cannot see
-    linearization artifacts; these rewrite the instruction stream:
+    configures Simulink's "Maximize Execution Speed" objective; this
+    pass pipeline stands in for that one optimizing compile. It runs
+    over {!Ir_linearize} bytecode inside {!Ir_vm.prepare} (default on;
+    [?optimize:false] disables it — scoring, minimization and the
+    solver prepare unoptimized code, and a caller that wants
+    unoptimized fuzzing hands that code to [Fuzzer.run] as [~code]).
+    Every path fuzzes the program [Codegen.lower] produced, so this
+    is the only optimization it gets. The passes rewrite the
+    instruction stream:
 
     + {b constant folding + propagation} through the register file —
       fully-known pure ops collapse to a MOV from the (deduplicated)

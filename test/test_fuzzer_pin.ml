@@ -1,8 +1,9 @@
 (* Fuzzing-loop pins: digests of exec-budget [Fuzzer.run] results —
    every test case's bytes, timestamp and new-probe count, every
    failure, and the final stats — for the eight benchmark models and
-   20 fixed-seed random models at the default config, plus one
-   [optimize = false] and one [field_aware = false] row. How the loop
+   20 fixed-seed random models at the default config, plus one row
+   fuzzing unoptimized code (handed in as [~code]) and one
+   [field_aware = false] row. How the loop
    executes its inputs may change; what a same-seed run finds must
    stay byte-identical. *)
 
@@ -26,12 +27,13 @@ let add_result buf (r : Fuzzer.result) =
   Printf.bprintf buf "s%d,%d,%h,%d,%d/%d;" s.Fuzzer.executions s.Fuzzer.iterations
     s.Fuzzer.elapsed s.Fuzzer.corpus_size s.Fuzzer.probes_covered s.Fuzzer.probes_total
 
-let digest ?(config = Fuzzer.default_config) progs ~seed ~execs =
+let digest ?(config = Fuzzer.default_config) ?prepare progs ~seed ~execs =
   let buf = Buffer.create 65536 in
   List.iter
     (fun prog ->
+      let code = Option.map (fun prepare -> prepare prog) prepare in
       add_result buf
-        (Fuzzer.run ~config:{ config with Fuzzer.seed } prog (Fuzzer.Exec_budget execs)))
+        (Fuzzer.run ~config:{ config with Fuzzer.seed } ?code prog (Fuzzer.Exec_budget execs)))
     progs;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -51,7 +53,7 @@ let bench_pins =
     ("SolarPV", "1a49fb4991979a25ce30fc950f97c913") ]
 
 let random_pin = "468994ff5857d85a15b5e7a563e7114d"
-let no_opt_pin = "c3e6edcefd01f480a7c50eb5c1ea9ff6"
+let unoptimized_pin = "c3e6edcefd01f480a7c50eb5c1ea9ff6"
 let blind_pin = "295be9931ee9729bce87da188153d371"
 
 let test_bench_models () =
@@ -67,10 +69,11 @@ let test_random_models () =
   let progs = List.init 20 (fun _ -> Codegen.lower (Model_gen.generate rng)) in
   Alcotest.(check string) "20 random models" random_pin (digest progs ~seed:11L ~execs:1500)
 
-let test_no_opt () =
-  let config = { Fuzzer.default_config with Fuzzer.optimize = false } in
-  Alcotest.(check string) "TCP+RAC, optimize = false" no_opt_pin
-    (digest ~config [ bench_prog "TCP"; bench_prog "RAC" ] ~seed:13L ~execs:4000)
+let test_unoptimized () =
+  Alcotest.(check string) "TCP+RAC, optimize = false" unoptimized_pin
+    (digest
+       ~prepare:(Cftcg_ir.Ir_vm.prepare ~optimize:false)
+       [ bench_prog "TCP"; bench_prog "RAC" ] ~seed:13L ~execs:4000)
 
 let test_blind () =
   let config = { Fuzzer.default_config with Fuzzer.field_aware = false } in
@@ -81,5 +84,5 @@ let suites =
   [ ( "fuzzer.pin",
       [ Alcotest.test_case "bench models" `Quick test_bench_models;
         Alcotest.test_case "random models" `Quick test_random_models;
-        Alcotest.test_case "optimize = false" `Quick test_no_opt;
+        Alcotest.test_case "optimize = false" `Quick test_unoptimized;
         Alcotest.test_case "field_aware = false" `Quick test_blind ] ) ]

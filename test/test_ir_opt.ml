@@ -1,11 +1,11 @@
-(* Tests for the IR optimizer: behaviour preservation (differential
-   against the unoptimized program, including all coverage events)
-   and effectiveness (statements actually removed). *)
+(* Tests for the bytecode optimizer: behaviour preservation
+   (differential against the unoptimized bytecode, including all
+   coverage events) and effectiveness (instructions actually
+   removed). *)
 
 open Cftcg_model
 open Cftcg_ir
 module Codegen = Cftcg_codegen.Codegen
-module Recorder = Cftcg_coverage.Recorder
 
 let rng_input rng (var : Ir.var) =
   match var.Ir.vty with
@@ -13,13 +13,10 @@ let rng_input rng (var : Ir.var) =
   | ty when Dtype.is_integer ty -> Value.of_int ty (Cftcg_util.Rng.int_in rng (-500) 500)
   | ty -> Value.of_float ty (Cftcg_util.Rng.float rng 60.0 -. 30.0)
 
-(* Run both programs over the same random stream; compare outputs and
-   the full trace of probe/cond/decision events. *)
+(* Run the program with and without the optimizer over the same
+   random stream; compare outputs and the full trace of
+   probe/cond/decision events. *)
 let differential name prog =
-  let opt = Ir_opt.optimize prog in
-  (match Ir.validate opt with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "%s: optimized program invalid: %s" name msg);
   let trace_a = ref [] in
   let trace_b = ref [] in
   let mk_hooks trace =
@@ -30,25 +27,24 @@ let differential name prog =
       on_branch = None;
     }
   in
-  let hooks_a = mk_hooks trace_a and hooks_b = mk_hooks trace_b in
-  let a = Ir_eval.create prog in
-  let b = Ir_eval.create opt in
-  Ir_eval.reset ~hooks:hooks_a a;
-  Ir_eval.reset ~hooks:hooks_b b;
+  let a = Ir_vm.compile ~hooks:(mk_hooks trace_a) ~optimize:false prog in
+  let b = Ir_vm.compile ~hooks:(mk_hooks trace_b) prog in
+  Ir_vm.reset a;
+  Ir_vm.reset b;
   let rng = Cftcg_util.Rng.create 31L in
   for step = 1 to 300 do
     Array.iteri
       (fun i var ->
         let v = rng_input rng var in
-        Ir_eval.set_input a i v;
-        Ir_eval.set_input b i v)
+        Ir_vm.set_input a i v;
+        Ir_vm.set_input b i v)
       prog.Ir.inputs;
-    Ir_eval.step ~hooks:hooks_a a;
-    Ir_eval.step ~hooks:hooks_b b;
+    Ir_vm.step a;
+    Ir_vm.step b;
     Array.iteri
       (fun i _ ->
-        let va = Value.to_float (Ir_eval.get_output a i) in
-        let vb = Value.to_float (Ir_eval.get_output b i) in
+        let va = Value.to_float (Ir_vm.get_output a i) in
+        let vb = Value.to_float (Ir_vm.get_output b i) in
         if va <> vb && not (Float.is_nan va && Float.is_nan vb) then
           Alcotest.failf "%s: output %d diverges at step %d: %.17g vs %.17g" name i step va vb)
       prog.Ir.outputs
@@ -70,90 +66,6 @@ let test_preserves_bench_models () =
     (fun (e : Cftcg_bench_models.Bench_models.entry) ->
       differential e.Cftcg_bench_models.Bench_models.name
         (Codegen.lower (Lazy.force e.Cftcg_bench_models.Bench_models.model)))
-    Cftcg_bench_models.Bench_models.all
-
-let test_constant_folding_works () =
-  (* (2 + 3) * u : the addition must fold away *)
-  let b = Build.create "CF" in
-  let u = Build.inport b "u" Dtype.Float64 in
-  let k = Build.sum b [ Build.const_f b 2.0; Build.const_f b 3.0 ] in
-  let y = Build.product b [ k; u ] in
-  Build.outport b "y" y;
-  let prog = Codegen.lower ~mode:Codegen.Plain (Build.finish b) in
-  let opt = Ir_opt.optimize prog in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer statements (%d -> %d)" (Ir.stmt_count prog) (Ir.stmt_count opt))
-    true
-    (Ir.stmt_count opt < Ir.stmt_count prog);
-  let c = Ir_vm.compile ~optimize:false opt in
-  Ir_vm.reset c;
-  Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 4.0);
-  Ir_vm.step c;
-  Alcotest.(check (float 0.0)) "value" 20.0 (Value.to_float (Ir_vm.get_output c 0))
-
-let test_constant_branch_pruned () =
-  (* switch with a constant-true control folds to the taken arm *)
-  let b = Build.create "CB" in
-  let u = Build.inport b "u" Dtype.Float64 in
-  let y = Build.switch b u (Build.const_f b 1.0) (Build.neg b u) in
-  Build.outport b "y" y;
-  let prog = Codegen.lower ~mode:Codegen.Plain (Build.finish b) in
-  let opt = Ir_opt.optimize prog in
-  let rec has_if = function
-    | [] -> false
-    | Ir.If _ :: _ -> true
-    | _ :: rest -> has_if rest
-  in
-  Alcotest.(check bool) "no Select/If left for the switch" false (has_if opt.Ir.step)
-
-let test_dead_store_removed () =
-  (* a terminated signal chain is computed then never read *)
-  let b = Build.create "DS" in
-  let u = Build.inport b "u" Dtype.Float64 in
-  let dead = Build.gain b 5.0 (Build.gain b 3.0 u) in
-  Build.terminator b dead;
-  Build.outport b "y" u;
-  let prog = Codegen.lower ~mode:Codegen.Plain (Build.finish b) in
-  let opt = Ir_opt.optimize prog in
-  Alcotest.(check bool)
-    (Printf.sprintf "dead chain removed (%d -> %d)" (Ir.stmt_count prog) (Ir.stmt_count opt))
-    true
-    (Ir.stmt_count opt < Ir.stmt_count prog)
-
-let test_copy_propagation () =
-  (* conversions between equal types become copies and then fold *)
-  let b = Build.create "CP" in
-  let u = Build.inport b "u" Dtype.Float64 in
-  let v = Build.convert b Dtype.Float64 u in
-  let w = Build.convert b Dtype.Float64 v in
-  Build.outport b "y" w;
-  let prog = Codegen.lower ~mode:Codegen.Plain (Build.finish b) in
-  let opt = Ir_opt.optimize prog in
-  Alcotest.(check bool) "copies collapse" true (Ir.stmt_count opt <= Ir.stmt_count prog);
-  let c = Ir_vm.compile ~optimize:false opt in
-  Ir_vm.reset c;
-  Ir_vm.set_input c 0 (Value.of_float Dtype.Float64 7.5);
-  Ir_vm.step c;
-  Alcotest.(check (float 0.0)) "identity preserved" 7.5 (Value.to_float (Ir_vm.get_output c 0))
-
-let test_optimizer_is_idempotent () =
-  let prog = Codegen.lower (Fixtures.kitchen_sink_model ()) in
-  let once = Ir_opt.optimize prog in
-  let twice = Ir_opt.optimize once in
-  Alcotest.(check int) "fixpoint" (Ir.stmt_count once) (Ir.stmt_count twice)
-
-let test_optimizer_shrinks_bench_models () =
-  List.iter
-    (fun (e : Cftcg_bench_models.Bench_models.entry) ->
-      let prog =
-        Codegen.lower ~mode:Codegen.Plain (Lazy.force e.Cftcg_bench_models.Bench_models.model)
-      in
-      let opt = Ir_opt.optimize prog in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s shrinks: %s" e.Cftcg_bench_models.Bench_models.name
-           (Ir_opt.stats prog opt))
-        true
-        (Ir.stmt_count opt <= Ir.stmt_count prog))
     Cftcg_bench_models.Bench_models.all
 
 (* ------------------------------------------------------------------ *)
@@ -199,6 +111,48 @@ let test_bc_constant_folding () =
   let h_raw = Ir_opt.opcode_histogram lin and h_opt = Ir_opt.opcode_histogram opt in
   Alcotest.(check bool) "an add disappears" true (h_opt.(L.op_add_f) < h_raw.(L.op_add_f));
   same_outputs "bc const fold" prog ~steps:50
+
+let test_bc_constant_branch () =
+  (* a switch with a constant-true control resolves to the taken arm:
+     no select, no conditional jump and nothing of the dead arm is
+     left (the model has no state, so init holds none of these ops) *)
+  let model () =
+    let b = Build.create "BCB" in
+    let u = Build.inport b "u" Dtype.Float64 in
+    Build.outport b "y" (Build.switch b u (Build.const_f b 1.0) (Build.neg b u));
+    Build.finish b
+  in
+  let histogram mode =
+    Ir_opt.opcode_histogram (Ir_opt.optimize_bytecode (L.linearize (Codegen.lower ~mode (model ()))))
+  in
+  let cond_jumps h =
+    List.fold_left
+      (fun acc op -> acc + h.(op))
+      0
+      L.[ op_jz; op_jnz; op_jlt; op_jle; op_jeq; op_jne; op_jgt; op_jge; op_jlt_p; op_jle_p;
+          op_jeq_p; op_jne_p; op_jgt_p; op_jge_p; op_jz_p; op_jnz_p ]
+  in
+  let h = histogram Codegen.Plain in
+  Alcotest.(check int) "no select" 0 h.(L.op_select);
+  Alcotest.(check int) "no conditional jump" 0 (cond_jumps h);
+  Alcotest.(check int) "no dead-arm negation" 0 h.(L.op_neg_f);
+  let h_full = histogram Codegen.Full in
+  Alcotest.(check int) "Full: no conditional jump" 0 (cond_jumps h_full);
+  Alcotest.(check int) "Full: no dead-arm negation" 0 h_full.(L.op_neg_f);
+  same_outputs "bc constant branch" (Codegen.lower ~mode:Codegen.Plain (model ())) ~steps:20;
+  (* the Full build keeps the taken arm's probe: an optimized step
+     fires exactly the probes an unoptimized one does *)
+  let full = Codegen.lower ~mode:Codegen.Full (model ()) in
+  let fired optimize =
+    let vm = Ir_vm.compile ~optimize full in
+    Ir_vm.reset vm;
+    Ir_vm.set_input vm 0 (Value.of_float Dtype.Float64 2.5);
+    Ir_vm.step vm;
+    let p = Ir_vm.probes vm in
+    List.sort compare (Array.to_list (Array.sub p.Ir_vm.p_dirty 0 p.Ir_vm.p_n))
+  in
+  Alcotest.(check bool) "the taken arm fires a probe" true (fired true <> []);
+  Alcotest.(check (list int)) "same probes as unoptimized" (fired false) (fired true)
 
 let test_bc_copy_propagation () =
   (* same-type conversions lower to movs; copy propagation plus DCE
@@ -525,15 +479,10 @@ let test_bc_idempotent () =
 let suites =
   [ ( "ir.opt",
       [ Alcotest.test_case "preserves fixtures" `Slow test_preserves_fixtures;
-        Alcotest.test_case "preserves bench models" `Slow test_preserves_bench_models;
-        Alcotest.test_case "constant folding" `Quick test_constant_folding_works;
-        Alcotest.test_case "constant branch pruned" `Quick test_constant_branch_pruned;
-        Alcotest.test_case "dead store removed" `Quick test_dead_store_removed;
-        Alcotest.test_case "copy propagation" `Quick test_copy_propagation;
-        Alcotest.test_case "idempotent" `Quick test_optimizer_is_idempotent;
-        Alcotest.test_case "shrinks bench models" `Quick test_optimizer_shrinks_bench_models ] );
+        Alcotest.test_case "preserves bench models" `Slow test_preserves_bench_models ] );
     ( "ir.opt.bytecode",
       [ Alcotest.test_case "constant folding" `Quick test_bc_constant_folding;
+        Alcotest.test_case "constant branch pruned" `Quick test_bc_constant_branch;
         Alcotest.test_case "copy propagation" `Quick test_bc_copy_propagation;
         Alcotest.test_case "DCE respects roots" `Quick test_bc_dce_respects_roots;
         Alcotest.test_case "jump threading" `Quick test_bc_jump_threading;

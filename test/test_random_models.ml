@@ -1,6 +1,7 @@
 (* Toolchain self-fuzzing over random diagrams: every execution path
    must agree on every random model, and every random model must
-   survive SLX round-trips and optimization unchanged in behaviour. *)
+   survive SLX round-trips and the bytecode optimizer unchanged in
+   behaviour. *)
 
 open Cftcg_model
 open Cftcg_ir
@@ -23,7 +24,7 @@ let test_exec_paths_agree () =
     let evaluator = Ir_eval.create prog in
     let compiled = Ir_vm.compile ~optimize:false prog in
     let interp = Interp.create m in
-    let optimized = Ir_vm.compile (Ir_opt.optimize prog) in
+    let optimized = Ir_vm.compile prog in
     Ir_vm.reset compiled;
     Ir_eval.reset evaluator;
     Interp.reset interp;

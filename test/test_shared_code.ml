@@ -64,14 +64,7 @@ let test_campaign_optimizes_once () =
     true
     (List.length r.Campaign.epochs >= 4);
   Alcotest.(check bool) "a solver phase ran" true (r.Campaign.solver_rounds > 0);
-  Alcotest.(check int) "one optimizer pass per campaign" 1 n;
-  (* --no-opt: the replayer honours it too, so nothing optimizes *)
-  let fuzzer = { config.Campaign.fuzzer with Fuzzer.optimize = false } in
-  let _, n_off =
-    count_optimizer_runs (fun () ->
-        Campaign.run ~config:{ config with Campaign.fuzzer; max_epochs = 2 } prog)
-  in
-  Alcotest.(check int) "no optimizer pass with optimize off" 0 n_off
+  Alcotest.(check int) "one optimizer pass per campaign" 1 n
 
 (* Two domains fuzz at once from one prepared code and must find
    exactly what runs that each prepare their own code find. *)

@@ -216,8 +216,8 @@ let test_fuzzer_backend_parity () =
     let prog = Codegen.lower (Model_gen.generate rng) in
     let run optimize =
       Cftcg_fuzz.Fuzzer.run
-        ~config:{ Cftcg_fuzz.Fuzzer.default_config with Cftcg_fuzz.Fuzzer.seed = 99L; optimize }
-        prog (Cftcg_fuzz.Fuzzer.Exec_budget 400)
+        ~config:{ Cftcg_fuzz.Fuzzer.default_config with Cftcg_fuzz.Fuzzer.seed = 99L }
+        ~code:(Ir_vm.prepare ~optimize prog) prog (Cftcg_fuzz.Fuzzer.Exec_budget 400)
     in
     let rc = run false in
     let compare_campaign ctx (rv : Cftcg_fuzz.Fuzzer.result) =

@@ -265,6 +265,11 @@ let fuzz_cmd =
                else None)
           }
         in
+        (match Campaign.validate ccfg with
+        | Error msg ->
+          Printf.eprintf "invalid campaign settings: %s\n" msg;
+          exit 1
+        | Ok () -> ());
         let pc =
           try Cftcg.Pipeline.run_parallel_campaign ~config:ccfg model with
           | Campaign.Worker_crashed { worker; epoch; message } ->

@@ -228,9 +228,21 @@ let absorb st data =
     | _ -> Hashtbl.replace st.st_corpus fp (metric, data)
   end
 
+let validate config =
+  let bad_bounds (hy : hybrid) = List.exists (fun b -> b < 1) hy.solver.Symexec.unroll_bounds in
+  match config.hybrid with
+  | _ when config.jobs < 1 -> Error "jobs must be >= 1"
+  | _ when config.execs_per_epoch < 1 -> Error "execs_per_epoch must be >= 1"
+  | Some hy when hy.solver_execs < 0 -> Error "solver_execs must be >= 0"
+  | Some hy when hy.solver_rounds < 0 -> Error "solver_rounds must be >= 0"
+  | Some hy when bad_bounds hy -> Error "solver unroll bounds must be >= 1"
+  | _ -> Ok ()
+
 let start ?(config = default_config) (prog : Ir.program) =
   Trace.with_span "campaign.start" @@ fun () ->
-  if config.jobs < 1 then invalid_arg "Campaign.start: jobs must be >= 1";
+  (match validate config with
+  | Error msg -> invalid_arg ("Campaign.start: " ^ msg)
+  | Ok () -> ());
   if (Layout.of_program prog).Layout.tuple_len = 0 then
     invalid_arg "Campaign.start: model has no inports";
   let n_probes = max prog.Ir.n_probes 1 in

@@ -184,10 +184,17 @@ type result = {
           abandoned mid-flight (a cancelled served job) *)
 }
 
+val validate : config -> (unit, string) Stdlib.result
+(** [Error reason] for settings no campaign can run on: [jobs < 1],
+    [execs_per_epoch < 1] (an epoch that can never spend its budget),
+    and, on a hybrid campaign, a negative [solver_execs] or
+    [solver_rounds] or an unroll bound below 1. Front doors (the CLI,
+    the serve router) check a submission with it before queuing it. *)
+
 val run : ?config:config -> Ir.program -> result
-(** Raises [Invalid_argument] if [jobs < 1], if the model has no
-    inports, or if [resume] finds a manifest recorded for a program
-    with a different probe count. Raises {!Worker_crashed} if a
+(** Raises [Invalid_argument] if {!validate} rejects [config], if the
+    model has no inports, or if [resume] finds a manifest recorded for
+    a program with a different probe count. Raises {!Worker_crashed} if a
     worker domain raises and [on_worker_crash = Abort]. If every
     live worker crashes for two consecutive epochs the campaign stops
     (the failure is clearly not transient) instead of spinning on a

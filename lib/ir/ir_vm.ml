@@ -739,6 +739,47 @@ let get_var vm (v : Ir.var) = of_float_exact v.Ir.vty vm.regs.(v.Ir.vid)
 
 let read_raw vm vid = vm.regs.(vid)
 
+(* Snapshots are blits, never per-element float reads and writes, so
+   NaN payloads and -0.0 survive a round trip bit for bit. *)
+type state = {
+  s_regs : float array;
+  s_reached : Bytes.t;
+  s_min_dt : float array;
+  s_min_df : float array;
+}
+
+let fresh_state vm =
+  let n_sites = Bytes.length vm.branches.b_reached in
+  {
+    s_regs = Array.make (Array.length vm.regs) 0.0;
+    s_reached = Bytes.make n_sites '\000';
+    s_min_dt = Array.make n_sites Float.infinity;
+    s_min_df = Array.make n_sites Float.infinity;
+  }
+
+let check_state vm st =
+  if Array.length st.s_regs <> Array.length vm.regs
+     || Bytes.length st.s_reached <> Bytes.length vm.branches.b_reached
+  then invalid_arg "Ir_vm: state was made for different code"
+
+let blit_floats src dst = Array.blit src 0 dst 0 (Array.length src)
+
+let save_state vm st =
+  check_state vm st;
+  let br = vm.branches in
+  blit_floats vm.regs st.s_regs;
+  Bytes.blit br.b_reached 0 st.s_reached 0 (Bytes.length br.b_reached);
+  blit_floats br.b_min_dt st.s_min_dt;
+  blit_floats br.b_min_df st.s_min_df
+
+let restore_state vm st =
+  check_state vm st;
+  let br = vm.branches in
+  blit_floats st.s_regs vm.regs;
+  Bytes.blit st.s_reached 0 br.b_reached 0 (Bytes.length br.b_reached);
+  blit_floats st.s_min_dt br.b_min_dt;
+  blit_floats st.s_min_df br.b_min_df
+
 let probes vm = vm.probes
 
 let set_probes vm p = vm.probes <- p

@@ -106,6 +106,42 @@ val get_var : t -> Ir.var -> Value.t
 val read_raw : t -> int -> float
 (** Raw register access by variable id. *)
 
+(** {1 Snapshots}
+
+    A {!state} is an instance's run state between two steps: the whole
+    register file (inputs, outputs, model state, scratch and the
+    constant pool) and the branch minima ({!branches}). Restoring it
+    and running the same steps gives the same registers and minima,
+    bit for bit, as running on from where it was saved — so a caller
+    can resume an input at step [k] instead of replaying steps
+    [0..k-1] from {!reset}. Saving and restoring are plain blits, so
+    NaN payloads, ±inf and −0.0 survive them.
+
+    A state does not hold the probe buffer: the caller decides what a
+    resumed run's probes are measured against (usually it clears the
+    buffer first, and the suffix's probes are all it sees). Nor does
+    it hold the hooks, which are fixed with the code. *)
+
+type state = private {
+  s_regs : float array;  (** the register file *)
+  s_reached : Bytes.t;  (** {!branches}[.b_reached] *)
+  s_min_dt : float array;  (** {!branches}[.b_min_dt] *)
+  s_min_df : float array;  (** {!branches}[.b_min_df] *)
+}
+
+val fresh_state : t -> state
+(** A state sized for this instance's code (any instance over the same
+    code accepts it). Preallocate states and reuse them: save and
+    restore allocate nothing. *)
+
+val save_state : t -> state -> unit
+(** Copies the registers and branch minima into the state. Raises
+    [Invalid_argument], as {!restore_state} does, if the state was
+    made for code of another size. *)
+
+val restore_state : t -> state -> unit
+(** Copies the state back over the registers and branch minima. *)
+
 (** {1 Probe buffers}
 
     The VM writes into whichever buffer is currently installed, which

@@ -10,7 +10,8 @@ module Metrics = Cftcg_obs.Metrics
 module Flight = Cftcg_obs.Flight
 
 (* POST /campaigns body -> submission. Unknown fields are ignored;
-   malformed ones raise Wire.Parse_error, turned into a 400 below. *)
+   malformed ones raise Wire.Parse_error, turned into a 400 below, as
+   is a well-formed one that Campaign.validate rejects. *)
 let submission_of_body body =
   let j = Wire.of_string body in
   let model = Wire.get_string "model" j in
@@ -95,12 +96,15 @@ let dispatch ~resolve sched (rq : Wire.request) =
       }
     | "POST", [ "campaigns" ] -> (
       let model, sub = submission_of_body rq.rq_body in
-      match resolve model with
-      | Error msg -> error_response 400 (Printf.sprintf "cannot load model %S: %s" model msg)
-      | Ok prog -> (
-        match Scheduler.submit sched sub prog with
-        | Error msg -> error_response 503 msg
-        | Ok id -> json_response 201 (Obj [ ("id", Str id) ])))
+      match Campaign.validate sub.Scheduler.sb_config with
+      | Error msg -> error_response 400 msg
+      | Ok () -> (
+        match resolve model with
+        | Error msg -> error_response 400 (Printf.sprintf "cannot load model %S: %s" model msg)
+        | Ok prog -> (
+          match Scheduler.submit sched sub prog with
+          | Error msg -> error_response 503 msg
+          | Ok id -> json_response 201 (Obj [ ("id", Str id) ]))))
     | "GET", [ "campaigns" ] ->
       json_response 200 (Arr (List.map Job.summary_json (Scheduler.jobs sched)))
     | "GET", [ "campaigns"; id ] -> (

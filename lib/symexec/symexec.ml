@@ -63,10 +63,11 @@ let fitness chains target (br : Ir_vm.branches) probe_hit =
 
 (* Branch-recording bytecode: the VM folds every If visit's distances
    into its minima, so an execution allocates nothing for them.
-   Unoptimized: the optimizer costs under 2 ms and would repay itself
-   within ~1k–5k solver executions, but traced hybrid campaigns read
-   the same solver time with it on or off (measured in DESIGN §3 "Code
-   vs instance"). *)
+   Unoptimized: with the optimizer, traced hybrid campaigns spend about
+   a fifth less time in solver phases, but each campaign then optimizes
+   a second code, and the extra allocation raises a campaign's peak
+   RSS by more than that is worth (measured in DESIGN §3 "Code vs
+   instance"). *)
 let prepare_code prog = Ir_vm.prepare ~optimize:false ~branches:true prog
 
 let covered_bitmap ?initial_coverage (prog : Ir.program) =
@@ -104,6 +105,8 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
     ?should_stop (prog : Ir.program) budget =
   let layout = Layout.of_program prog in
   if layout.Layout.tuple_len = 0 then invalid_arg "Symexec.run: model has no inports";
+  if List.exists (fun b -> b < 1) config.unroll_bounds then
+    invalid_arg "Symexec.run: unroll bounds must be >= 1";
   let rng = Rng.create config.seed in
   let chains = match chains with Some c -> c | None -> Guards.probe_chains prog in
   let g_total = covered_bitmap ?initial_coverage prog in
@@ -155,25 +158,41 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
     done;
     if !fresh then suite := { data = Bytes.copy data; time = elapsed_now () } :: !suite
   in
-  (* Execute [data]; returns whether [target] was hit this run. *)
-  let execute data target =
-    incr executions;
-    Ir_vm.clear_probes cov;
-    (* uncapped: a candidate is as long as its unrolling bound *)
-    Layout.run_case layout vm ~max_tuples:max_int data;
-    record_new_coverage data;
-    Ir_vm.probe_fired vm target
-  in
   let n_fields = Array.length layout.Layout.fields in
-  (* candidate = matrix of field values, encoded through the layout *)
-  let encode matrix =
-    let steps = Array.length matrix in
-    let data = Bytes.make (steps * layout.Layout.tuple_len) '\000' in
-    Array.iteri
-      (fun s row ->
-        Array.iteri (fun f v -> Layout.set_field layout data ~tuple:s ~field:f v) row)
-      matrix;
-    data
+  let tuple_len = layout.Layout.tuple_len in
+  (* Incremental evaluation. Every candidate after the first of a
+     search differs from the current best in one step row [s], so it
+     resumes from the best's saved state before step [s] instead of
+     re-running steps [0..s-1] from reset. The transcript is the same
+     as a full run's, byte for byte:
+     - the skipped prefix fires the best's prefix probes, which are
+       already in [g_total] (the best was executed in full or resumed
+       from an executed prefix), so [record_new_coverage] sees the
+       same fresh set from the suffix's probes alone;
+     - the target cannot have fired in the prefix, or the best's
+       fitness would already be 0 and the search would have stopped;
+     - a state holds the branch minima as well as the registers, so
+       the suffix folds its distances into the prefix's minima exactly
+       as a full run would.
+     [best_states.(k)] is the best's state before step [k]; a
+     candidate saves its states after [s] into [spare_states], and the
+     two swap on acceptance. The pool is allocated once per run, for
+     the largest bound: per-search pools churn the major heap. *)
+  let max_bound = List.fold_left max 0 config.unroll_bounds in
+  let best_states = Array.init max_bound (fun _ -> Ir_vm.fresh_state vm) in
+  let spare_states = Array.init max_bound (fun _ -> Ir_vm.fresh_state vm) in
+  (* runs steps [from..bound-1] of [data] on the VM as it stands,
+     saving the state before each step after [from] into [states] *)
+  let run_steps data ~from ~bound states =
+    for k = from to bound - 1 do
+      if k > from then Ir_vm.save_state vm states.(k);
+      Layout.load_tuple_vm layout data ~tuple:k vm;
+      Ir_vm.step vm
+    done
+  in
+  let finish data target =
+    record_new_coverage data;
+    fitness chains target br (Ir_vm.probe_fired vm target)
   in
   let random_row () =
     Array.init n_fields (fun f ->
@@ -183,27 +202,54 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
         | ty when Dtype.is_integer ty -> Value.of_int ty (Rng.int_in rng (-64) 64)
         | ty -> Value.of_float ty (Rng.float rng 20.0 -. 10.0))
   in
-  let nudge matrix s f delta =
-    let row = Array.copy matrix.(s) in
-    let ty = layout.Layout.fields.(f).Layout.f_ty in
-    (row.(f) <-
-       (match ty with
-       | Dtype.Bool -> Value.of_bool (not (Value.is_true row.(f)))
-       | ty when Dtype.is_integer ty -> Value.of_int ty (Value.to_int row.(f) + int_of_float delta)
-       | ty -> Value.of_float ty (Value.to_float row.(f) +. delta)));
-    let m' = Array.copy matrix in
-    m'.(s) <- row;
-    m'
+  let set_row data s row =
+    Array.iteri (fun f v -> Layout.set_field layout data ~tuple:s ~field:f v) row
   in
-  let eval_candidate matrix target =
-    let data = encode matrix in
-    let hit = execute data target in
-    fitness chains target br hit
+  let nudge v f delta =
+    match layout.Layout.fields.(f).Layout.f_ty with
+    | Dtype.Bool -> Value.of_bool (not (Value.is_true v))
+    | ty when Dtype.is_integer ty -> Value.of_int ty (Value.to_int v + int_of_float delta)
+    | ty -> Value.of_float ty (Value.to_float v +. delta)
   in
   (* Alternating-variable search for one target at one unrolling bound. *)
   let solve_target target bound =
-    let matrix = ref (Array.init bound (fun _ -> random_row ())) in
-    let best = ref (eval_candidate !matrix target) in
+    let matrix = Array.init bound (fun _ -> random_row ()) in
+    let best_data = Bytes.create (bound * tuple_len) in
+    Array.iteri (set_row best_data) matrix;
+    (* [cand_data] equals [best_data] outside the row under trial *)
+    let cand_data = Bytes.copy best_data in
+    let best =
+      incr executions;
+      Ir_vm.clear_probes cov;
+      Ir_vm.reset vm;
+      Ir_vm.save_state vm best_states.(0);
+      run_steps best_data ~from:0 ~bound best_states;
+      ref (finish best_data target)
+    in
+    (* evaluates [cand_data], whose row [s] is patched; keeps it when
+       it improves on the best, and puts row [s] back otherwise *)
+    let try_row s =
+      incr executions;
+      Ir_vm.clear_probes cov;
+      Ir_vm.restore_state vm best_states.(s);
+      run_steps cand_data ~from:s ~bound spare_states;
+      let fit = finish cand_data target in
+      let off = s * tuple_len in
+      if fit < !best then begin
+        best := fit;
+        Bytes.blit cand_data off best_data off tuple_len;
+        for k = s + 1 to bound - 1 do
+          let st = best_states.(k) in
+          best_states.(k) <- spare_states.(k);
+          spare_states.(k) <- st
+        done;
+        true
+      end
+      else begin
+        Bytes.blit best_data off cand_data off tuple_len;
+        false
+      end
+    in
     let moves = ref 0 in
     let improved_once = ref true in
     while !best > 0.0 && !moves < config.moves_per_target && budget_ok () && !improved_once do
@@ -219,12 +265,11 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
               let delta = ref dir in
               let continue_ = ref true in
               while !continue_ && !best > 0.0 && !moves < config.moves_per_target && budget_ok () do
-                let cand = nudge !matrix s f !delta in
+                let v = nudge matrix.(s).(f) f !delta in
+                Layout.set_field layout cand_data ~tuple:s ~field:f v;
                 incr moves;
-                let fit = eval_candidate cand target in
-                if fit < !best then begin
-                  best := fit;
-                  matrix := cand;
+                if try_row s then begin
+                  matrix.(s).(f) <- v;
                   improved_once := true;
                   delta := !delta *. 2.0
                 end
@@ -235,17 +280,16 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
             try_dir (-1.0)
           end)
         dims;
-      (* random restart of one step row when stuck *)
-      if !best > 0.0 && not !improved_once && bound > 0 && !moves < config.moves_per_target
-         && budget_ok ()
+      (* random restart of one step row when stuck; the row is drawn
+         before its index, the order the RNG stream was pinned in *)
+      if !best > 0.0 && not !improved_once && !moves < config.moves_per_target && budget_ok ()
       then begin
-        let cand = Array.copy !matrix in
-        cand.(Rng.int rng bound) <- random_row ();
+        let row = random_row () in
+        let s = Rng.int rng bound in
+        set_row cand_data s row;
         incr moves;
-        let fit = eval_candidate cand target in
-        if fit < !best then begin
-          best := fit;
-          matrix := cand;
+        if try_row s then begin
+          matrix.(s) <- row;
           improved_once := true
         end
       end

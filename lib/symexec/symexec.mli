@@ -22,7 +22,8 @@ open Cftcg_ir
 type config = {
   seed : int64;
   unroll_bounds : int list;
-      (** increasing loop-unrolling depths, e.g. [[1; 2; 4; 8; 16]] *)
+      (** increasing loop-unrolling depths, e.g. [[1; 2; 4; 8; 16]];
+          each at least 1 ({!run} raises [Invalid_argument] otherwise) *)
   moves_per_target : int;  (** search moves per objective per bound *)
 }
 
@@ -38,10 +39,11 @@ type test_case = {
 type budget =
   | Time_budget of float  (** wall-clock seconds — paced on [gettimeofday] *)
   | Exec_budget of int
-      (** maximum [execute] calls. The solver never reads the wall
-          clock under this budget: pacing, escalation and timestamps
-          all run off the execution counter, so same-seed runs are
-          byte-identical — the determinism discipline campaigns pin. *)
+      (** maximum executions (one per candidate input). The solver
+          never reads the wall clock under this budget: pacing,
+          escalation and timestamps all run off the execution
+          counter, so same-seed runs are byte-identical — the
+          determinism discipline campaigns pin. *)
 
 type result = {
   suite : test_case list;  (** chronological *)

@@ -414,6 +414,34 @@ let test_campaign_rejects_bad_config () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted a model without inports"
 
+(* Settings under which no campaign can make progress are refused at
+   start: an epoch of 0 executions would otherwise spin through empty
+   epochs until the plateau counter ran out. *)
+let test_campaign_rejects_unspendable_config () =
+  let prog = solar_pv () in
+  let hy f = Some (f Campaign.default_hybrid) in
+  let bad =
+    [ ("execs_per_epoch must be >= 1", { Campaign.default_config with Campaign.execs_per_epoch = 0 });
+      ( "solver_execs must be >= 0",
+        { Campaign.default_config with
+          Campaign.hybrid = hy (fun h -> { h with Campaign.solver_execs = -1 }) } );
+      ( "solver_rounds must be >= 0",
+        { Campaign.default_config with
+          Campaign.hybrid = hy (fun h -> { h with Campaign.solver_rounds = -1 }) } );
+      ( "solver unroll bounds must be >= 1",
+        let bounds (s : Cftcg_symexec.Symexec.config) = { s with unroll_bounds = [ 1; 0 ] } in
+        { Campaign.default_config with
+          Campaign.hybrid = hy (fun h -> { h with Campaign.solver = bounds h.Campaign.solver }) } ) ]
+  in
+  List.iter
+    (fun (reason, config) ->
+      Alcotest.(check bool) ("validate: " ^ reason) true (Campaign.validate config = Error reason);
+      Alcotest.check_raises reason (Invalid_argument ("Campaign.start: " ^ reason)) (fun () ->
+          ignore (Campaign.start ~config prog)))
+    bad;
+  Alcotest.(check bool) "the default hybrid campaign is valid" true
+    (Campaign.validate { Campaign.default_config with Campaign.hybrid = hy Fun.id } = Ok ())
+
 let test_campaign_deterministic () =
   let prog = solar_pv () in
   let config =
@@ -600,6 +628,8 @@ let suites =
       [ Alcotest.test_case "exec-budget runs are deterministic" `Quick
           test_exec_budget_deterministic;
         Alcotest.test_case "rejects bad config" `Quick test_campaign_rejects_bad_config;
+        Alcotest.test_case "rejects unspendable epochs" `Quick
+          test_campaign_rejects_unspendable_config;
         Alcotest.test_case "campaign is deterministic" `Slow test_campaign_deterministic;
         Alcotest.test_case "parallel >= single coverage" `Slow test_campaign_parallel_vs_single;
         Alcotest.test_case "kill and resume" `Slow test_campaign_kill_and_resume;

@@ -488,6 +488,22 @@ let test_http_end_to_end () =
   Alcotest.(check bool) "names the field" true (Wire.member "error" (Wire.of_string body) <> None);
   let status, _ = request addr ~meth:"POST" ~path:"/campaigns" ~body:"{\"model\":\"nope\"}" () in
   Alcotest.(check int) "unknown model is a 400" 400 status;
+  (* a campaign that can never spend its budget is refused before it
+     is queued, not left to hold a worker slot *)
+  let status, body =
+    request addr ~meth:"POST" ~path:"/campaigns"
+      ~body:"{\"model\":\"solar\",\"execs_per_epoch\":0,\"plateau_epochs\":1000000000}" ()
+  in
+  Alcotest.(check int) "an empty epoch is a 400" 400 status;
+  Alcotest.(check string) "names the setting" "execs_per_epoch must be >= 1"
+    (Wire.get_string "error" (Wire.of_string body));
+  let status, _ =
+    request addr ~meth:"POST" ~path:"/campaigns"
+      ~body:"{\"model\":\"solar\",\"hybrid\":true,\"solver_rounds\":-1}" ()
+  in
+  Alcotest.(check int) "negative solver rounds is a 400" 400 status;
+  let _, body = request addr ~meth:"GET" ~path:"/campaigns" () in
+  Alcotest.(check bool) "nothing was queued" true (Wire.of_string body = Wire.Arr []);
   let status, _ = request addr ~meth:"GET" ~path:"/campaigns/c999" () in
   Alcotest.(check int) "unknown id is a 404" 404 status;
   (* bad framing is refused before routing *)

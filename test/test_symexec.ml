@@ -216,13 +216,13 @@ let test_sharded_run_stays_on_its_targets () =
   Alcotest.(check int) "targets_total is the shard's" (n_targets 1) r.Symexec.targets_total;
   Alcotest.(check bool) "both shards have work" true (n_targets 0 > 0 && n_targets 1 > 0)
 
-let bench_prog_tcp () =
-  Codegen.lower ~mode:Codegen.Full (Lazy.force (Option.get (Models.find "TCP")).Models.model)
+let bench_prog name =
+  Codegen.lower ~mode:Codegen.Full (Lazy.force (Option.get (Models.find name)).Models.model)
 
 let test_should_stop_ends_run () =
   (* flipping [should_stop] mid-run returns early with what was found;
      the same run without the hook spends the whole budget *)
-  let prog = bench_prog_tcp () in
+  let prog = bench_prog "TCP" in
   let budget = 20_000 in
   let config = { Symexec.default_config with Symexec.seed = 3L } in
   let full = Symexec.run ~config prog (Symexec.Exec_budget budget) in
@@ -241,6 +241,37 @@ let test_should_stop_ends_run () =
     true
     (stopped.Symexec.executions > 0 && stopped.Symexec.executions <= 500)
 
+(* Solver allocation per execution. Each AVM candidate resumes from
+   the best input's saved VM state and patches one encoded row, so an
+   execution allocates about 160-180 minor words on TCP and RAC
+   (re-encoding the whole input and replaying it from reset allocated
+   about 540). The bound leaves headroom for compiler versions, not
+   for a return to whole-input re-execution. *)
+let test_minor_words_per_exec () =
+  List.iter
+    (fun name ->
+      let prog = bench_prog name in
+      let code = Symexec.prepare_code prog and chains = Cftcg_symexec.Guards.probe_chains prog in
+      let config = { Symexec.default_config with Symexec.seed = 2L } in
+      let run () = Symexec.run ~config ~code ~chains prog (Symexec.Exec_budget 15_000) in
+      ignore (run ());
+      let w0 = Gc.minor_words () in
+      let r = run () in
+      let per_exec = (Gc.minor_words () -. w0) /. float_of_int r.Symexec.executions in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per solver execution (bound 300)" name per_exec)
+        true (per_exec < 300.0))
+    [ "TCP"; "RAC" ]
+
+let test_rejects_nonpositive_bounds () =
+  let prog = Codegen.lower (Fixtures.logic_model ()) in
+  List.iter
+    (fun unroll_bounds ->
+      let config = { Symexec.default_config with Symexec.unroll_bounds } in
+      Alcotest.check_raises "rejected" (Invalid_argument "Symexec.run: unroll bounds must be >= 1")
+        (fun () -> ignore (Symexec.run ~config prog (Symexec.Exec_budget 100))))
+    [ [ 0 ]; [ 1; 2; -4 ] ]
+
 let suites =
   [ ( "symexec.guards",
       [ Alcotest.test_case "chain per probe" `Quick test_guard_chains_shape;
@@ -256,7 +287,10 @@ let suites =
         Alcotest.test_case "full initial coverage short-circuits" `Quick
           test_full_initial_coverage_short_circuits;
         Alcotest.test_case "solved count consistent with coverage" `Quick
-          test_solved_count_consistency ] );
+          test_solved_count_consistency;
+        Alcotest.test_case "minor words per execution" `Quick test_minor_words_per_exec;
+        Alcotest.test_case "non-positive unroll bounds rejected" `Quick
+          test_rejects_nonpositive_bounds ] );
     ( "symexec.shard",
       [ Alcotest.test_case "shards partition the uncovered targets" `Quick
           test_shards_partition_targets;

@@ -518,6 +518,91 @@ let test_native_distance_edge_cases () =
   let rng = Rng.create 6174L in
   check_distances ~tag:"edge" ~runs:12 ~steps:25 ~input:edge_input rng prog
 
+(* --- state snapshots --- *)
+
+(* wrapped ints (out-of-range values folded into the dtype), NaN,
+   ±inf, -0.0 and plain values, mixed *)
+let snapshot_input rng (ty : Dtype.t) =
+  match Rng.int rng 3 with
+  | 0 -> edge_input rng ty
+  | 1 when Dtype.is_integer ty ->
+    Value.of_int ty ([| 1 lsl 40; -(1 lsl 33) - 7; 70_000; -129; 256; 4_294_967_297 |].(Rng.int rng 6))
+  | _ -> Model_gen.random_input rng ty
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_same_state what (a : Ir_vm.state) (b : Ir_vm.state) =
+  let floats which x y =
+    Array.iteri
+      (fun i v ->
+        if not (same_bits v y.(i)) then Alcotest.failf "%s: %s.(%d): %h <> %h" what which i v y.(i))
+      x
+  in
+  floats "registers" a.Ir_vm.s_regs b.Ir_vm.s_regs;
+  if not (Bytes.equal a.Ir_vm.s_reached b.Ir_vm.s_reached) then
+    Alcotest.failf "%s: reached sets differ" what;
+  floats "min_dt" a.Ir_vm.s_min_dt b.Ir_vm.s_min_dt;
+  floats "min_df" a.Ir_vm.s_min_df b.Ir_vm.s_min_df
+
+let probe_set vm =
+  let p = Ir_vm.probes vm in
+  (Bytes.copy p.Ir_vm.p_fired, Array.sub p.Ir_vm.p_dirty 0 p.Ir_vm.p_n)
+
+(* Run [k] steps, save, run the rest; then scribble over the instance
+   with another input, restore and run the rest again. The suffix must
+   end in the same registers and branch minima, bit for bit, and fire
+   the same probes in the same order. *)
+let check_snapshot_roundtrip ~tag rng prog =
+  List.iter
+    (fun optimize ->
+      let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize ~branches:true prog) in
+      let steps = 12 in
+      let rows () =
+        Array.init steps (fun _ ->
+            Array.map (fun (v : Ir.var) -> snapshot_input rng v.Ir.vty) prog.Ir.inputs)
+      in
+      let input = rows () and scribble = rows () in
+      let run ?(upto = steps) rows ~from =
+        for s = from to upto - 1 do
+          Array.iteri (Ir_vm.set_input vm) rows.(s);
+          Ir_vm.step vm
+        done
+      in
+      let at_k = Ir_vm.fresh_state vm and first = Ir_vm.fresh_state vm in
+      let again = Ir_vm.fresh_state vm in
+      for k = 0 to steps - 1 do
+        let what = Printf.sprintf "%s opt=%b k=%d" tag optimize k in
+        Ir_vm.reset vm;
+        run input ~from:0 ~upto:k;
+        Ir_vm.save_state vm at_k;
+        Ir_vm.clear_probes (Ir_vm.probes vm);
+        run input ~from:k;
+        Ir_vm.save_state vm first;
+        let probes_first = probe_set vm in
+        Ir_vm.reset vm;
+        run scribble ~from:0;
+        Ir_vm.restore_state vm at_k;
+        Ir_vm.clear_probes (Ir_vm.probes vm);
+        run input ~from:k;
+        Ir_vm.save_state vm again;
+        check_same_state what first again;
+        if probe_set vm <> probes_first then Alcotest.failf "%s: suffix probe sets differ" what
+      done)
+    [ true; false ]
+
+let test_state_roundtrip () =
+  let module Models = Cftcg_bench_models.Bench_models in
+  let rng = Rng.create 2718L in
+  List.iter
+    (fun (e : Models.entry) ->
+      let prog = Codegen.lower ~mode:Codegen.Full (Lazy.force e.Models.model) in
+      check_snapshot_roundtrip ~tag:e.Models.name rng prog)
+    Models.all;
+  for i = 1 to 40 do
+    let prog = Codegen.lower (Model_gen.generate rng) in
+    check_snapshot_roundtrip ~tag:(Printf.sprintf "random model %d" i) rng prog
+  done
+
 (* qcheck property: any generator seed yields a program on which the
    VM and the evaluator agree on outputs. *)
 let prop_backends_agree =
@@ -542,5 +627,6 @@ let suites =
           test_optimizer_invisible_on_random_models;
         Alcotest.test_case "optimizer invisible to hooks" `Slow test_optimizer_invisible_to_hooks;
         Alcotest.test_case "native distances: edge operands" `Slow test_native_distance_edge_cases;
+        Alcotest.test_case "state snapshots round-trip" `Slow test_state_roundtrip;
         QCheck_alcotest.to_alcotest ~verbose:false prop_backends_agree;
         QCheck_alcotest.to_alcotest ~verbose:false prop_optimizer_invisible ] ) ]

@@ -5,7 +5,9 @@
      table3   — SLDV vs SimCoTest vs CFTCG coverage (paper Table 3)
      figure7  — decision coverage vs time (paper Figure 7)
      figure8  — CFTCG vs Fuzz Only (paper Figure 8)
-     speed    — compiled vs interpreted iteration rate (§4 text)
+     speed    — compiled vs interpreted iteration rate (§4 text), per
+                model VM vs optimized-VM costs; the gates below judge
+                the very numbers it prints
      ablation — CFTCG ingredient ablations (DESIGN.md §5)
      scaling  — ensemble campaign throughput at jobs 1/2/4/8
      hybrid   — fuzz-only plateau vs plateau→solve→resume campaigns
@@ -18,12 +20,13 @@
    Usage: main.exe [experiment ...] [--budget SECONDS] [--reps N]
           [--seed N] [--models A,B,C] [--json]
           [--check-opt] [--check-obs]
+   A bad argument prints the usage line and exits 2.
    --json additionally writes the speed experiment's numbers to
    BENCH_speed.json (machine-readable, tracked by CI).
    --check-opt makes the speed experiment exit non-zero unless the
-   optimized VM keeps up with the plain VM on every bench model —
-   measured on the instrumented fuzzing path (probes live), the one
-   every campaign execution takes.
+   optimized VM keeps up with the plain VM (within 5%) on every bench
+   model, on both the whole fuzzer execution and the instrumented
+   step (probes live), the path every campaign execution takes.
    --check-obs makes the speed experiment exit non-zero if turning
    observability on (metrics + tracing) costs more than 2% of
    fuzzing throughput on any bench model.
@@ -48,7 +51,7 @@ type options = {
   mutable budget : float;  (** seconds per tool per model per rep *)
   mutable reps : int;
   mutable seed : int;
-  mutable models : string list option;
+  mutable models : Models.entry list option;
   mutable experiments : string list;
   mutable json : bool;  (** write speed results to BENCH_speed.json *)
   mutable check_opt : bool;
@@ -63,20 +66,33 @@ let opts =
   { budget = 1.0; reps = 2; seed = 1; models = None; experiments = []; json = false;
     check_opt = false; check_obs = false }
 
-let parse_args () =
+let usage =
+  "usage: main.exe [experiment ...] [--budget SECONDS] [--reps N] [--seed N] [--models A,B,C] \
+   [--json] [--check-opt] [--check-obs]"
+
+let usage_error fmt = Printf.ksprintf (fun msg -> Printf.eprintf "%s\n%s\n" msg usage; exit 2) fmt
+
+(* [experiments] are the known experiment names *)
+let parse_args ~experiments =
+  let value flag parse ok v =
+    match parse v with
+    | Some x when ok x -> x
+    | _ -> usage_error "bad value %S for %s" v flag
+  in
   let rec go = function
     | [] -> ()
     | "--budget" :: v :: rest ->
-      opts.budget <- float_of_string v;
+      opts.budget <- value "--budget" float_of_string_opt (fun b -> Float.is_finite b && b > 0.0) v;
       go rest
     | "--reps" :: v :: rest ->
-      opts.reps <- int_of_string v;
+      opts.reps <- value "--reps" int_of_string_opt (fun r -> r >= 1) v;
       go rest
     | "--seed" :: v :: rest ->
-      opts.seed <- int_of_string v;
+      opts.seed <- value "--seed" int_of_string_opt (fun _ -> true) v;
       go rest
     | "--models" :: v :: rest ->
-      opts.models <- Some (String.split_on_char ',' v);
+      let find n = match Models.find n with Some e -> e | None -> usage_error "unknown model %S" n in
+      opts.models <- Some (List.map find (String.split_on_char ',' v));
       go rest
     | "--json" :: rest ->
       opts.json <- true;
@@ -87,24 +103,18 @@ let parse_args () =
     | "--check-obs" :: rest ->
       opts.check_obs <- true;
       go rest
-    | exp :: rest ->
+    | [ ("--budget" | "--reps" | "--seed" | "--models") as flag ] ->
+      usage_error "%s needs a value" flag
+    | arg :: _ when String.starts_with ~prefix:"-" arg -> usage_error "unknown option %S" arg
+    | exp :: rest when List.mem exp experiments ->
       opts.experiments <- opts.experiments @ [ exp ];
       go rest
+    | exp :: _ ->
+      usage_error "unknown experiment %S (known: %s)" exp (String.concat ", " experiments)
   in
   go (List.tl (Array.to_list Sys.argv))
 
-let selected_models () =
-  match opts.models with
-  | None -> Models.all
-  | Some names ->
-    List.filter_map
-      (fun n ->
-        match Models.find n with
-        | Some e -> Some e
-        | None ->
-          Printf.eprintf "unknown model %S\n" n;
-          None)
-      names
+let selected_models () = Option.value opts.models ~default:Models.all
 
 let print_table title t =
   Printf.printf "\n== %s ==\n%s\n-- csv --\n%s" title (Tt.render t) (Tt.to_csv t);
@@ -280,95 +290,146 @@ let figure8 () =
 (* Speed (§4: 26,000 vs 6 iterations per second)                       *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_estimates tests =
-  let open Bechamel in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let res = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name v acc ->
-      match Analyze.OLS.estimates v with
-      | Some (est :: _) -> (name, est) :: acc
-      | Some [] | None -> acc)
-    res []
+module Ir_vm = Cftcg_ir.Ir_vm
+module Fuzzer = Cftcg_fuzz.Fuzzer
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+(* Every speed number, JSON value and gate verdict comes from one
+   timer. A round times a batch of calls and reads ns per call. The
+   two sides of a pair alternate round by round, so frequency drift,
+   thermal state and GC pressure hit both alike; after one warm-up
+   round per side, each side keeps its best of [rounds]. One
+   contiguous sampling window per side would let a single hiccup on a
+   throttling box skew a side by more than the optimizer's margin. *)
+let rounds = 10
 
-(* Everything the speed experiment measures per bench model:
-   execution latency per backend, allocation pressure, and the
-   bytecode optimizer's static/dynamic instruction-count effect. *)
-type model_speed = {
-  ms_name : string;
-  ms_interp_ns : float;
-  ms_vm_ns : float;  (** plain VM, optimizer disabled *)
-  ms_vm_opt_ns : float;  (** VM with the Ir_opt bytecode pipeline *)
-  ms_vm_step_ns : float;  (** instrumented ns/step, optimizer off *)
-  ms_vm_opt_step_ns : float;  (** instrumented ns/step, optimizer on *)
-  ms_static : int;  (** uninstrumented instruction count, pre-opt *)
-  ms_static_opt : int;
-  ms_dyn : int;  (** instruction dispatches for one 16-tuple exec *)
-  ms_dyn_opt : int;
-  ms_minor_vm : float;  (** GC minor words per execution *)
-  ms_minor_vm_opt : float;
-}
-
-(* Steady-state GC minor words per call: the mutation/exec hot paths
-   are meant to be allocation-free, so this should sit near zero for
-   the VM backends. *)
-let minor_words_per_call f =
-  f ();
-  let n = 64 in
-  let before = Gc.minor_words () in
+let batch n f () =
+  let t0 = Unix.gettimeofday () in
   for _ = 1 to n do
     f ()
   done;
-  (Gc.minor_words () -. before) /. float_of_int n
+  (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e9
 
-(* One fuzzer execution (a multi-tuple input through the fuzzer's
-   inner loop, coverage accounting included), optimizer off and on.
-   The interp row runs the graph interpreter over the same tuples —
-   the reproduction's stand-in for simulation-based execution. *)
-let backend_execs_per_sec (e : Models.entry) =
+let paired a b =
+  ignore (a ());
+  ignore (b ());
+  let best_a = ref infinity and best_b = ref infinity in
+  for _ = 1 to rounds do
+    best_a := Float.min !best_a (a ());
+    best_b := Float.min !best_b (b ())
+  done;
+  (!best_a, !best_b)
+
+let best_of a =
+  ignore (a ());
+  let best = ref infinity in
+  for _ = 1 to rounds do
+    best := Float.min !best (a ())
+  done;
+  !best
+
+(* A gate leg measures a (baseline_ns, candidate_ns) pair; the
+   candidate loses when it is slower than [bound] times the baseline.
+   A losing model is measured once more and fails only if it loses
+   again. The pair returned is the one the tables print, so they and
+   the verdict agree. *)
+let gate_failures = ref []
+
+let gate ~flag ~on ~bound ~leg name measure =
+  let loses (base, cand) = cand > base *. bound in
+  let r = measure () in
+  if not (on && loses r) then r
+  else begin
+    Printf.printf "%s: %s lost %s (%.0f vs %.0f ns), re-measuring\n%!" flag name leg (snd r)
+      (fst r);
+    let ((base, cand) as r) = measure () in
+    if loses r then
+      gate_failures :=
+        Printf.sprintf "%s FAIL: %s %s: %.0f vs %.0f ns (bound %.2fx)" flag name leg cand base bound
+        :: !gate_failures;
+    r
+  end
+
+let gate_verdict ok =
+  if !gate_failures = [] then print_endline ok
+  else begin
+    List.iter prerr_endline (List.rev !gate_failures);
+    exit 1
+  end
+
+let n_tuples = 16
+
+(* the fields of tuple [tuple] of [bytes], boxed, into [set] *)
+let feed (layout : Layout.t) bytes ~tuple set =
+  Array.iteri
+    (fun i (f : Layout.field) ->
+      set i (Value.decode f.Layout.f_ty bytes ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset)))
+    layout.Layout.fields
+
+(* One fuzzer execution of [input] (the fuzzer's inner loop, coverage
+   accounting included). g_total saturates after the first call, so
+   later calls time the no-new-coverage hot path. *)
+let fuzz_exec prog layout input ~optimize =
+  let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
+  let exec =
+    Fuzzer.make_executor ~code:(Ir_vm.prepare ~optimize prog) ~backend:Fuzzer.Vm ~layout ~prog
+      ~g_total ~max_tuples:n_tuples ~use_metric:true ()
+  in
+  let cells = ref [] in
+  fun () -> ignore (exec ~fresh_cells:cells input)
+
+let step_tuple layout =
+  Layout.random_tuple_bytes layout (Cftcg_util.Rng.create (Int64.of_int (opts.seed + 7)))
+
+(* (plain VM, optimized VM) ns per step of [prog] on [tuple], the
+   probe buffer cleared after each step (Plain code fires none). On
+   Full code this is the instrumented path every campaign execution
+   takes. *)
+let step_pair prog layout tuple =
+  let stepper optimize =
+    let vm = Ir_vm.compile ~optimize prog in
+    Ir_vm.reset vm;
+    let p = Ir_vm.probes vm in
+    fun () ->
+      Layout.load_tuple_vm layout tuple ~tuple:0 vm;
+      Ir_vm.step vm;
+      Ir_vm.clear_probes p
+  in
+  let vm = stepper false in
+  let opt = stepper true in
+  paired (batch 2000 vm) (batch 2000 opt)
+
+(* Per bench model; each pair is (optimizer off, optimizer on). *)
+type model_speed = {
+  ms_name : string;
+  ms_interp_ns : float;  (** graph interpreter, one 16-tuple execution *)
+  ms_exec_ns : float * float;  (** one 16-tuple fuzzer execution *)
+  ms_step_ns : float * float;  (** one instrumented step *)
+  ms_static : int * int;  (** uninstrumented instruction count *)
+  ms_dyn : int * int;  (** instruction dispatches for one 16-tuple exec *)
+}
+
+(* A 16-tuple input through the fuzzer's executor on the plain and the
+   optimized VM (both --check-opt legs), and through the graph
+   interpreter, the reproduction's stand-in for simulation-based
+   execution; plus the optimizer's instruction counts on the
+   uninstrumented build over the same input. *)
+let model_speed (e : Models.entry) =
   let m = Lazy.force e.Models.model in
   let prog = Codegen.lower ~mode:Codegen.Full m in
   let layout = Layout.of_program prog in
   let rng = Cftcg_util.Rng.create (Int64.of_int (opts.seed + 5)) in
-  let n_tuples = 16 in
   let input =
     Bytes.concat Bytes.empty (List.init n_tuples (fun _ -> Layout.random_tuple_bytes layout rng))
   in
-  let fuzz_exec ~optimize =
-    let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
-    let exec =
-      Cftcg_fuzz.Fuzzer.make_executor ~code:(Cftcg_ir.Ir_vm.prepare ~optimize prog)
-        ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog ~g_total ~max_tuples:n_tuples ~use_metric:true ()
-    in
-    let cells = ref [] in
-    (* steady state: g_total saturates after the first call, so later
-       executions measure the no-new-coverage hot path *)
-    fun () -> ignore (exec ~fresh_cells:cells input)
+  let gate_opt = gate ~flag:"check-opt" ~on:opts.check_opt ~bound:1.05 e.Models.name in
+  let interp = Interp.create m in
+  let interp_exec () =
+    Interp.reset interp;
+    for tuple = 0 to n_tuples - 1 do
+      feed layout input ~tuple (Interp.set_input interp);
+      Interp.step interp
+    done
   in
-  let interp_exec =
-    let interp = Interp.create m in
-    let fields = layout.Layout.fields in
-    let tuple_len = layout.Layout.tuple_len in
-    fun () ->
-      Interp.reset interp;
-      for tuple = 0 to n_tuples - 1 do
-        Array.iteri
-          (fun i (f : Layout.field) ->
-            Interp.set_input interp i
-              (Value.decode f.Layout.f_ty input ((tuple * tuple_len) + f.Layout.f_offset)))
-          fields;
-        Interp.step interp
-      done
-  in
-  (* Instruction counts on the same build the fuzzer executes
-     (uninstrumented — probes only, no hooks), over the same input. *)
   let lin = Cftcg_ir.Ir_linearize.linearize prog in
   let lin_opt = Cftcg_ir.Ir_opt.optimize_bytecode lin in
   let rows =
@@ -378,166 +439,38 @@ let backend_execs_per_sec (e : Models.entry) =
             Value.decode_float f.Layout.f_ty input ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset))
           layout.Layout.fields)
   in
-  let vm_exec = fuzz_exec ~optimize:false in
-  let vm_opt_exec = fuzz_exec ~optimize:true in
-  (* instrumented ns/step — the per-iteration cost of the path every
-     campaign execution takes (probes live, coverage buffer cleared
-     per step), optimizer off vs on *)
-  let step_exec optimize =
-    let vm = Cftcg_ir.Ir_vm.compile ~optimize prog in
-    Cftcg_ir.Ir_vm.reset vm;
-    let p = Cftcg_ir.Ir_vm.probes vm in
-    fun () ->
-      Layout.load_tuple_vm layout input ~tuple:0 vm;
-      Cftcg_ir.Ir_vm.step vm;
-      Cftcg_ir.Ir_vm.clear_probes p
+  let exec_ns =
+    gate_opt ~leg:"vm-opt vs vm ns/exec" (fun () ->
+        let vm = fuzz_exec prog layout input ~optimize:false in
+        let opt = fuzz_exec prog layout input ~optimize:true in
+        paired (batch 100 vm) (batch 100 opt))
   in
-  let vm_step = step_exec false in
-  let vm_opt_step = step_exec true in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"exec"
-      [ Test.make ~name:"interp" (Staged.stage interp_exec);
-        Test.make ~name:"vm-opt" (Staged.stage vm_opt_exec);
-        Test.make ~name:"vm" (Staged.stage vm_exec);
-        Test.make ~name:"vm-step" (Staged.stage vm_step);
-        Test.make ~name:"vmopt-step" (Staged.stage vm_opt_step) ]
+  let step_ns =
+    gate_opt ~leg:"vmopt-instrumented vs vm-instrumented ns/step" (fun () ->
+        step_pair prog layout (step_tuple layout))
   in
-  let estimates = bechamel_estimates tests in
-  let get needle =
-    match List.find_opt (fun (name, _) -> contains ~needle name) estimates with
-    | Some (_, ns) -> ns
-    | None -> Float.nan
-  in
-  (* "vm" is a substring of "vm-opt", so resolve by exact suffix *)
-  let get_exact want =
-    let suffix = "/" ^ want in
-    let ends_with name =
-      let nl = String.length name and sl = String.length suffix in
-      (nl >= sl && String.sub name (nl - sl) sl = suffix) || name = want
-    in
-    match List.find_opt (fun (name, _) -> ends_with name) estimates with
-    | Some (_, ns) -> ns
-    | None -> get want
-  in
-  { ms_name = e.Models.name;
-    ms_interp_ns = get "interp";
-    ms_vm_ns = get_exact "vm";
-    ms_vm_opt_ns = get_exact "vm-opt";
-    ms_vm_step_ns = get_exact "vm-step";
-    ms_vm_opt_step_ns = get_exact "vmopt-step";
-    ms_static = Cftcg_ir.Ir_opt.static_count lin;
-    ms_static_opt = Cftcg_ir.Ir_opt.static_count lin_opt;
-    ms_dyn = Cftcg_ir.Ir_opt.dynamic_count lin rows;
-    ms_dyn_opt = Cftcg_ir.Ir_opt.dynamic_count lin_opt rows;
-    ms_minor_vm = minor_words_per_call vm_exec;
-    ms_minor_vm_opt = minor_words_per_call vm_opt_exec
-  }
+  let both f = (f lin, f lin_opt) in
+  { ms_name = e.Models.name; ms_interp_ns = best_of (batch 10 interp_exec); ms_exec_ns = exec_ns;
+    ms_step_ns = step_ns; ms_static = both Cftcg_ir.Ir_opt.static_count;
+    ms_dyn = both (fun lin -> Cftcg_ir.Ir_opt.dynamic_count lin rows) }
 
-(* Paired A/B measurement for the --check-opt gate: alternate plain-vm
-   and vm-opt batches so frequency drift, thermal state and GC
-   pressure hit both sides equally, and keep the best round per side.
-   The bechamel numbers above measure each backend in one contiguous
-   quota window, which a single hiccup (or a slowly throttling box)
-   can skew by more than the optimizer's whole margin. Returns
-   (vm_opt_ns, vm_ns) per execution. *)
-let paired_vm_gate (e : Models.entry) =
-  let m = Lazy.force e.Models.model in
-  let prog = Codegen.lower ~mode:Codegen.Full m in
-  let layout = Layout.of_program prog in
-  let rng = Cftcg_util.Rng.create (Int64.of_int (opts.seed + 5)) in
-  let n_tuples = 16 in
-  let input =
-    Bytes.concat Bytes.empty (List.init n_tuples (fun _ -> Layout.random_tuple_bytes layout rng))
-  in
-  let mk optimize =
-    let g_total = Bytes.make (max prog.Cftcg_ir.Ir.n_probes 1) '\000' in
-    let exec =
-      Cftcg_fuzz.Fuzzer.make_executor ~code:(Cftcg_ir.Ir_vm.prepare ~optimize prog)
-        ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog ~g_total ~max_tuples:n_tuples ~use_metric:true ()
-    in
-    let cells = ref [] in
-    fun () -> ignore (exec ~fresh_cells:cells input)
-  in
-  let vm = mk false and opt = mk true in
-  let batch f =
-    let n = 100 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e9
-  in
-  ignore (batch vm);
-  ignore (batch opt);
-  let best_vm = ref infinity and best_opt = ref infinity in
-  for _ = 1 to 10 do
-    best_vm := Float.min !best_vm (batch vm);
-    best_opt := Float.min !best_opt (batch opt)
-  done;
-  (!best_opt, !best_vm)
-
-(* Same paired A/B scheme for the instrumented per-step path: the
-   optimizer must not lose on the probes-live bytecode either — the
-   vmopt-instrumented regression shipped while only the plain path
-   was gated. Returns (vm_opt_step_ns, vm_step_ns). *)
-let paired_step_gate (e : Models.entry) =
-  let m = Lazy.force e.Models.model in
-  let prog = Codegen.lower ~mode:Codegen.Full m in
-  let layout = Layout.of_program prog in
-  let rng = Cftcg_util.Rng.create (Int64.of_int (opts.seed + 7)) in
-  let tuple = Layout.random_tuple_bytes layout rng in
-  let mk optimize =
-    let vm = Cftcg_ir.Ir_vm.compile ~optimize prog in
-    Cftcg_ir.Ir_vm.reset vm;
-    let p = Cftcg_ir.Ir_vm.probes vm in
-    fun () ->
-      Layout.load_tuple_vm layout tuple ~tuple:0 vm;
-      Cftcg_ir.Ir_vm.step vm;
-      Cftcg_ir.Ir_vm.clear_probes p
-  in
-  let vm = mk false and opt = mk true in
-  let batch f =
-    let n = 2000 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int n *. 1e9
-  in
-  ignore (batch vm);
-  ignore (batch opt);
-  let best_vm = ref infinity and best_opt = ref infinity in
-  for _ = 1 to 10 do
-    best_vm := Float.min !best_vm (batch vm);
-    best_opt := Float.min !best_opt (batch opt)
-  done;
-  (!best_opt, !best_vm)
-
-(* Same paired A/B scheme for the --check-obs gate, but over whole
-   fuzzing runs (the metric counters and sampled timing histograms
-   live inside Fuzzer.run's loop, not in the executor): alternate
-   observability-off and observability-on runs of the same seeded
-   campaign and keep the best round per side. The on leg enables the
-   whole surface — metrics, tracing, debug-level structured logging
-   and the flight-recorder ring — so the <2% bound covers the logger
-   too. Returns (obs_on_ns, obs_off_ns) per execution. *)
-let paired_obs_gate (e : Models.entry) =
-  let m = Lazy.force e.Models.model in
-  let prog = Codegen.lower ~mode:Codegen.Full m in
-  let config =
-    { Cftcg_fuzz.Fuzzer.default_config with
-      Cftcg_fuzz.Fuzzer.seed = Int64.of_int (opts.seed + 11)
-    }
-  in
+(* The --check-obs pair, (obs-off, obs-on) ns per execution, over
+   whole fuzzing runs: the metric counters and sampled timing
+   histograms live inside Fuzzer.run's loop, not in the executor. The
+   on side enables the whole surface — metrics, tracing, debug-level
+   structured logging and the flight-recorder ring — so the <2% bound
+   covers the logger too. *)
+let obs_pair (e : Models.entry) =
+  let prog = Codegen.lower ~mode:Codegen.Full (Lazy.force e.Models.model) in
+  let config = { Fuzzer.default_config with Fuzzer.seed = Int64.of_int (opts.seed + 11) } in
   let execs = 8000 in
-  let run obs =
+  let run obs () =
     Cftcg_obs.Metrics.set_collect obs;
     Cftcg_obs.Trace.set_enabled obs;
     Cftcg_obs.Log.set_level (if obs then Some Cftcg_obs.Log.Debug else None);
     Cftcg_obs.Flight.set_enabled obs;
     let t0 = Unix.gettimeofday () in
-    ignore (Cftcg_fuzz.Fuzzer.run ~config prog (Cftcg_fuzz.Fuzzer.Exec_budget execs));
+    ignore (Fuzzer.run ~config prog (Fuzzer.Exec_budget execs));
     let dt = Unix.gettimeofday () -. t0 in
     Cftcg_obs.Metrics.set_collect false;
     Cftcg_obs.Trace.set_enabled false;
@@ -547,328 +480,136 @@ let paired_obs_gate (e : Models.entry) =
     Cftcg_obs.Flight.clear ();
     dt /. float_of_int execs *. 1e9
   in
-  ignore (run false);
-  ignore (run true);
-  let best_off = ref infinity and best_on = ref infinity in
-  for _ = 1 to 10 do
-    best_off := Float.min !best_off (run false);
-    best_on := Float.min !best_on (run true)
-  done;
-  (!best_on, !best_off)
+  paired (run false) (run true)
 
 let speed () =
-  let e = Option.get (Models.find "SolarPV") in
-  let m = Lazy.force e.Models.model in
+  let models = selected_models () in
+  let model_rows = List.map model_speed models in
+  (* SolarPV headline: its instrumented rows are SolarPV's step pair *)
+  let m = Lazy.force (Option.get (Models.find "SolarPV")).Models.model in
   let prog_plain = Codegen.lower ~mode:Codegen.Plain m in
   let prog_full = Codegen.lower ~mode:Codegen.Full m in
   let layout = Layout.of_program prog_full in
-  let vm_plain = Cftcg_ir.Ir_vm.compile ~optimize:false prog_plain in
-  Cftcg_ir.Ir_vm.reset vm_plain;
-  let vm_instr = Cftcg_ir.Ir_vm.compile ~optimize:false prog_full in
-  Cftcg_ir.Ir_vm.reset vm_instr;
-  let vm_opt = Cftcg_ir.Ir_vm.compile prog_plain in
-  Cftcg_ir.Ir_vm.reset vm_opt;
-  let vm_opt_instr = Cftcg_ir.Ir_vm.compile prog_full in
-  Cftcg_ir.Ir_vm.reset vm_opt_instr;
-  let interp = Interp.create m in
-  Interp.reset interp;
+  let tuple = step_tuple layout in
+  let vm_instr, vmopt_instr =
+    match List.find_opt (fun ms -> ms.ms_name = "SolarPV") model_rows with
+    | Some ms -> ms.ms_step_ns
+    | None -> step_pair prog_full layout tuple
+  in
+  let vm_plain, vmopt_plain = step_pair prog_plain layout tuple in
   let evaluator = Cftcg_ir.Ir_eval.create prog_plain in
   Cftcg_ir.Ir_eval.reset evaluator;
-  let rng = Cftcg_util.Rng.create 5L in
-  let tuple = Layout.random_tuple_bytes layout rng in
-  let open Bechamel in
-  let feed_boxed set =
-    Array.iteri
-      (fun i (f : Layout.field) -> set i (Value.decode f.Layout.f_ty tuple f.Layout.f_offset))
-      layout.Layout.fields
+  let interp = Interp.create m in
+  Interp.reset interp;
+  let per_step step set =
+    best_of
+      (batch 2000 (fun () ->
+           feed layout tuple ~tuple:0 set;
+           step ()))
   in
-  let tests =
-    Test.make_grouped ~name:"step"
-      [ Test.make ~name:"vm-plain"
-          (Staged.stage (fun () ->
-               Layout.load_tuple_vm layout tuple ~tuple:0 vm_plain;
-               Cftcg_ir.Ir_vm.step vm_plain));
-        Test.make ~name:"vm-instrumented"
-          (Staged.stage (fun () ->
-               Layout.load_tuple_vm layout tuple ~tuple:0 vm_instr;
-               Cftcg_ir.Ir_vm.step vm_instr;
-               Cftcg_ir.Ir_vm.clear_probes (Cftcg_ir.Ir_vm.probes vm_instr)));
-        Test.make ~name:"vmopt-plain"
-          (Staged.stage (fun () ->
-               Layout.load_tuple_vm layout tuple ~tuple:0 vm_opt;
-               Cftcg_ir.Ir_vm.step vm_opt));
-        Test.make ~name:"vmopt-instrumented"
-          (Staged.stage (fun () ->
-               Layout.load_tuple_vm layout tuple ~tuple:0 vm_opt_instr;
-               Cftcg_ir.Ir_vm.step vm_opt_instr;
-               Cftcg_ir.Ir_vm.clear_probes (Cftcg_ir.Ir_vm.probes vm_opt_instr)));
-        Test.make ~name:"ir-evaluator"
-          (Staged.stage (fun () ->
-               feed_boxed (Cftcg_ir.Ir_eval.set_input evaluator);
-               Cftcg_ir.Ir_eval.step evaluator));
-        Test.make ~name:"graph-interpreter"
-          (Staged.stage (fun () ->
-               feed_boxed (Interp.set_input interp);
-               Interp.step interp)) ]
+  let eval_ns =
+    per_step (fun () -> Cftcg_ir.Ir_eval.step evaluator) (Cftcg_ir.Ir_eval.set_input evaluator)
   in
-  let estimates = bechamel_estimates tests in
-  let find needle = List.find_opt (fun (name, _) -> contains ~needle name) estimates in
+  let interp_ns = per_step (fun () -> Interp.step interp) (Interp.set_input interp) in
+  let step_rows =
+    [ ("vm-plain", vm_plain); ("vm-instrumented", vm_instr); ("vmopt-plain", vmopt_plain);
+      ("vmopt-instrumented", vmopt_instr); ("ir-evaluator", eval_ns);
+      ("graph-interpreter", interp_ns) ]
+  in
+  let f0 = Printf.sprintf "%.0f" and x2 = Printf.sprintf "%.2fx" in
   let t = Tt.create [ "Execution path"; "ns/iteration"; "iterations/s" ] in
-  let step_rows = ref [] in
-  List.iter
-    (fun label ->
-      match find label with
-      | Some (_, ns) ->
-        step_rows := (label, ns) :: !step_rows;
-        Tt.add_row t [ label; Printf.sprintf "%.0f" ns; Printf.sprintf "%.0f" (1e9 /. ns) ]
-      | None -> Tt.add_row t [ label; "n/a"; "n/a" ])
-    [ "vm-plain"; "vm-instrumented"; "vmopt-plain"; "vmopt-instrumented"; "ir-evaluator";
-      "graph-interpreter" ];
-  (match (find "vm-instrumented", find "graph-interpreter") with
-  | Some (_, c), Some (_, i) ->
-    Tt.add_row t [ "speedup vm/interpreter"; Printf.sprintf "%.0fx" (i /. c); "" ]
-  | _ -> ());
-  (match (find "vmopt-instrumented", find "graph-interpreter") with
-  | Some (_, c), Some (_, i) ->
-    Tt.add_row t [ "speedup vm-opt/interpreter"; Printf.sprintf "%.0fx" (i /. c); "" ]
-  | _ -> ());
+  List.iter (fun (label, ns) -> Tt.add_row t [ label; f0 ns; f0 (1e9 /. ns) ]) step_rows;
+  Tt.add_row t [ "speedup vm/interpreter"; Printf.sprintf "%.0fx" (interp_ns /. vm_instr); "" ];
+  Tt.add_row t [ "speedup vm-opt/interpreter"; Printf.sprintf "%.0fx" (interp_ns /. vmopt_instr); "" ];
   print_table "Speed: SolarPV model iteration rate (paper: 26,000/s vs 6/s)" t;
-  (* fuzzer-execution throughput per bench model: the number that
-     decides whether the fuzzing loop should use the optimizer *)
-  let tx = Tt.create [ "Model"; "interp ex/s"; "vm ex/s"; "vm-opt ex/s"; "vm-opt/vm" ] in
-  let model_rows = List.map backend_execs_per_sec (selected_models ()) in
-  let ratio a b = if Float.is_nan a || Float.is_nan b then 0.0 else a /. b in
-  List.iter
-    (fun ms ->
-      let per_s ns = if Float.is_nan ns then 0.0 else 1e9 /. ns in
-      Tt.add_row tx
-        [ ms.ms_name; Printf.sprintf "%.0f" (per_s ms.ms_interp_ns);
-          Printf.sprintf "%.0f" (per_s ms.ms_vm_ns);
-          Printf.sprintf "%.0f" (per_s ms.ms_vm_opt_ns);
-          Printf.sprintf "%.2fx" (ratio ms.ms_vm_ns ms.ms_vm_opt_ns) ])
-    model_rows;
-  print_table "Speed: fuzzer executions/s (16-tuple inputs)" tx;
-  (* the instrumented hot path per model — probes live, the cost every
-     campaign execution pays *)
-  let tb = Tt.create [ "Model"; "vm-instr ns/step"; "vmopt-instr ns/step"; "vm/vmopt" ] in
-  List.iter
-    (fun ms ->
-      Tt.add_row tb
-        [ ms.ms_name; Printf.sprintf "%.0f" ms.ms_vm_step_ns;
-          Printf.sprintf "%.0f" ms.ms_vm_opt_step_ns;
-          Printf.sprintf "%.2fx" (ratio ms.ms_vm_step_ns ms.ms_vm_opt_step_ns) ])
-    model_rows;
-  print_table "Speed: instrumented hot path" tb;
-  (* what the optimizer did to the bytecode, and what an execution
-     allocates (it should be near zero) *)
-  let ti =
-    Tt.create
-      [ "Model"; "static insts"; "opt"; "dyn insts/exec"; "opt"; "dyn -%"; "alloc w/ex vm";
-        "alloc w/ex vm-opt" ]
+  let over (off, on) = off /. on in
+  let model_table title header cells =
+    let t = Tt.create ("Model" :: header) in
+    List.iter (fun ms -> Tt.add_row t (ms.ms_name :: cells ms)) model_rows;
+    print_table title t
   in
-  List.iter
-    (fun ms ->
-      let dyn_red =
-        if ms.ms_dyn = 0 then 0.0
-        else 100.0 *. float_of_int (ms.ms_dyn - ms.ms_dyn_opt) /. float_of_int ms.ms_dyn
-      in
-      Tt.add_row ti
-        [ ms.ms_name; string_of_int ms.ms_static; string_of_int ms.ms_static_opt;
-          string_of_int ms.ms_dyn; string_of_int ms.ms_dyn_opt; Printf.sprintf "%.1f%%" dyn_red;
-          Printf.sprintf "%.0f" ms.ms_minor_vm;
-          Printf.sprintf "%.0f" ms.ms_minor_vm_opt ])
-    model_rows;
-  print_table "Speed: optimizer instruction counts and allocation per execution" ti;
-  (* aggregate optimizer effect over the selected models *)
-  let geomean_of ratios =
-    match List.filter (fun r -> r > 0.0) ratios with
-    | [] -> 0.0
-    | l -> exp (List.fold_left (fun acc r -> acc +. log r) 0.0 l /. float_of_int (List.length l))
+  model_table "Speed: fuzzer executions/s (16-tuple inputs)"
+    [ "interp ex/s"; "vm ex/s"; "vm-opt ex/s"; "vm-opt/vm" ]
+    (fun { ms_interp_ns; ms_exec_ns = (vm, opt) as p; _ } ->
+      [ f0 (1e9 /. ms_interp_ns); f0 (1e9 /. vm); f0 (1e9 /. opt); x2 (over p) ]);
+  model_table "Speed: instrumented hot path"
+    [ "vm-instr ns/step"; "vmopt-instr ns/step"; "vm/vmopt" ]
+    (fun { ms_step_ns = (vm, opt) as p; _ } -> [ f0 vm; f0 opt; x2 (over p) ]);
+  model_table "Speed: optimizer instruction counts"
+    [ "static insts"; "opt"; "dyn insts/exec"; "opt"; "dyn -%" ]
+    (fun { ms_static = st, st_opt; ms_dyn = dyn, dyn_opt; _ } ->
+      [ string_of_int st; string_of_int st_opt; string_of_int dyn; string_of_int dyn_opt;
+        Printf.sprintf "%.1f%%" (100.0 *. float_of_int (dyn - dyn_opt) /. float_of_int dyn) ]);
+  let geomean f =
+    exp
+      (List.fold_left (fun acc ms -> acc +. log (over (f ms))) 0.0 model_rows
+      /. float_of_int (List.length model_rows))
   in
-  let geomean = geomean_of (List.map (fun ms -> ratio ms.ms_vm_ns ms.ms_vm_opt_ns) model_rows) in
-  let step_geomean =
-    geomean_of (List.map (fun ms -> ratio ms.ms_vm_step_ns ms.ms_vm_opt_step_ns) model_rows)
-  in
+  let exec_geomean = geomean (fun ms -> ms.ms_exec_ns) in
+  let step_geomean = geomean (fun ms -> ms.ms_step_ns) in
   let big_dyn_cuts =
     List.length
       (List.filter
-         (fun ms -> ms.ms_dyn > 0 && float_of_int ms.ms_dyn_opt <= 0.8 *. float_of_int ms.ms_dyn)
+         (fun { ms_dyn = dyn, dyn_opt; _ } -> float_of_int dyn_opt <= 0.8 *. float_of_int dyn)
          model_rows)
   in
   Printf.printf "\nvm-opt/vm geomean speedup: %.2fx; >=20%% dynamic-instruction cut on %d/%d models\n"
-    geomean big_dyn_cuts (List.length model_rows);
+    exec_geomean big_dyn_cuts (List.length model_rows);
   Printf.printf "vmopt-instrumented/vm-instrumented step geomean: %.2fx\n" step_geomean;
   if opts.json then begin
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"benchmark\": \"speed\",\n  \"step_ns\": {";
-    List.iteri
-      (fun i (label, ns) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %.1f" (if i = 0 then "" else ",") label ns))
-      (List.rev !step_rows);
-    Buffer.add_string buf "\n  },\n";
-    Buffer.add_string buf
-      (Printf.sprintf
-         "  \"vm_opt_geomean_speedup\": %.3f,\n\
-         \  \"instr_step_geomean_speedup\": %.3f,\n\
-         \  \"models\": [" geomean step_geomean);
-    List.iteri
-      (fun i ms ->
-        let num ns = if Float.is_nan ns then "null" else Printf.sprintf "%.1f" ns in
-        let per_s ns = if Float.is_nan ns then "null" else Printf.sprintf "%.1f" (1e9 /. ns) in
-        let rat a b =
-          if Float.is_nan a || Float.is_nan b then "null" else Printf.sprintf "%.3f" (a /. b)
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "%s\n    { \"model\": \"%s\", \"interp_exec_ns\": %s, \
-              \"vm_exec_ns\": %s, \"vm_opt_exec_ns\": %s, \"vm_instr_step_ns\": %s, \
-              \"vm_opt_instr_step_ns\": %s, \"vm_opt_over_vm_instr_step\": %s, \
-              \"interp_execs_per_s\": %s, \
-              \"vm_execs_per_s\": %s, \"vm_opt_execs_per_s\": %s, \
-              \"vm_opt_over_vm\": %s, \
-              \"static_insts\": %d, \"static_insts_opt\": %d, \"dyn_insts\": %d, \
-              \"dyn_insts_opt\": %d, \"minor_words_per_exec\": { \
-              \"vm\": %.1f, \"vm_opt\": %.1f } }"
-             (if i = 0 then "" else ",")
-             ms.ms_name (num ms.ms_interp_ns) (num ms.ms_vm_ns)
-             (num ms.ms_vm_opt_ns) (num ms.ms_vm_step_ns) (num ms.ms_vm_opt_step_ns)
-             (rat ms.ms_vm_step_ns ms.ms_vm_opt_step_ns)
-             (per_s ms.ms_interp_ns)
-             (per_s ms.ms_vm_ns) (per_s ms.ms_vm_opt_ns)
-             (rat ms.ms_vm_ns ms.ms_vm_opt_ns)
-             ms.ms_static ms.ms_static_opt ms.ms_dyn ms.ms_dyn_opt
-             ms.ms_minor_vm ms.ms_minor_vm_opt))
-      model_rows;
-    Buffer.add_string buf "\n  ]\n}\n";
+    let f1 = Printf.sprintf "%.1f" and f3 = Printf.sprintf "%.3f" in
+    let model { ms_name; ms_interp_ns = interp; ms_exec_ns = (vm, opt) as exec;
+                ms_step_ns = (svm, sopt) as step; ms_static = st, st_opt; ms_dyn = dyn, dyn_opt } =
+      [ ("model", "\"" ^ ms_name ^ "\""); ("interp_exec_ns", f1 interp); ("vm_exec_ns", f1 vm);
+        ("vm_opt_exec_ns", f1 opt); ("vm_instr_step_ns", f1 svm); ("vm_opt_instr_step_ns", f1 sopt);
+        ("vm_opt_over_vm_instr_step", f3 (over step)); ("interp_execs_per_s", f1 (1e9 /. interp));
+        ("vm_execs_per_s", f1 (1e9 /. vm)); ("vm_opt_execs_per_s", f1 (1e9 /. opt));
+        ("vm_opt_over_vm", f3 (over exec)); ("static_insts", string_of_int st);
+        ("static_insts_opt", string_of_int st_opt); ("dyn_insts", string_of_int dyn);
+        ("dyn_insts_opt", string_of_int dyn_opt) ]
+      |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v)
+      |> String.concat ", "
+    in
+    let lines f l = String.concat ",\n" (List.map f l) in
     let oc = open_out "BENCH_speed.json" in
-    output_string oc (Buffer.contents buf);
+    Printf.fprintf oc
+      "{\n\
+      \  \"benchmark\": \"speed\",\n\
+      \  \"step_ns\": {\n\
+       %s\n\
+      \  },\n\
+      \  \"vm_opt_geomean_speedup\": %.3f,\n\
+      \  \"instr_step_geomean_speedup\": %.3f,\n\
+      \  \"models\": [\n\
+       %s\n\
+      \  ]\n\
+       }\n"
+      (lines (fun (label, ns) -> Printf.sprintf "    \"%s\": %.1f" label ns) step_rows)
+      exec_geomean step_geomean
+      (lines (fun ms -> "    { " ^ model ms ^ " }") model_rows);
     close_out oc;
     Printf.printf "\nwrote BENCH_speed.json\n"
   end;
-  if opts.check_opt then begin
-    (* CI gate: the optimizer must never lose to the plain VM. Uses
-       the paired A/B measurement (not the bechamel table above, whose
-       contiguous quota windows drift on a throttling box); a small
-       tolerance absorbs residual noise and a losing model gets one
-       re-measurement before failing. *)
-    let loses (opt_ns, vm_ns) = opt_ns > vm_ns *. 1.05 in
-    let losers =
-      List.filter_map
-        (fun e ->
-          let ((opt_ns, vm_ns) as r) = paired_vm_gate e in
-          if not (loses r) then None
-          else begin
-            Printf.printf "check-opt: %s lost (vm-opt %.0f vs vm %.0f ns/exec), re-measuring\n%!"
-              e.Models.name opt_ns vm_ns;
-            let r' = paired_vm_gate e in
-            if loses r' then Some (e.Models.name, r') else None
-          end)
-        (selected_models ())
-    in
-    List.iter
-      (fun (name, (opt_ns, vm_ns)) ->
-        Printf.eprintf "check-opt FAIL: %s vm-opt %.0f ns/exec vs vm %.0f ns/exec\n" name opt_ns
-          vm_ns)
-      losers;
-    (* second leg: the instrumented per-step path, probes live — the
-       path every campaign execution takes *)
-    let step_losers =
-      List.filter_map
-        (fun e ->
-          let ((opt_ns, vm_ns) as r) = paired_step_gate e in
-          if not (loses r) then None
-          else begin
-            Printf.printf
-              "check-opt: %s lost instrumented step (vmopt %.0f vs vm %.0f ns/step), \
-               re-measuring\n\
-               %!"
-              e.Models.name opt_ns vm_ns;
-            let r' = paired_step_gate e in
-            if loses r' then Some (e.Models.name, r') else None
-          end)
-        (selected_models ())
-    in
-    List.iter
-      (fun (name, (opt_ns, vm_ns)) ->
-        Printf.eprintf
-          "check-opt FAIL: %s vmopt-instrumented %.0f ns/step vs vm-instrumented %.0f ns/step\n"
-          name opt_ns vm_ns)
-      step_losers;
-    if losers <> [] || step_losers <> [] then exit 1;
-    Printf.printf
-      "check-opt OK: vm-opt keeps up with vm on all %d models (whole-exec and instrumented step)\n"
-      (List.length model_rows)
-  end;
+  if opts.check_opt then
+    gate_verdict
+      (Printf.sprintf
+         "check-opt OK: vm-opt keeps up with vm on all %d models (whole-exec and instrumented step)"
+         (List.length model_rows));
   if opts.check_obs then begin
-    (* CI gate: idle-path observability (one Atomic load per guarded
-       region, sampled timings when on) must stay within 2% of the
-       obs-off throughput. Paired A/B like check-opt; a losing model
-       gets one re-measurement before failing. *)
-    let loses (on_ns, off_ns) = on_ns > off_ns *. 1.02 in
-    let losers =
-      List.filter_map
-        (fun e ->
-          let ((on_ns, off_ns) as r) = paired_obs_gate e in
-          if not (loses r) then None
-          else begin
-            Printf.printf
-              "check-obs: %s lost (obs-on %.0f vs obs-off %.0f ns/exec), re-measuring\n%!"
-              e.Models.name on_ns off_ns;
-            let r' = paired_obs_gate e in
-            if loses r' then Some (e.Models.name, r') else None
-          end)
-        (selected_models ())
-    in
+    let t = Tt.create [ "Model"; "obs-off ns/exec"; "obs-on ns/exec"; "on/off" ] in
     List.iter
-      (fun (name, (on_ns, off_ns)) ->
-        Printf.eprintf "check-obs FAIL: %s obs-on %.0f ns/exec vs obs-off %.0f ns/exec (>2%%)\n"
-          name on_ns off_ns)
-      losers;
-    if losers <> [] then exit 1;
-    Printf.printf "check-obs OK: observability costs <2%% execs/s on all %d models\n"
-      (List.length (selected_models ()))
-  end;
-  (* fuzzing-loop component costs *)
-  let rng2 = Cftcg_util.Rng.create 9L in
-  let parent =
-    Bytes.concat Bytes.empty (List.init 16 (fun _ -> Layout.random_tuple_bytes layout rng2))
-  in
-  let dict = Cftcg_fuzz.Dictionary.of_program prog_full in
-  (* the fuzzer's executor, built once: the row times one 16-tuple
-     replay, not the code preparation a one-shot replay_metric pays *)
-  let metric_replay =
-    let g_total = Bytes.make (max prog_full.Cftcg_ir.Ir.n_probes 1) '\000' in
-    let exec =
-      Cftcg_fuzz.Fuzzer.make_executor ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog:prog_full ~g_total
-        ~max_tuples:256 ~use_metric:true ()
-    in
-    let cells = ref [] in
-    fun () -> ignore (exec ~fresh_cells:cells parent)
-  in
-  let component_tests =
-    let open Bechamel in
-    Test.make_grouped ~name:"fuzz"
-      [ Test.make ~name:"field-aware-mutation"
-          (Staged.stage (fun () ->
-               ignore
-                 (Cftcg_fuzz.Mutate.mutate ~dict layout rng2 parent ~other:parent ~max_tuples:256)));
-        Test.make ~name:"blind-mutation"
-          (Staged.stage (fun () ->
-               ignore (Cftcg_fuzz.Mutate.mutate_blind rng2 parent ~other:parent ~max_len:2304)));
-        Test.make ~name:"metric-replay-16-tuples"
-          (Staged.stage metric_replay) ]
-  in
-  let comp = bechamel_estimates component_tests in
-  let t2 = Tt.create [ "Fuzzing-loop component"; "ns/op"; "ops/s" ] in
-  List.iter
-    (fun label ->
-      match List.find_opt (fun (name, _) -> contains ~needle:label name) comp with
-      | Some (_, ns) ->
-        Tt.add_row t2 [ label; Printf.sprintf "%.0f" ns; Printf.sprintf "%.0f" (1e9 /. ns) ]
-      | None -> Tt.add_row t2 [ label; "n/a"; "n/a" ])
-    [ "field-aware-mutation"; "blind-mutation"; "metric-replay-16-tuples" ];
-  print_table "Speed: fuzzing-loop components" t2
+      (fun (e : Models.entry) ->
+        let off, on =
+          gate ~flag:"check-obs" ~on:true ~bound:1.02 ~leg:"obs-on vs obs-off ns/exec" e.Models.name
+            (fun () -> obs_pair e)
+        in
+        Tt.add_row t [ e.Models.name; f0 off; f0 on; Printf.sprintf "%.3f" (on /. off) ])
+      models;
+    print_table "Speed: observability cost (8000-exec fuzzing runs)" t;
+    gate_verdict
+      (Printf.sprintf "check-obs OK: observability costs <2%% execs/s on all %d models"
+         (List.length models))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -1156,7 +897,7 @@ let all_experiments =
     ("serve", serve_bench); ("uncovered", uncovered) ]
 
 let () =
-  parse_args ();
+  parse_args ~experiments:(List.map fst all_experiments);
   let chosen =
     match opts.experiments with
     | [] -> List.map fst all_experiments
@@ -1164,11 +905,4 @@ let () =
   in
   Printf.printf "CFTCG benchmark harness — budget %.1fs, %d rep(s), seed %d\n" opts.budget opts.reps
     opts.seed;
-  List.iter
-    (fun name ->
-      match List.assoc_opt name all_experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown experiment %S (known: %s)\n" name
-          (String.concat ", " (List.map fst all_experiments)))
-    chosen
+  List.iter (fun name -> (List.assoc name all_experiments) ()) chosen

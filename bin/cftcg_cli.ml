@@ -292,7 +292,7 @@ let fuzz_cmd =
         Printf.printf "jobs: %d\nepochs: %d%s\nexecutions: %d\nprobes: %d/%d\ncorpus: %d entries\n"
           ccfg.Campaign.jobs
           (List.length r.Campaign.epochs)
-          (if r.Campaign.plateaued then " (stopped on plateau)" else "")
+          (if r.Campaign.stop_reason = Some Campaign.Plateau then " (stopped on plateau)" else "")
           r.Campaign.executions r.Campaign.probes_covered r.Campaign.probes_total
           (List.length r.Campaign.suite);
         if r.Campaign.solver_rounds > 0 then

@@ -45,7 +45,7 @@ let () =
   Printf.printf "\n4 workers, %d executions, %d/%d probes, %d corpus entries%s\n"
     r.Campaign.executions r.Campaign.probes_covered r.Campaign.probes_total
     (List.length r.Campaign.suite)
-    (if r.Campaign.plateaued then " (stopped on plateau)" else "");
+    (if r.Campaign.stop_reason = Some Campaign.Plateau then " (stopped on plateau)" else "");
   Format.printf "merged-suite coverage: %a@." Recorder.pp_report pc.Cftcg.Pipeline.pc_coverage;
 
   (* what the telemetry stream recorded *)

@@ -50,9 +50,10 @@ let run ?(config = default_config) (prog : Ir.program) ~time_budget =
   Bytes.iter (fun c -> if c = '\000' then incr uncovered) bitmap;
   let solver_budget = time_budget -. fuzz.Fuzzer.stats.Fuzzer.elapsed in
   let solver =
-    Symexec.run_timed
+    Symexec.run
       ~config:{ Symexec.default_config with Symexec.seed = Int64.add config.seed 7L }
-      ~initial_coverage:bitmap prog ~time_budget:(Float.max solver_budget 0.0)
+      ~initial_coverage:bitmap prog
+      (Symexec.Time_budget (Float.max solver_budget 0.0))
   in
   let offset = fuzz.Fuzzer.stats.Fuzzer.elapsed in
   let solver_suite =

@@ -61,7 +61,7 @@ let sldv =
       (fun m ~seed ~time_budget ->
         let prog = Codegen.lower ~mode:Codegen.Full m in
         let config = { Symexec.default_config with Symexec.seed } in
-        let r = Symexec.run_timed ~config prog ~time_budget in
+        let r = Symexec.run ~config prog (Symexec.Time_budget time_budget) in
         {
           tool_name = "SLDV";
           suite =

@@ -110,7 +110,6 @@ type result = {
   executions : int;
   epochs : epoch_stat list;
   resumed : bool;
-  plateaued : bool;
   worker_crashes : int;
   solver_rounds : int;
   solver_solved : int;
@@ -192,7 +191,6 @@ type state = {
   mutable st_epoch0 : int;
   mutable st_epoch : int;
   mutable st_resumed : bool;
-  mutable st_plateaued : bool;
   mutable st_failures : Fuzzer.failure list;
   mutable st_epoch_stats : epoch_stat list;
   mutable st_stalled : int;
@@ -276,7 +274,6 @@ let start ?(config = default_config) (prog : Ir.program) =
       st_epoch0 = 0;
       st_epoch = 0;
       st_resumed = false;
-      st_plateaued = false;
       st_failures = [];
       st_epoch_stats = [];
       st_stalled = 0;
@@ -688,7 +685,6 @@ let step ?workers ?max_execs ?should_stop ?pool st =
   (* read before a solver phase restarts the stall count *)
   let stalled_epochs = st.st_stalled in
   let plateau_stop () =
-    st.st_plateaued <- true;
     emit (Telemetry.Plateau { epoch = this_epoch; stalled_epochs });
     stop_with st Plateau
   in
@@ -750,7 +746,6 @@ let finish st =
     executions = st.st_executions;
     epochs = List.rev st.st_epoch_stats;
     resumed = st.st_resumed;
-    plateaued = st.st_plateaued;
     worker_crashes = st.st_worker_crashes;
     solver_rounds = st.st_solver_rounds;
     solver_solved = st.st_solver_solved;
@@ -765,7 +760,6 @@ type progress = {
   pg_probes_total : int;
   pg_corpus_size : int;
   pg_worker_crashes : int;
-  pg_plateaued : bool;
   pg_solver_rounds : int;
   pg_stop_reason : stop_reason option;
 }
@@ -778,7 +772,6 @@ let progress st =
     pg_probes_total = st.st_prog.Ir.n_probes;
     pg_corpus_size = Hashtbl.length st.st_corpus;
     pg_worker_crashes = st.st_worker_crashes;
-    pg_plateaued = st.st_plateaued;
     pg_solver_rounds = st.st_solver_rounds;
     pg_stop_reason = st.st_stop_reason;
   }

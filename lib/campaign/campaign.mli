@@ -170,9 +170,6 @@ type result = {
           replay to the epoch slice *)
   epochs : epoch_stat list;  (** chronological, this run only *)
   resumed : bool;
-  plateaued : bool;
-      (** stopped by the plateau detector (hybrid campaigns: after the
-          solver phases ran dry as well) *)
   worker_crashes : int;
       (** worker domains that raised and were salvaged (under
           {!Degrade}; under {!Abort} the first crash raises) *)
@@ -253,7 +250,6 @@ type progress = {
   pg_probes_total : int;
   pg_corpus_size : int;
   pg_worker_crashes : int;
-  pg_plateaued : bool;
   pg_solver_rounds : int;
   pg_stop_reason : stop_reason option;  (** set once a [step] decided to stop *)
 }

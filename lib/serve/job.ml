@@ -160,7 +160,7 @@ let status_json t =
         ("probes_total", Wire.Num (float_of_int p.Campaign.pg_probes_total));
         ("corpus_size", Wire.Num (float_of_int p.Campaign.pg_corpus_size));
         ("worker_crashes", Wire.Num (float_of_int p.Campaign.pg_worker_crashes));
-        ("plateaued", Wire.Bool p.Campaign.pg_plateaued);
+        ("plateaued", Wire.Bool (p.Campaign.pg_stop_reason = Some Campaign.Plateau));
         ("solver_rounds", Wire.Num (float_of_int p.Campaign.pg_solver_rounds));
       ]
       @

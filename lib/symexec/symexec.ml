@@ -327,6 +327,3 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
     targets_solved = !solved;
     probes_covered = !covered;
   }
-
-let run_timed ?config ?initial_coverage prog ~time_budget =
-  run ?config ?initial_coverage prog (Time_budget time_budget)

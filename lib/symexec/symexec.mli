@@ -95,9 +95,3 @@ val run :
     [should_stop] is polled wherever the budget is: once it returns
     [true] the run stops and returns what it found so far. When absent
     it is never called, so the same-seed transcript is untouched. *)
-
-val run_timed :
-  ?config:config -> ?initial_coverage:Bytes.t -> Ir.program -> time_budget:float -> result
-(** [run] under a {!Time_budget} — the wall-clock wrapper kept for the
-    standalone/baseline path, where runs race a human deadline rather
-    than a reproducible exec budget. *)

@@ -368,6 +368,30 @@ let test_scheduler_cancel () =
   Alcotest.(check bool) "gone" true (Scheduler.find sched id = None);
   Scheduler.shutdown sched
 
+(* The status document's "plateaued" flag is read off the stop
+   reason: true for a campaign that stopped on a plateau, false for
+   one that spent its budget. *)
+let test_scheduler_plateau_flag () =
+  let prog = solar_pv () in
+  let pool = Worker_pool.create 2 in
+  let sched = Scheduler.create ~quantum:200 ~pool () in
+  let status config =
+    match Scheduler.submit sched (submission ~config ()) prog with
+    | Ok id -> Job.status_json (wait_terminal sched id)
+    | Error msg -> Alcotest.failf "submit: %s" msg
+  in
+  let plateau = status { base_config with Campaign.total_execs = 1_000_000; plateau_epochs = 1 } in
+  let budget = status base_config in
+  Scheduler.shutdown sched;
+  let check label doc key want =
+    Alcotest.(check bool) label true (Wire.member key doc = Some want)
+  in
+  check "plateau stop: plateaued" plateau "plateaued" (Wire.Bool true);
+  check "plateau stop: stop_reason" plateau "stop_reason" (Wire.Str "plateau");
+  check "budget stop: not plateaued" budget "plateaued" (Wire.Bool false);
+  check "budget stop: budget spent" budget "spent_execs"
+    (Wire.Num (float_of_int base_config.Campaign.total_execs))
+
 let test_scheduler_worker_crash_degrades () =
   let prog = solar_pv () in
   let pool = Worker_pool.create 2 in
@@ -849,6 +873,7 @@ let suites =
         Alcotest.test_case "worker crash degrades" `Slow test_scheduler_worker_crash_degrades;
         Alcotest.test_case "store salvage on the job feed" `Slow
           test_scheduler_reports_store_salvage;
+        Alcotest.test_case "plateaued follows the stop reason" `Slow test_scheduler_plateau_flag;
       ] );
     ( "serve.http",
       [

@@ -69,7 +69,7 @@ let campaign_digest (r : Campaign.result) =
        "covered=%d total=%d execs=%d resumed=%b plateaued=%b crashes=%d rounds=%d solved=%d \
         solver_execs=%d stop=%s"
        r.Campaign.probes_covered r.Campaign.probes_total r.Campaign.executions r.Campaign.resumed
-       r.Campaign.plateaued r.Campaign.worker_crashes r.Campaign.solver_rounds
+       (r.Campaign.stop_reason = Some Campaign.Plateau) r.Campaign.worker_crashes r.Campaign.solver_rounds
        r.Campaign.solver_solved r.Campaign.solver_executions
        (stop_reason_name r.Campaign.stop_reason));
   Digest.to_hex (Digest.string (Buffer.contents buf))

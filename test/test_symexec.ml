@@ -46,7 +46,9 @@ let test_n_ifs_positive () =
 let test_solver_covers_combinational_model () =
   (* the arith fixture is shallow: the solver should clear it fast *)
   let prog = Codegen.lower (Fixtures.arith_model ()) in
-  let r = Symexec.run_timed ~config:{ Symexec.default_config with Symexec.seed = 11L } prog ~time_budget:5.0 in
+  let r =
+    Symexec.run ~config:{ Symexec.default_config with Symexec.seed = 11L } prog (Symexec.Time_budget 5.0)
+  in
   let suite = List.map (fun (tc : Symexec.test_case) -> tc.Symexec.data) r.Symexec.suite in
   let report = Cftcg.Evaluate.replay prog suite in
   Alcotest.(check bool)
@@ -62,7 +64,9 @@ let test_solver_finds_exact_equality () =
   let hit = Build.compare_const b Graph.R_eq 12345.0 u in
   Build.outport b "y" hit;
   let prog = Codegen.lower (Build.finish b) in
-  let r = Symexec.run_timed ~config:{ Symexec.default_config with Symexec.seed = 1L } prog ~time_budget:10.0 in
+  let r =
+    Symexec.run ~config:{ Symexec.default_config with Symexec.seed = 1L } prog (Symexec.Time_budget 10.0)
+  in
   let suite = List.map (fun (tc : Symexec.test_case) -> tc.Symexec.data) r.Symexec.suite in
   let report = Cftcg.Evaluate.replay prog suite in
   Alcotest.(check (float 0.01)) "both outcomes found" 100.0 report.Recorder.decision_pct
@@ -77,14 +81,14 @@ let test_solver_degrades_on_deep_state () =
   Build.outport b "y" deep;
   let prog = Codegen.lower (Build.finish b) in
   let config = { Symexec.default_config with Symexec.seed = 2L; Symexec.unroll_bounds = [ 1; 2; 4; 8 ] } in
-  let r = Symexec.run_timed ~config prog ~time_budget:3.0 in
+  let r = Symexec.run ~config prog (Symexec.Time_budget 3.0) in
   let suite = List.map (fun (tc : Symexec.test_case) -> tc.Symexec.data) r.Symexec.suite in
   let report = Cftcg.Evaluate.replay prog suite in
   Alcotest.(check bool) "deep branch unreached" true (report.Recorder.decision_pct < 100.0)
 
 let test_suite_timestamps_monotone () =
   let prog = Codegen.lower (Fixtures.arith_model ()) in
-  let r = Symexec.run_timed prog ~time_budget:2.0 in
+  let r = Symexec.run prog (Symexec.Time_budget 2.0) in
   let rec monotone = function
     | (a : Symexec.test_case) :: (b :: _ as rest) ->
       a.Symexec.time <= b.Symexec.time && monotone rest

@@ -74,21 +74,34 @@ let entry_score ~fresh ~metric ~iters =
   let norm_metric = if iters = 0 then 0 else metric * 8 / iters in
   (100 * min fresh 20) + min norm_metric 200
 
+(* 32-bit SWAR population count. [Ir_vm] has its own; this copy sits
+   here so it inlines into [run_one]'s word loop. *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
 (* Executes one input through the fuzz driver: Algorithm 1.
    [g_total] is the campaign-global coverage array; returns
    (iteration-difference metric, newly covered probe count,
-   iterations executed). Probe coverage arrives as the VM's dirty
-   list, so per-tuple cost is proportional to probes *fired*, not
-   [n_probes]. Double-buffers two probe records ([pa], [pb]) so the
-   iteration-difference metric is the symmetric difference of
-   consecutive steps' dirty lists. Both buffers must be empty on
-   entry; they are left empty on return. *)
+   iterations executed). Double-buffers two probe records ([pa], [pb])
+   and works on their bit-words: per word, [d = c lxor l] is the
+   symmetric difference of consecutive steps' probe sets, and its
+   popcount adds to the metric. Only [d land c] — probes that fired
+   now but not on the previous step — can be new to the campaign:
+   every probe that fired on the previous step was checked against
+   [g_total] then (the first step's [l] is empty, so all of its probes
+   are checked). Fresh cells of one step come out in ascending id
+   order. Both buffers must be empty on entry; they are left empty on
+   return. *)
 let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data =
   let n = min (Layout.n_tuples layout data) max_tuples in
   Ir_vm.set_probes vm pa;
   Ir_vm.reset vm;
   (* init-block probes are warm-up, not coverage *)
   Ir_vm.clear_probes pa;
+  let n_words = Array.length pa.Ir_vm.p_bits in
   let curr = ref pa in
   let last = ref pb in
   let metric = ref 0 in
@@ -99,26 +112,29 @@ let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells da
     Ir_vm.set_probes vm c;
     Layout.load_tuple_vm layout data ~tuple vm;
     Ir_vm.step vm;
-    for k = 0 to c.Ir_vm.p_n - 1 do
-      let id = Array.unsafe_get c.Ir_vm.p_dirty k in
-      if Bytes.unsafe_get g_total id = '\000' then begin
-        Bytes.unsafe_set g_total id '\001';
-        incr fresh;
-        fresh_cells := id :: !fresh_cells
-      end;
-      if use_metric && Bytes.unsafe_get l.Ir_vm.p_fired id = '\000' then incr metric
+    let cw = c.Ir_vm.p_bits and lw = l.Ir_vm.p_bits in
+    for w = 0 to n_words - 1 do
+      let cb = Array.unsafe_get cw w in
+      let d = cb lxor Array.unsafe_get lw w in
+      metric := !metric + popcount d;
+      let rising = ref (d land cb) in
+      while !rising <> 0 do
+        let low = !rising land (- !rising) in
+        let id = (w lsl 5) lor popcount (low - 1) in
+        if Bytes.unsafe_get g_total id = '\000' then begin
+          Bytes.unsafe_set g_total id '\001';
+          incr fresh;
+          fresh_cells := id :: !fresh_cells
+        end;
+        rising := !rising lxor low
+      done
     done;
-    if use_metric then
-      for k = 0 to l.Ir_vm.p_n - 1 do
-        if Bytes.unsafe_get c.Ir_vm.p_fired (Array.unsafe_get l.Ir_vm.p_dirty k) = '\000' then
-          incr metric
-      done;
     Ir_vm.clear_probes l;
     curr := l;
     last := c
   done;
   Ir_vm.clear_probes !last;
-  (!metric, !fresh, n)
+  ((if use_metric then !metric else 0), !fresh, n)
 
 (* The VM code an executor runs: the caller's prepared code (checked
    against [prog], so a mismatched pair fails here rather than
@@ -304,10 +320,15 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   let assertion_message = Hashtbl.create 4 in
   Array.iter (fun (cell, msg) -> Hashtbl.replace assertion_message cell msg) prog.Ir.assertions;
   let fresh_cells = ref [] in
+  (* the best score in the corpus: scores never change, and eviction
+     drops a lowest-score entry for one scoring at least as high, so a
+     running maximum over admitted entries is the corpus maximum *)
+  let best_score = ref 0 in
   let add_to_corpus e =
     if !corpus_n < Array.length corpus then begin
       corpus.(!corpus_n) <- e;
-      incr corpus_n
+      incr corpus_n;
+      if e.score > !best_score then best_score := e.score
     end
     else if Array.length corpus > 0 then begin
       (* evict the lowest-score entry *)
@@ -315,7 +336,10 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       for i = 1 to !corpus_n - 1 do
         if corpus.(i).score < corpus.(!worst).score then worst := i
       done;
-      if corpus.(!worst).score <= e.score then corpus.(!worst) <- e
+      if corpus.(!worst).score <= e.score then begin
+        corpus.(!worst) <- e;
+        if e.score > !best_score then best_score := e.score
+      end
     end
   in
   (* running covered count (= popcount of g_total), maintained for the
@@ -360,15 +384,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
     let score = entry_score ~fresh ~metric:(if config.iteration_metric then metric else 0) ~iters in
     let interesting =
       fresh > 0
-      || (config.iteration_metric && score > 0
-         &&
-         (!corpus_n < 8
-         ||
-         let best = ref 0 in
-         for i = 0 to !corpus_n - 1 do
-           if corpus.(i).score > !best then best := corpus.(i).score
-         done;
-         score > !best / 2))
+      || (config.iteration_metric && score > 0 && (!corpus_n < 8 || score > !best_score / 2))
     in
     if interesting then add_to_corpus { data; score };
     match obs with

@@ -21,8 +21,9 @@
 open Cftcg_ir
 
 (** The execution backend: {!Ir_linearize} bytecode in {!Ir_vm}'s
-    dispatch loop, feeding the fuzzer a dirty-probe list so coverage
-    accounting is proportional to probes fired. It is the only
+    dispatch loop, feeding the fuzzer each step's probe set as
+    bit-words, so Algorithm 1's accounting is an XOR and a popcount
+    per 32 probes. It is the only
     backend; the type survives as {!make_executor}'s [~backend] label
     and selects nothing. *)
 type backend = Vm

@@ -21,13 +21,13 @@ let suite ?(max_tuples = 4096) (prog : Ir.program) cases =
   in
   let adds_coverage () =
     let fresh = ref false in
-    for k = 0 to curr.Ir_vm.p_n - 1 do
-      let i = curr.Ir_vm.p_dirty.(k) in
-      if Bytes.unsafe_get kept_cov i = '\000' then begin
-        Bytes.unsafe_set kept_cov i '\001';
-        fresh := true
-      end
-    done;
+    Ir_vm.iter_fired
+      (fun i ->
+        if Bytes.unsafe_get kept_cov i = '\000' then begin
+          Bytes.unsafe_set kept_cov i '\001';
+          fresh := true
+        end)
+      curr;
     !fresh
   in
   let by_length = List.stable_sort (fun a b -> compare (Bytes.length a) (Bytes.length b)) cases in

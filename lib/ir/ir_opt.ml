@@ -809,9 +809,9 @@ let fuse_pass insts ~nregs ~roots =
 (* --- pass: block-local probe dedup -------------------------------- *)
 
 (* Within a straight-line region, a [probe id] whose cell is already
-   known to have fired on the path reaching it is a no-op: the buffer
-   write is idempotent and the dirty-list append is guarded by the
-   fired byte, so dropping it is observationally invisible. Knowledge
+   known to have fired on the path reaching it is a no-op: the byte
+   store and the bit OR are both idempotent, so dropping it is
+   observationally invisible. Knowledge
    comes from an earlier [probe id] in the region and from the
    fall-through of a probe-carrying branch (reaching the next
    instruction in line implies the branch fell through, hence fired).

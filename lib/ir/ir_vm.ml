@@ -4,14 +4,13 @@ open Cftcg_model
    compiled execution backend, built for the fuzzing inner loop.
 
    Each expression node costs one dispatch on an immediate int, and
-   probe fires write straight into a coverage byte buffer while
-   recording a dirty list — so the fuzzer pays per probe *fired*, not
-   per probe *allocated*. *)
+   probe fires write straight into a coverage byte buffer and OR into
+   its bit-word twin — so the fuzzer diffs and counts probe sets a
+   word (32 probes) at a time. *)
 
 type probes = {
   p_fired : Bytes.t;  (* 0/1 membership per probe cell *)
-  p_dirty : int array;  (* cells fired, deduplicated, insertion order *)
-  mutable p_n : int;
+  p_bits : int array;  (* the same set, bit [id land 31] of word [id lsr 5] *)
 }
 
 type branches = {
@@ -39,13 +38,37 @@ type t = {
   branches : branches;
 }
 
-let make_probes n = { p_fired = Bytes.make n '\000'; p_dirty = Array.make n 0; p_n = 0 }
+let make_probes n = { p_fired = Bytes.make n '\000'; p_bits = Array.make ((n + 31) / 32) 0 }
 
 let clear_probes p =
-  for k = 0 to p.p_n - 1 do
-    Bytes.unsafe_set p.p_fired (Array.unsafe_get p.p_dirty k) '\000'
-  done;
-  p.p_n <- 0
+  Bytes.unsafe_fill p.p_fired 0 (Bytes.length p.p_fired) '\000';
+  for w = 0 to Array.length p.p_bits - 1 do
+    Array.unsafe_set p.p_bits w 0
+  done
+
+(* 32-bit SWAR population count *)
+let[@inline] popcount x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
+let iter_fired f p =
+  for w = 0 to Array.length p.p_bits - 1 do
+    let x = ref (Array.unsafe_get p.p_bits w) in
+    while !x <> 0 do
+      let low = !x land (- !x) in
+      f ((w lsl 5) lor popcount (low - 1));
+      x := !x lxor low
+    done
+  done
+
+(* A probe fire: the byte and the bit, stored unconditionally (a
+   repeat fire rewrites the same values), so no arm branches on it. *)
+let[@inline] fire pb id =
+  Bytes.unsafe_set pb.p_fired id '\001';
+  let w = id lsr 5 in
+  Array.unsafe_set pb.p_bits w (Array.unsafe_get pb.p_bits w lor (1 lsl (id land 31)))
 
 let prepare_with ~instrument ~optimize (prog : Ir.program) : code =
   let lin =
@@ -394,19 +417,11 @@ let exec vm code =
       else go (i + 3)
     | 41 (* probe *) ->
       let id = Array.unsafe_get code (i + 1) in
-      if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-        Bytes.unsafe_set pb.p_fired id '\001';
-        Array.unsafe_set pb.p_dirty pb.p_n id;
-        pb.p_n <- pb.p_n + 1
-      end;
+      fire pb id;
       go (i + 2)
     | 42 (* probe + hook *) ->
       let id = Array.unsafe_get code (i + 1) in
-      if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-        Bytes.unsafe_set pb.p_fired id '\001';
-        Array.unsafe_set pb.p_dirty pb.p_n id;
-        pb.p_n <- pb.p_n + 1
-      end;
+      fire pb id;
       vm.on_probe id;
       go (i + 2)
     | 43 (* cond *) ->
@@ -514,11 +529,7 @@ let exec vm code =
       go (i + 4)
     | 58 (* probe + jmp *) ->
       let id = Array.unsafe_get code (i + 1) in
-      if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-        Bytes.unsafe_set pb.p_fired id '\001';
-        Array.unsafe_set pb.p_dirty pb.p_n id;
-        pb.p_n <- pb.p_n + 1
-      end;
+      fire pb id;
       go (Array.unsafe_get code (i + 2))
     | 59 (* mov + jmp *) ->
       Array.unsafe_set regs
@@ -535,11 +546,7 @@ let exec vm code =
         < Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       then begin
         let id = Array.unsafe_get code (i + 3) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 5)
       end
       else go (Array.unsafe_get code (i + 4))
@@ -549,11 +556,7 @@ let exec vm code =
         <= Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       then begin
         let id = Array.unsafe_get code (i + 3) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 5)
       end
       else go (Array.unsafe_get code (i + 4))
@@ -563,11 +566,7 @@ let exec vm code =
         = Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       then begin
         let id = Array.unsafe_get code (i + 3) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 5)
       end
       else go (Array.unsafe_get code (i + 4))
@@ -577,11 +576,7 @@ let exec vm code =
         <> Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       then begin
         let id = Array.unsafe_get code (i + 3) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 5)
       end
       else go (Array.unsafe_get code (i + 4))
@@ -591,11 +586,7 @@ let exec vm code =
         > Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       then begin
         let id = Array.unsafe_get code (i + 3) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 5)
       end
       else go (Array.unsafe_get code (i + 4))
@@ -605,11 +596,7 @@ let exec vm code =
         >= Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       then begin
         let id = Array.unsafe_get code (i + 3) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 5)
       end
       else go (Array.unsafe_get code (i + 4))
@@ -618,11 +605,7 @@ let exec vm code =
         go (Array.unsafe_get code (i + 3))
       else begin
         let id = Array.unsafe_get code (i + 2) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 4)
       end
     | 67 (* jnz.p *) ->
@@ -630,11 +613,7 @@ let exec vm code =
         go (Array.unsafe_get code (i + 3))
       else begin
         let id = Array.unsafe_get code (i + 2) in
-        if Bytes.unsafe_get pb.p_fired id = '\000' then begin
-          Bytes.unsafe_set pb.p_fired id '\001';
-          Array.unsafe_set pb.p_dirty pb.p_n id;
-          pb.p_n <- pb.p_n + 1
-        end;
+        fire pb id;
         go (i + 4)
       end
     (* branch distances 68..74 (see Ir_linearize): one side of a
@@ -784,12 +763,7 @@ let probes vm = vm.probes
 
 let set_probes vm p = vm.probes <- p
 
-let fresh_probes vm =
-  {
-    p_fired = Bytes.make (Bytes.length vm.probes.p_fired) '\000';
-    p_dirty = Array.make (Array.length vm.probes.p_dirty) 0;
-    p_n = 0;
-  }
+let fresh_probes vm = make_probes (Bytes.length vm.probes.p_fired)
 
 let probe_fired vm id = Bytes.get vm.probes.p_fired id <> '\000'
 

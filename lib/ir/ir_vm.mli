@@ -3,10 +3,10 @@
 
     Runs {!Ir_linearize} bytecode in a tight dispatch loop over an
     unboxed [float array] register file. Each expression node costs a
-    jump-table dispatch on an immediate opcode, and probe fires write
-    directly into a coverage byte buffer while appending to a dirty
-    list — so consumers can process only the probes that actually
-    fired instead of scanning all [n_probes] cells.
+    jump-table dispatch on an immediate opcode, and a probe fire writes
+    its cell of a coverage byte map and sets its bit in a word twin of
+    that map, without a branch — so consumers compare and count the
+    probe sets of two steps 32 probes at a time instead of per probe.
 
     Semantics are identical to {!Ir_eval} (differentially tested, and
     against gcc-compiled emitted C). Hooks are fixed at compile time:
@@ -17,12 +17,13 @@
 
 open Cftcg_model
 
-(** A probe coverage buffer: byte-per-probe membership plus the list
-    of distinct probes fired since the last clear. *)
+(** A probe coverage buffer: the set of probes fired since the last
+    clear, twice — as bytes and as bit-words. *)
 type probes = private {
   p_fired : Bytes.t;  (** ['\001'] at index [id] iff probe [id] fired *)
-  p_dirty : int array;  (** fired probe ids, deduplicated, first [p_n] slots *)
-  mutable p_n : int;
+  p_bits : int array;
+      (** bit [id land 31] of word [id lsr 5] set iff probe [id]
+          fired; bits 32 and up of every word are zero *)
 }
 
 (** Per-[If] branch-distance minima since the last {!reset}, indexed
@@ -146,7 +147,7 @@ val restore_state : t -> state -> unit
 
     The VM writes into whichever buffer is currently installed, which
     lets a fuzzer double-buffer consecutive steps and diff their
-    dirty lists without any per-probe scan. *)
+    bit-words with one XOR per 32 probes. *)
 
 val probes : t -> probes
 val set_probes : t -> probes -> unit
@@ -155,7 +156,11 @@ val fresh_probes : t -> probes
 (** A new, empty buffer of the right size for this program. *)
 
 val clear_probes : probes -> unit
-(** O(fired): resets only the cells named by the dirty list. *)
+(** Zeroes the byte map and the bit-words. *)
+
+val iter_fired : (int -> unit) -> probes -> unit
+(** [iter_fired f p] calls [f] on every probe in [p], in ascending id
+    order, walking the set bits of [p_bits]. *)
 
 val probe_fired : t -> int -> bool
 (** Whether the probe fired since the current buffer was cleared. *)

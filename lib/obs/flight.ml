@@ -19,14 +19,23 @@ let set_capacity n =
   if n < 1 then invalid_arg "Flight.set_capacity";
   Atomic.set capacity n
 
-(* One ring per domain. Slots are claimed with a fetch-and-add so the
-   serve tier's many threads (all on domain 0) never contend on a
+(* One ring per live domain. Slots are claimed with a fetch-and-add so
+   the serve tier's many threads (all on domain 0) never contend on a
    lock; each claimed slot has exactly one writer. Readers snapshot
-   without synchronization — a post-mortem tolerates a torn tail. *)
+   without synchronization — a post-mortem tolerates a torn tail.
+
+   A domain that exits hands its ring, contents and all, to the next
+   domain that records while the capacity is the ring's size, so a
+   process that spawns workers epoch after epoch keeps as many rings
+   as it ever had domains alive at once, not one per domain it ever
+   spawned. *)
 type ring = { rb_buf : entry option array; rb_cursor : int Atomic.t }
 
 let registry_mutex = Mutex.create ()
 let rings : ring list ref = ref []
+
+(* rings of exited domains, waiting for a new owner *)
+let free_rings : ring list ref = ref []
 
 let locked m f =
   Mutex.lock m;
@@ -34,13 +43,19 @@ let locked m f =
 
 let ring_key =
   Domain.DLS.new_key (fun () ->
+      let cap = Atomic.get capacity in
       let r =
-        {
-          rb_buf = Array.make (Atomic.get capacity) None;
-          rb_cursor = Atomic.make 0;
-        }
+        locked registry_mutex (fun () ->
+            match List.find_opt (fun r -> Array.length r.rb_buf = cap) !free_rings with
+            | Some r ->
+              free_rings := List.filter (fun r' -> r' != r) !free_rings;
+              r
+            | None ->
+              let r = { rb_buf = Array.make cap None; rb_cursor = Atomic.make 0 } in
+              rings := r :: !rings;
+              r)
       in
-      locked registry_mutex (fun () -> rings := r :: !rings);
+      Domain.at_exit (fun () -> locked registry_mutex (fun () -> free_rings := r :: !free_rings));
       r)
 
 let record ?ts ?(fields = []) ~level msg =

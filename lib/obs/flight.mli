@@ -5,7 +5,9 @@
     The recorder is the black box behind {!Log}: every emitted log
     line (and any event recorded directly) lands in the calling
     domain's ring, overwriting the oldest entry once the ring is
-    full. Recording is lock-free after a domain's first event — one
+    full. A domain that exits leaves its ring, with its events, to the
+    next domain that records, so the rings retained never outnumber
+    the domains that were alive at once. Recording is lock-free after a domain's first event — one
     [Atomic.fetch_and_add] plus two array stores — and {b off by
     default}: a disabled {!record} is a single atomic boolean load,
     the same gate discipline as {!Metrics.set_collect}.
@@ -32,7 +34,8 @@ val enabled : unit -> bool
 
 val set_capacity : int -> unit
 (** Ring capacity per domain (default 256) for rings created after
-    the call. Existing rings keep their size. *)
+    the call. Existing rings keep their size, also when an exited
+    domain's ring passes to a new domain. *)
 
 val record : ?ts:float -> ?fields:(string * string) list -> level:string -> string -> unit
 (** Appends an event to the calling domain's ring ([ts] defaults to

@@ -145,17 +145,17 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
   in
   let suite = ref [] in
   let record_new_coverage data =
-    (* fold this execution's probes (its dirty list, init included)
+    (* fold this execution's probes (its fired set, init included)
        into the global set; emit a test case when anything new
        appeared *)
     let fresh = ref false in
-    for k = 0 to cov.Ir_vm.p_n - 1 do
-      let i = cov.Ir_vm.p_dirty.(k) in
-      if Bytes.unsafe_get g_total i = '\000' then begin
-        Bytes.unsafe_set g_total i '\001';
-        fresh := true
-      end
-    done;
+    Ir_vm.iter_fired
+      (fun i ->
+        if Bytes.unsafe_get g_total i = '\000' then begin
+          Bytes.unsafe_set g_total i '\001';
+          fresh := true
+        end)
+      cov;
     if !fresh then suite := { data = Bytes.copy data; time = elapsed_now () } :: !suite
   in
   let n_fields = Array.length layout.Layout.fields in

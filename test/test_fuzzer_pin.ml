@@ -2,8 +2,8 @@
    every test case's bytes, timestamp and new-probe count, every
    failure, and the final stats — for the eight benchmark models and
    20 fixed-seed random models at the default config, plus one row
-   fuzzing unoptimized code (handed in as [~code]) and one
-   [field_aware = false] row. How the loop
+   fuzzing unoptimized code (handed in as [~code]), one
+   [field_aware = false] row and one small-corpus row. How the loop
    executes its inputs may change; what a same-seed run finds must
    stay byte-identical. *)
 
@@ -55,6 +55,7 @@ let bench_pins =
 let random_pin = "468994ff5857d85a15b5e7a563e7114d"
 let unoptimized_pin = "c3e6edcefd01f480a7c50eb5c1ea9ff6"
 let blind_pin = "295be9931ee9729bce87da188153d371"
+let small_corpus_pin = "7948d0c9b98294f6c1addc05810fb446"
 
 let test_bench_models () =
   Alcotest.(check int) "every bench model pinned" (List.length Models.all) (List.length bench_pins);
@@ -75,6 +76,15 @@ let test_unoptimized () =
        ~prepare:(Cftcg_ir.Ir_vm.prepare ~optimize:false)
        [ bench_prog "TCP"; bench_prog "RAC" ] ~seed:13L ~execs:4000)
 
+(* A small corpus fills after a few dozen admissions, so most of the
+   run admits against a full corpus: evictions, and the best-score
+   threshold that decides admission, run on every execution. *)
+let test_small_corpus () =
+  let config = { Fuzzer.default_config with Fuzzer.corpus_cap = 12 } in
+  Alcotest.(check string) "TCP+RAC+SolarPV, corpus_cap = 12" small_corpus_pin
+    (digest ~config [ bench_prog "TCP"; bench_prog "RAC"; bench_prog "SolarPV" ] ~seed:19L
+       ~execs:6000)
+
 let test_blind () =
   let config = { Fuzzer.default_config with Fuzzer.field_aware = false } in
   Alcotest.(check string) "TCP+SolarPV, field_aware = false" blind_pin
@@ -85,4 +95,5 @@ let suites =
       [ Alcotest.test_case "bench models" `Quick test_bench_models;
         Alcotest.test_case "random models" `Quick test_random_models;
         Alcotest.test_case "optimize = false" `Quick test_unoptimized;
-        Alcotest.test_case "field_aware = false" `Quick test_blind ] ) ]
+        Alcotest.test_case "field_aware = false" `Quick test_blind;
+        Alcotest.test_case "corpus_cap = 12" `Quick test_small_corpus ] ) ]

@@ -162,6 +162,37 @@ let test_flight_ring_wraparound () =
   let ts = List.map (fun e -> e.Flight.fl_ts) (Flight.recent ()) in
   Alcotest.(check bool) "sorted" true (List.sort compare ts = ts)
 
+(* Domains that exit hand their rings on: epoch after epoch of
+   two-worker spawns retains at most three rings' worth of events (the
+   main domain's and two workers'), not one ring per domain ever
+   spawned. *)
+let test_flight_rings_reused_across_epochs () =
+  with_log_off @@ fun () ->
+  Flight.set_enabled true;
+  Flight.clear ();
+  let capacity = 256 and epochs = 50 in
+  for epoch = 1 to epochs do
+    let worker w () =
+      for i = 1 to capacity + 44 do
+        Flight.record ~level:"debug" (Printf.sprintf "epoch %d worker %d evt %d" epoch w i)
+      done
+    in
+    let ds = [ Domain.spawn (worker 1); Domain.spawn (worker 2) ] in
+    List.iter Domain.join ds
+  done;
+  let kept = Flight.recent ~limit:max_int () in
+  if List.length kept > 3 * capacity then
+    Alcotest.failf "%d events retained after %d epochs, bound %d" (List.length kept) epochs
+      (3 * capacity);
+  (* a worker that starts after the other exited reuses its ring, so
+     only the last ring written is sure to hold the last epoch *)
+  let last_epoch = Printf.sprintf "epoch %d " epochs in
+  let n_last =
+    List.length (List.filter (fun e -> String.starts_with ~prefix:last_epoch e.Flight.fl_msg) kept)
+  in
+  if n_last < capacity then
+    Alcotest.failf "%d events of the last epoch kept, want a full ring (%d)" n_last capacity
+
 let test_flight_recent_limit () =
   with_log_off @@ fun () ->
   Flight.set_enabled true;
@@ -448,6 +479,8 @@ let suites =
       [ Alcotest.test_case "disabled is noop" `Quick test_flight_disabled_is_noop;
         Alcotest.test_case "ring wraparound" `Quick test_flight_ring_wraparound;
         Alcotest.test_case "recent limit" `Quick test_flight_recent_limit;
+        Alcotest.test_case "rings reused across epochs" `Quick
+          test_flight_rings_reused_across_epochs;
         Alcotest.test_case "dump roundtrip" `Quick test_flight_dump_roundtrip ] );
     ( "log.rotation",
       [ Alcotest.test_case "size-based rotation" `Quick test_telemetry_rotation;

@@ -158,9 +158,38 @@ let test_vm_hooks_fire_identically () =
       plain
   done
 
-(* The VM's dirty-list probe buffer must describe exactly the set of
-   probes the evaluator reports through on_probe, and stay internally
-   consistent (deduplicated, byte map in sync). *)
+(* the ids a probe buffer's byte map marks fired, ascending *)
+let fired_ids (p : Ir_vm.probes) =
+  let ids = ref [] in
+  Bytes.iteri (fun id c -> if c <> '\000' then ids := id :: !ids) p.Ir_vm.p_fired;
+  List.rev !ids
+
+(* The bit-words must hold exactly the byte map's set: bit [id land 31]
+   of word [id lsr 5] iff byte [id], and no bit past the last probe
+   or above bit 31. *)
+let check_words_match what (p : Ir_vm.probes) =
+  let n = Bytes.length p.Ir_vm.p_fired in
+  if Array.length p.Ir_vm.p_bits <> (n + 31) / 32 then
+    Alcotest.failf "%s: %d words for %d probes" what (Array.length p.Ir_vm.p_bits) n;
+  Array.iteri
+    (fun w x ->
+      for b = 0 to 62 do
+        let id = (w * 32) + b in
+        let bit = (x lsr b) land 1 = 1 in
+        let byte = b < 32 && id < n && Bytes.get p.Ir_vm.p_fired id <> '\000' in
+        if bit <> byte then
+          Alcotest.failf "%s: word %d bit %d is %b, byte map says %b" what w b bit byte
+      done)
+    p.Ir_vm.p_bits
+
+let check_cleared what (p : Ir_vm.probes) =
+  if fired_ids p <> [] then Alcotest.failf "%s: clear_probes left the byte map marked" what;
+  if Array.exists (fun x -> x <> 0) p.Ir_vm.p_bits then
+    Alcotest.failf "%s: clear_probes left a word set" what
+
+(* The VM's probe buffer must describe exactly the set of probes the
+   evaluator reports through on_probe, and clear_probes must empty
+   it. *)
 let test_vm_probe_buffer_matches () =
   let rng = Rng.create 2718L in
   for model_ix = 1 to 40 do
@@ -182,28 +211,63 @@ let test_vm_probe_buffer_matches () =
       Ir_vm.step vm;
       Ir_eval.step ~hooks e;
       let p = Ir_vm.probes vm in
-      let dirty = Array.sub p.Ir_vm.p_dirty 0 p.Ir_vm.p_n in
-      let vm_set = List.sort_uniq compare (Array.to_list dirty) in
-      if List.length vm_set <> p.Ir_vm.p_n then
-        Alcotest.failf "model %d step %d: dirty list has duplicates" model_ix step;
+      let vm_set = fired_ids p in
       List.iter
         (fun id ->
-          if Bytes.get p.Ir_vm.p_fired id <> '\001' then
-            Alcotest.failf "model %d step %d: dirty probe %d not marked fired" model_ix step id)
+          if not (Ir_vm.probe_fired vm id) then
+            Alcotest.failf "model %d step %d: probe %d marked but not reported fired" model_ix
+              step id)
         vm_set;
       let eval_set = List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) fired []) in
       if vm_set <> eval_set then
         Alcotest.failf "model %d step %d: probe sets differ (vm %d, eval %d)" model_ix step
           (List.length vm_set) (List.length eval_set);
       Ir_vm.clear_probes p;
-      if p.Ir_vm.p_n <> 0 then Alcotest.failf "clear_probes left %d dirty" p.Ir_vm.p_n;
-      List.iter
-        (fun id ->
-          if Bytes.get p.Ir_vm.p_fired id <> '\000' then
-            Alcotest.failf "clear_probes left probe %d marked" id)
-        vm_set;
+      check_cleared (Printf.sprintf "model %d step %d" model_ix step) p;
       Hashtbl.reset fired
     done
+  done
+
+(* After every step the bit-words and the byte map agree bit for bit,
+   on optimized and unoptimized code, and clear_probes empties both;
+   [Ir_vm.iter_fired] walks the same set in ascending order. *)
+let check_probe_words ~tag rng prog =
+  List.iter
+    (fun optimize ->
+      let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize prog) in
+      let p = Ir_vm.probes vm in
+      Ir_vm.reset vm;
+      check_words_match (Printf.sprintf "%s opt=%b init" tag optimize) p;
+      Ir_vm.clear_probes p;
+      for step = 1 to 30 do
+        let what = Printf.sprintf "%s opt=%b step %d" tag optimize step in
+        Array.iteri
+          (fun i (var : Ir.var) -> Ir_vm.set_input vm i (Model_gen.random_input rng var.Ir.vty))
+          prog.Ir.inputs;
+        Ir_vm.step vm;
+        check_words_match what p;
+        let walked = ref [] in
+        Ir_vm.iter_fired (fun id -> walked := id :: !walked) p;
+        if List.rev !walked <> fired_ids p then Alcotest.failf "%s: iter_fired differs" what;
+        (* every third step accumulates into the next one's buffer *)
+        if step mod 3 <> 0 then begin
+          Ir_vm.clear_probes p;
+          check_cleared what p
+        end
+      done)
+    [ true; false ]
+
+let test_probe_words_match_bytes () =
+  let module Models = Cftcg_bench_models.Bench_models in
+  let rng = Rng.create 8128L in
+  List.iter
+    (fun (e : Models.entry) ->
+      check_probe_words ~tag:e.Models.name rng
+        (Codegen.lower ~mode:Codegen.Full (Lazy.force e.Models.model)))
+    Models.all;
+  for i = 1 to 40 do
+    check_probe_words ~tag:(Printf.sprintf "random model %d" i) rng
+      (Codegen.lower (Model_gen.generate rng))
   done
 
 (* The bytecode optimizer must be invisible to the fuzzing algorithm:
@@ -240,8 +304,8 @@ let test_fuzzer_backend_parity () =
   done
 
 (* The bytecode optimizer must be observationally invisible on the VM
-   itself: outputs, dirty probe lists (same order) and full hook
-   traces identical with and without it. *)
+   itself: outputs, per-step probe sets and full hook traces identical
+   with and without it. *)
 let check_opt_lockstep ~tag ~steps rng prog =
   let vm_o = Ir_vm.compile prog in
   let vm_r = Ir_vm.compile ~optimize:false prog in
@@ -263,12 +327,9 @@ let check_opt_lockstep ~tag ~steps rng prog =
         (Value.to_float (Ir_vm.get_output vm_r o))
         (Value.to_float (Ir_vm.get_output vm_o o))
     done;
-    let dirty vm =
-      let p = Ir_vm.probes vm in
-      Array.to_list (Array.sub p.Ir_vm.p_dirty 0 p.Ir_vm.p_n)
-    in
-    Alcotest.(check (list int)) (Printf.sprintf "%s step %d dirty probes" tag step) (dirty vm_r)
-      (dirty vm_o);
+    let fired vm = fired_ids (Ir_vm.probes vm) in
+    Alcotest.(check (list int)) (Printf.sprintf "%s step %d fired probes" tag step) (fired vm_r)
+      (fired vm_o);
     Ir_vm.clear_probes (Ir_vm.probes vm_o);
     Ir_vm.clear_probes (Ir_vm.probes vm_r)
   done
@@ -546,12 +607,12 @@ let check_same_state what (a : Ir_vm.state) (b : Ir_vm.state) =
 
 let probe_set vm =
   let p = Ir_vm.probes vm in
-  (Bytes.copy p.Ir_vm.p_fired, Array.sub p.Ir_vm.p_dirty 0 p.Ir_vm.p_n)
+  (Bytes.copy p.Ir_vm.p_fired, Array.copy p.Ir_vm.p_bits)
 
 (* Run [k] steps, save, run the rest; then scribble over the instance
    with another input, restore and run the rest again. The suffix must
    end in the same registers and branch minima, bit for bit, and fire
-   the same probes in the same order. *)
+   the same probes. *)
 let check_snapshot_roundtrip ~tag rng prog =
   List.iter
     (fun optimize ->
@@ -614,6 +675,77 @@ let prop_backends_agree =
       check_outputs_lockstep ~tag:(Printf.sprintf "seed %d" seed) ~steps:30 rng prog;
       true)
 
+module Layout = Cftcg_fuzz.Layout
+
+(* Algorithm 1 the long way, as the fuzzer did it on per-probe lists:
+   every probe a step fires is checked against [g_total] (ascending, so
+   fresh cells come out in the order the word walk gives them), and the
+   metric counts the probes on which consecutive steps' byte maps
+   differ. *)
+let reference_run_one ~layout ~vm ~g_total ~max_tuples ~fresh_cells data =
+  let n = min (Layout.n_tuples layout data) max_tuples in
+  let p = Ir_vm.probes vm in
+  let n_probes = Bytes.length p.Ir_vm.p_fired in
+  Ir_vm.reset vm;
+  Ir_vm.clear_probes p;
+  let last = ref (Bytes.make n_probes '\000') in
+  let metric = ref 0 and fresh = ref 0 in
+  for tuple = 0 to n - 1 do
+    Layout.load_tuple_vm layout data ~tuple vm;
+    Ir_vm.step vm;
+    let c = Bytes.copy p.Ir_vm.p_fired in
+    Ir_vm.clear_probes p;
+    for id = 0 to n_probes - 1 do
+      if Bytes.get c id <> '\000' && Bytes.get g_total id = '\000' then begin
+        Bytes.set g_total id '\001';
+        incr fresh;
+        fresh_cells := id :: !fresh_cells
+      end;
+      if Bytes.get c id <> Bytes.get !last id then incr metric
+    done;
+    last := c
+  done;
+  (!metric, !fresh, n)
+
+(* qcheck property: the fuzzer's word-level executor returns the
+   metric, fresh count and fresh cells of the per-probe reference, input
+   after input against one shared coverage map. *)
+let prop_word_accounting_matches_reference =
+  QCheck.Test.make ~name:"word-level Algorithm 1 matches the per-probe reference" ~count:40
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int ((seed * 2) + 1)) in
+      let prog = Codegen.lower (Model_gen.generate rng) in
+      let layout = Layout.of_program prog in
+      if layout.Layout.tuple_len > 0 then begin
+        let n_probes = max prog.Ir.n_probes 1 and max_tuples = 16 in
+        let g_words = Bytes.make n_probes '\000' and g_ref = Bytes.make n_probes '\000' in
+        let run_words =
+          Cftcg_fuzz.Fuzzer.make_executor ~backend:Cftcg_fuzz.Fuzzer.Vm ~layout ~prog
+            ~g_total:g_words ~max_tuples ~use_metric:true ()
+        in
+        let vm = Ir_vm.of_code (Ir_vm.prepare ~optimize:false prog) in
+        for input = 1 to 30 do
+          let tuples = 1 + Rng.int rng 24 in
+          let data =
+            Bytes.concat Bytes.empty
+              (List.init tuples (fun _ -> Layout.random_tuple_bytes layout rng))
+          in
+          let cells_w = ref [] and cells_r = ref [] in
+          let m_w, f_w, i_w = run_words ~fresh_cells:cells_w data in
+          let m_r, f_r, i_r =
+            reference_run_one ~layout ~vm ~g_total:g_ref ~max_tuples ~fresh_cells:cells_r data
+          in
+          let what = Printf.sprintf "seed %d input %d" seed input in
+          Alcotest.(check (triple int int int)) (what ^ " metric, fresh, iterations")
+            (m_r, f_r, i_r) (m_w, f_w, i_w);
+          Alcotest.(check (list int)) (what ^ " fresh cells") !cells_r !cells_w
+        done;
+        if not (Bytes.equal g_words g_ref) then
+          Alcotest.failf "seed %d: coverage maps differ" seed
+      end;
+      true)
+
 let suites =
   [ ( "vm_diff",
       [ Alcotest.test_case "outputs match on random models" `Slow
@@ -621,6 +753,7 @@ let suites =
         Alcotest.test_case "hooks fire identically" `Slow test_vm_hooks_fire_identically;
         Alcotest.test_case "probe buffer matches eval probes" `Slow
           test_vm_probe_buffer_matches;
+        Alcotest.test_case "probe words match the byte map" `Slow test_probe_words_match_bytes;
         Alcotest.test_case "fuzzer campaigns identical with optimizer on and off" `Slow
           test_fuzzer_backend_parity;
         Alcotest.test_case "optimizer invisible on random models" `Slow
@@ -629,4 +762,5 @@ let suites =
         Alcotest.test_case "native distances: edge operands" `Slow test_native_distance_edge_cases;
         Alcotest.test_case "state snapshots round-trip" `Slow test_state_roundtrip;
         QCheck_alcotest.to_alcotest ~verbose:false prop_backends_agree;
-        QCheck_alcotest.to_alcotest ~verbose:false prop_optimizer_invisible ] ) ]
+        QCheck_alcotest.to_alcotest ~verbose:false prop_optimizer_invisible;
+        QCheck_alcotest.to_alcotest ~verbose:false prop_word_accounting_matches_reference ] ) ]

@@ -436,7 +436,8 @@ let model_speed (e : Models.entry) =
     Array.init n_tuples (fun tuple ->
         Array.map
           (fun (f : Layout.field) ->
-            Value.decode_float f.Layout.f_ty input ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset))
+            Value.to_float
+              (Value.decode f.Layout.f_ty input ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset)))
           layout.Layout.fields)
   in
   let exec_ns =

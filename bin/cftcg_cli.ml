@@ -569,8 +569,8 @@ let rows_of_bytes (layout : Layout.t) data ~max_rows =
   Array.init n (fun tuple ->
       Array.map
         (fun (f : Layout.field) ->
-          Value.decode_float f.Layout.f_ty data
-            ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset))
+          Value.to_float
+            (Value.decode f.Layout.f_ty data ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset)))
         layout.Layout.fields)
 
 let print_opcode_histogram ?(limit = 16) (bp : Ir_opt.bytecode_profile) =

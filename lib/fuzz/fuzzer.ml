@@ -61,9 +61,28 @@ type result = {
   stats : stats;
 }
 
+(* A corpus entry's trajectory: checkpoints of its from-reset
+   execution of [t_n] steps, one after every [t_every]-th step.
+   Checkpoint [j] holds the state after step [(j + 1) * t_every - 1]:
+   the VM's carried registers (stride: the carried-set size), that
+   step's probe bit-words (stride: the bit-word count) and Algorithm
+   1's metric summed through it. *)
+type trajectory = {
+  t_n : int;
+  t_every : int;
+  t_regs : float array;
+  t_bits : int array;
+  t_metric : int array;
+}
+
+let no_trajectory = { t_n = 0; t_every = 1; t_regs = [||]; t_bits = [||]; t_metric = [||] }
+
 type entry = {
   data : Bytes.t;
   score : int;
+  mutable traj : trajectory;
+      (* recorded when first drafted as a parent; [no_trajectory]
+         until then *)
 }
 
 (* Corpus score: inputs that found new coverage dominate; among the
@@ -82,35 +101,66 @@ let[@inline] popcount x =
   let x = (x + (x lsr 4)) land 0x0f0f0f0f in
   ((x * 0x01010101) lsr 24) land 0xff
 
-(* Executes one input through the fuzz driver: Algorithm 1.
-   [g_total] is the campaign-global coverage array; returns
-   (iteration-difference metric, newly covered probe count,
-   iterations executed). Double-buffers two probe records ([pa], [pb])
-   and works on their bit-words: per word, [d = c lxor l] is the
-   symmetric difference of consecutive steps' probe sets, and its
-   popcount adds to the metric. Only [d land c] — probes that fired
-   now but not on the previous step — can be new to the campaign:
-   every probe that fired on the previous step was checked against
-   [g_total] then (the first step's [l] is empty, so all of its probes
-   are checked). Fresh cells of one step come out in ascending id
-   order. Both buffers must be empty on entry; they are left empty on
-   return. *)
-let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data =
-  let n = min (Layout.n_tuples layout data) max_tuples in
-  Ir_vm.set_probes vm pa;
-  Ir_vm.reset vm;
-  (* init-block probes are warm-up, not coverage *)
-  Ir_vm.clear_probes pa;
+(* An executor: one VM instance and its two probe buffers, over the
+   campaign-global coverage bytes [g_total]. *)
+type executor = {
+  layout : Layout.t;
+  vm : Ir_vm.t;
+  pa : Ir_vm.probes;
+  pb : Ir_vm.probes;
+  g_total : Bytes.t;
+  max_tuples : int;
+  use_metric : bool;
+}
+
+(* Executes one input through the fuzz driver: Algorithm 1, from step
+   [start]. Returns (iteration-difference metric, newly covered probe
+   count, iterations executed). Double-buffers two probe records
+   ([pa], [pb]) and works on their bit-words: per word, [d = c lxor l]
+   is the symmetric difference of consecutive steps' probe sets, and
+   its popcount adds to the metric. Only [d land c] — probes that
+   fired now but not on the previous step — can be new to the
+   campaign: every probe that fired on the previous step was checked
+   against [g_total] then (the first step's [l] is empty, so all of
+   its probes are checked). Fresh cells of one step come out in
+   ascending id order. Both buffers must be empty on entry; they are
+   left empty on return.
+
+   [start = 0] runs from reset. [start > 0] resumes from [from], the
+   trajectory of an input that ran against this [g_total] and shares
+   the first [start] tuples with [data], [start] a multiple of its
+   [t_every]: the checkpoint after step [start - 1] puts its carried
+   registers back into the VM, its bit-words into the "last" buffer
+   and its metric prefix into [metric]. The skipped steps could yield
+   no fresh cell — that input already set every probe they fire —
+   and each metric term reads only two consecutive steps, so the
+   result equals a run from reset. [record] receives this run's own
+   checkpoints. *)
+let run_one x ~fresh_cells ~from ~start ~record data =
+  let vm = x.vm and pa = x.pa and pb = x.pb and g_total = x.g_total in
+  let n = min (Layout.n_tuples x.layout data) x.max_tuples in
   let n_words = Array.length pa.Ir_vm.p_bits in
+  let metric = ref 0 in
+  Ir_vm.set_probes vm pa;
+  if start = 0 then begin
+    Ir_vm.reset vm;
+    (* init-block probes are warm-up, not coverage *)
+    Ir_vm.clear_probes pa
+  end
+  else begin
+    let j = (start / from.t_every) - 1 in
+    Ir_vm.restore_carried vm from.t_regs ~at:(j * Array.length (Ir_vm.carried vm));
+    Array.blit from.t_bits (j * n_words) pb.Ir_vm.p_bits 0 n_words;
+    metric := from.t_metric.(j)
+  end;
   let curr = ref pa in
   let last = ref pb in
-  let metric = ref 0 in
   let fresh = ref 0 in
-  for tuple = 0 to n - 1 do
+  for tuple = start to n - 1 do
     let c = !curr in
     let l = !last in
     Ir_vm.set_probes vm c;
-    Layout.load_tuple_vm layout data ~tuple vm;
+    Layout.load_tuple_vm x.layout data ~tuple vm;
     Ir_vm.step vm;
     let cw = c.Ir_vm.p_bits and lw = l.Ir_vm.p_bits in
     for w = 0 to n_words - 1 do
@@ -129,12 +179,32 @@ let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells da
         rising := !rising lxor low
       done
     done;
+    (match record with
+    | Some r when (tuple + 1) mod r.t_every = 0 ->
+      let j = ((tuple + 1) / r.t_every) - 1 in
+      Ir_vm.save_carried vm r.t_regs ~at:(j * Array.length (Ir_vm.carried vm));
+      Array.blit cw 0 r.t_bits (j * n_words) n_words;
+      r.t_metric.(j) <- !metric
+    | _ -> ());
     Ir_vm.clear_probes l;
     curr := l;
     last := c
   done;
   Ir_vm.clear_probes !last;
-  ((if use_metric then !metric else 0), !fresh, n)
+  ((if x.use_metric then !metric else 0), !fresh, n)
+
+(* The whole tuples [a] and [b] share from the start, at most
+   [limit]: compared eight bytes at a time, then byte by byte. *)
+let common_tuples ~tuple_len a b limit =
+  let len = min (min (Bytes.length a) (Bytes.length b)) (limit * tuple_len) in
+  let i = ref 0 in
+  while !i + 8 <= len && Int64.equal (Bytes.get_int64_ne a !i) (Bytes.get_int64_ne b !i) do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.unsafe_get a !i = Bytes.unsafe_get b !i do
+    incr i
+  done;
+  !i / tuple_len
 
 (* The VM code an executor runs: the caller's prepared code (checked
    against [prog], so a mismatched pair fails here rather than
@@ -142,25 +212,62 @@ let run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells da
 let code_for ~fn ?code (prog : Ir.program) =
   match code with
   | Some c ->
-    if (c : Ir_vm.code :> Ir_linearize.t).Ir_linearize.l_prog != prog then
+    if (Ir_vm.code_linearized c).Ir_linearize.l_prog != prog then
       invalid_arg (fn ^ ": code was prepared from a different program");
     c
   | None -> Ir_vm.prepare prog
 
+let executor ?code ~layout ~prog ~g_total ~max_tuples ~use_metric () =
+  let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.executor" ?code prog) in
+  { layout; vm; pa = Ir_vm.probes vm; pb = Ir_vm.fresh_probes vm; g_total; max_tuples; use_metric }
+
+let exec x ~fresh_cells data = run_one x ~fresh_cells ~from:no_trajectory ~start:0 ~record:None data
+
+(* How many checkpoints a trajectory keeps at most: as many as fit in
+   arrays of [Max_young_wosize] (256) words, so that a trajectory is
+   allocated in the minor heap and, when its entry dies young — a
+   campaign worker's corpus lives one short run — is never promoted;
+   and never more than 32. An input of up to that many steps keeps one
+   per step, a longer one one per [ceil (n / max_checkpoints)] steps; a
+   resumed child re-runs fewer than [t_every] steps of its parent's
+   prefix. *)
+let max_checkpoints x =
+  let stride = max (Array.length (Ir_vm.carried x.vm)) (Array.length x.pa.Ir_vm.p_bits) in
+  max 1 (min 32 (256 / max 1 stride))
+
+let record x data =
+  let n = min (Layout.n_tuples x.layout data) x.max_tuples in
+  let cap = max_checkpoints x in
+  let every = max 1 ((n + cap - 1) / cap) in
+  let points = n / every in
+  let t =
+    { t_n = n;
+      t_every = every;
+      t_regs = Array.make (points * Array.length (Ir_vm.carried x.vm)) 0.0;
+      t_bits = Array.make (points * Array.length x.pa.Ir_vm.p_bits) 0;
+      t_metric = Array.make points 0 }
+  in
+  let _, fresh, _ = run_one x ~fresh_cells:(ref []) ~from:no_trajectory ~start:0 ~record:(Some t) data in
+  if fresh > 0 then invalid_arg "Fuzzer.record: the input had not run against this coverage";
+  t
+
+let resume_step x ~parent traj child =
+  let s = common_tuples ~tuple_len:x.layout.Layout.tuple_len parent child traj.t_n in
+  s - (s mod traj.t_every)
+
+let exec_child x ~fresh_cells ~parent traj child =
+  run_one x ~fresh_cells ~from:traj ~start:(resume_step x ~parent traj child) ~record:None child
+
 (* Builds the per-input execution function; it returns (metric,
    fresh, iterations). [backend] has one value and selects nothing. *)
-let make_executor ?code ~backend:Vm ~layout ~(prog : Ir.program) ~g_total
-    ~max_tuples ~use_metric () =
+let make_executor ?code ~backend:Vm ~layout ~prog ~g_total ~max_tuples ~use_metric () =
   (* the trailing [()] makes the one-time set-up happen at this
      application even when the optional arguments are omitted —
      otherwise OCaml defers optional-argument discharge (and this
      whole body) to the first positional application, i.e. to every
      input *)
-  let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.make_executor" ?code prog) in
-  let pa = Ir_vm.probes vm in
-  let pb = Ir_vm.fresh_probes vm in
-  fun ~fresh_cells data ->
-    run_one ~layout ~vm ~pa ~pb ~g_total ~max_tuples ~use_metric ~fresh_cells data
+  let x = executor ?code ~layout ~prog ~g_total ~max_tuples ~use_metric () in
+  exec x
 
 (* Retained for the benchmark's [fuzzer.batch_exec_us] row: runs up to
    [k] inputs through one scalar executor in input order and returns
@@ -179,6 +286,10 @@ let make_batch_executor ?code ~k ~layout ~prog ~g_total ~max_tuples ~use_metric 
         let m, f, i = run_input ~fresh_cells data in
         (metric + m, fresh + f, iters + i))
       (0, 0, 0) children
+
+(* the parent of an input that has none (seeds, and children of a
+   never-run random tuple) *)
+let no_parent = { data = Bytes.empty; score = 0; traj = no_trajectory }
 
 let count_covered g_total =
   let n = ref 0 in
@@ -208,6 +319,7 @@ type obs_handles = {
   ob_kept : Metrics.counter array;  (* ... admitted to the corpus *)
   ob_executions : Metrics.counter;
   ob_iterations : Metrics.counter;
+  ob_resumed : Metrics.counter;  (* iterations skipped by parent-prefix resume *)
   ob_execs_per_s : Metrics.gauge;
   ob_covered : Metrics.gauge;
   ob_corpus : Metrics.gauge;
@@ -234,6 +346,10 @@ let make_obs_handles () =
       Metrics.counter ~help:"Inputs executed by the fuzzing loop" "cftcg_fuzz_executions_total";
     ob_iterations =
       Metrics.counter ~help:"Model iterations executed" "cftcg_fuzz_iterations_total";
+    ob_resumed =
+      Metrics.counter
+        ~help:"Model iterations of cftcg_fuzz_iterations_total skipped by resuming from a parent's saved state"
+        "cftcg_fuzz_resumed_iterations_total";
     ob_execs_per_s =
       Metrics.gauge ~help:"Recent fuzzing throughput (wall clock)" "cftcg_fuzz_execs_per_second";
     ob_covered = Metrics.gauge ~help:"Probe cells covered" "cftcg_fuzz_probes_covered";
@@ -275,8 +391,8 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
     Trace.with_span "fuzzer.compile" @@ fun () ->
     code_for ~fn:"Fuzzer.run" ?code prog
   in
-  let run_input =
-    make_executor ~code ~backend:Vm ~layout ~prog ~g_total ~max_tuples:config.max_tuples
+  let x =
+    executor ~code ~layout ~prog ~g_total ~max_tuples:config.max_tuples
       ~use_metric:config.iteration_metric ()
   in
   Log.debug "fuzzer run start: seed %Ld" config.seed;
@@ -290,7 +406,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
   in
   (* preallocated to corpus_cap: admission is O(1) until the cap,
      then O(n) eviction of the worst entry — never Array.append *)
-  let corpus = Array.make (max config.corpus_cap 0) { data = Bytes.empty; score = 0 } in
+  let corpus = Array.make (max config.corpus_cap 0) no_parent in
   let corpus_n = ref 0 in
   let suite = ref [] in
   let failures = ref [] in
@@ -386,7 +502,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       fresh > 0
       || (config.iteration_metric && score > 0 && (!corpus_n < 8 || score > !best_score / 2))
     in
-    if interesting then add_to_corpus { data; score };
+    if interesting then add_to_corpus { data; score; traj = no_trajectory };
     match obs with
     | Some ob when strat >= 0 ->
       Metrics.inc ob.ob_picked.(strat);
@@ -394,14 +510,28 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       if interesting then Metrics.inc ob.ob_kept.(strat)
     | _ -> ()
   in
-  (* one input through the executor, then its accounting *)
-  let execute ~strat data =
+  (* Parent-prefix resume. A corpus entry records its trajectory the
+     first time a child of it runs, by running the entry again from
+     reset; that leaves [g_total] as it is, since the entry set every
+     probe it fires when it ran. *)
+  let resumed = ref 0 in
+  (* one input through the executor, then its accounting; [parent] is
+     the corpus entry it was mutated from, [no_parent] if none *)
+  let execute ~strat ~parent data =
     fresh_cells := [];
     (* sampled timings: every [sample_mask+1]-th execution reads the
        clock around the backend call and the scoring/admission tail *)
     let timed = observing && !executions land sample_mask = 0 in
     let t0 = if timed then Unix.gettimeofday () else 0.0 in
-    let metric, fresh, iters = run_input ~fresh_cells data in
+    let start =
+      if parent == no_parent then 0
+      else begin
+        if parent.traj == no_trajectory then parent.traj <- record x parent.data;
+        resume_step x ~parent:parent.data parent.traj data
+      end
+    in
+    resumed := !resumed + start;
+    let metric, fresh, iters = run_one x ~fresh_cells ~from:parent.traj ~start ~record:None data in
     let t1 = if timed then Unix.gettimeofday () else 0.0 in
     account data ~metric ~fresh ~iters ~strat;
     match obs with
@@ -411,11 +541,11 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       Metrics.observe ob.ob_metric_ns ((t2 -. t1) *. 1e9)
     | _ -> ()
   in
-  (* runs [children.(0 .. n-1)] in order, strategy indices alongside
-     in [strats] *)
-  let process children strats n =
+  (* runs [children.(0 .. n-1)] in order, strategy indices and
+     parents alongside in [strats] and [parents] *)
+  let process children strats parents n =
     for d = 0 to n - 1 do
-      execute ~strat:strats.(d) children.(d)
+      execute ~strat:strats.(d) ~parent:parents.(d) children.(d)
     done
   in
   (* User-provided seed corpus first, then a handful of random short
@@ -439,7 +569,8 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
          seeds run, never the RNG stream — the random streams were
          drawn above either way. *)
       let n = min (Array.length all) (max 0 (deadline_execs - !executions)) in
-      process all (Array.make (Array.length all) (-1)) n);
+      process all (Array.make (Array.length all) (-1))
+        (Array.make (Array.length all) no_parent) n);
   let max_len = config.max_tuples * layout.Layout.tuple_len in
   let should_continue () =
     !executions < deadline_execs
@@ -454,6 +585,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
      runs stop on exactly the budget. *)
   let draft = Array.make draft_size Bytes.empty in
   let draft_strat = Array.make draft_size (-1) in
+  let draft_parent = Array.make draft_size no_parent in
   while should_continue () do
     let gen = min draft_size (deadline_execs - !executions) in
     for d = 0 to gen - 1 do
@@ -462,33 +594,33 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       if Fault.fire Fault.Exec_stall then Unix.sleepf exec_stall_seconds;
       let timed = observing && (!executions + d) land sample_mask = 0 in
       let t0 = if timed then Unix.gettimeofday () else 0.0 in
-      let parent =
-        if !corpus_n = 0 then { data = Layout.random_tuple_bytes layout rng; score = 0 }
-        else select_entry rng corpus !corpus_n
-      in
-      let other = if !corpus_n = 0 then parent.data else (select_entry rng corpus !corpus_n).data in
+      (* with an empty corpus the parent is a fresh random tuple that
+         never ran, so there is no prefix to resume *)
+      let parent = if !corpus_n = 0 then no_parent else select_entry rng corpus !corpus_n in
+      let pdata = if !corpus_n = 0 then Layout.random_tuple_bytes layout rng else parent.data in
+      draft_parent.(d) <- parent;
+      let other = if !corpus_n = 0 then pdata else (select_entry rng corpus !corpus_n).data in
       (if config.field_aware then begin
-         let s, c =
-           Mutate.mutate ?dict layout rng parent.data ~other ~max_tuples:config.max_tuples
-         in
+         let s, c = Mutate.mutate ?dict layout rng pdata ~other ~max_tuples:config.max_tuples in
          draft_strat.(d) <- Mutate.strategy_index s;
          draft.(d) <- c
        end
        else begin
          draft_strat.(d) <- -1;
-         draft.(d) <- Mutate.mutate_blind rng parent.data ~other ~max_len
+         draft.(d) <- Mutate.mutate_blind rng pdata ~other ~max_len
        end);
       match obs with
       | Some ob when timed ->
         Metrics.observe ob.ob_schedule_ns ((Unix.gettimeofday () -. t0) *. 1e9)
       | _ -> ()
     done;
-    process draft draft_strat gen
+    process draft draft_strat draft_parent gen
   done;
   (match obs with
   | Some ob ->
     Metrics.add ob.ob_executions !executions;
     Metrics.add ob.ob_iterations !iterations;
+    Metrics.add ob.ob_resumed !resumed;
     let wall = Unix.gettimeofday () -. start in
     Metrics.set ob.ob_execs_per_s (float_of_int !executions /. Float.max wall 1e-9);
     Metrics.set ob.ob_covered (float_of_int !covered_run);

@@ -160,10 +160,10 @@ val make_executor :
   fresh_cells:int list ref ->
   Bytes.t ->
   int * int * int
-(** The fuzzer's inner loop, as used by {!run}: executes one input
-    against the campaign-global coverage bytes [g_total] and returns
-    (iteration-difference metric, newly covered probes, model
-    iterations). It runs a fresh {!Ir_vm} instance over [code] when
+(** The fuzzer's inner loop from reset ({!exec} over an {!executor}):
+    executes one input against the campaign-global coverage bytes
+    [g_total] and returns (iteration-difference metric, newly covered
+    probes, model iterations). It runs a fresh {!Ir_vm} instance over [code] when
     given (prepared from [prog]), else over [Ir_vm.prepare prog] —
     optimized; pass [~code:(Ir_vm.prepare ~optimize:false prog)] for
     unoptimized execution. The set-up happens once at the
@@ -172,6 +172,76 @@ val make_executor :
     from silently deferring the set-up to every input. Exposed for
     benchmarks and tooling that need per-execution costs without a
     whole campaign. *)
+
+(** {1 Parent-prefix resume}
+
+    Every Table 1 mutation except shuffle rewrites an input from some
+    tuple onward, so a child usually repeats its parent's first
+    tuples exactly. {!run} does not run that shared prefix again.
+    Each corpus entry keeps a {e trajectory} of its from-reset
+    execution: checkpoints holding, after a step, the VM's carried
+    registers ({!Ir_vm.save_carried}), that step's probe bit-words
+    and Algorithm 1's metric summed through it. An entry records its
+    trajectory by running once more, from reset, the first time it is
+    drafted as a parent; an entry never drafted records nothing. An
+    input of up to [c] steps keeps a checkpoint after every step, a
+    longer one after every [ceil (n / c)]-th, where [c] (at most 32)
+    is as many checkpoints as keep each of the trajectory's arrays
+    within 256 words, the largest block the minor heap takes.
+
+    A child whose first [s >= 1] whole tuples equal its parent's ([s]
+    capped by both lengths and [max_tuples]) starts at the last
+    checkpointed step [k <= s]: it restores the registers saved after
+    step [k - 1], takes that step's bit-words as the previous step's
+    probe set and that step's metric sum as its starting metric, and
+    runs steps [k ..] through the same word loop as a run from reset.
+    The result is the from-reset result, bit for bit: the parent set
+    every probe of the prefix in the coverage bytes when it ran, so
+    the prefix holds no fresh cell; each metric term reads only two
+    consecutive steps; and only carried registers reach later steps.
+    The functions below expose that path for tests and tools. *)
+
+type executor
+(** One VM instance over prepared code, with its probe buffers and
+    the coverage bytes it accounts against. *)
+
+type trajectory
+(** The per-step record of one input's from-reset execution. *)
+
+val executor :
+  ?code:Ir_vm.code ->
+  layout:Layout.t ->
+  prog:Ir.program ->
+  g_total:Bytes.t ->
+  max_tuples:int ->
+  use_metric:bool ->
+  unit ->
+  executor
+(** As {!make_executor}'s set-up: [code] as there. *)
+
+val exec : executor -> fresh_cells:int list ref -> Bytes.t -> int * int * int
+(** Runs one input from reset: (metric, fresh probes, iterations),
+    with the fresh cells pushed onto [fresh_cells], latest first. *)
+
+val record : executor -> Bytes.t -> trajectory
+(** Runs an input from reset and returns its trajectory. The input
+    must already have run against this executor's coverage bytes
+    (through {!exec} or {!exec_child}), which it then leaves as they
+    are; otherwise raises [Invalid_argument]. *)
+
+val resume_step : executor -> parent:Bytes.t -> trajectory -> Bytes.t -> int
+(** [resume_step x ~parent traj child]: the step a child of [parent]
+    (whose trajectory is [traj]) resumes at — the last checkpointed
+    step within the whole tuples they share from the start, capped by
+    both lengths and [max_tuples]; [0] runs from reset. *)
+
+val exec_child :
+  executor -> fresh_cells:int list ref -> parent:Bytes.t -> trajectory -> Bytes.t -> int * int * int
+(** [exec_child x ~fresh_cells ~parent traj child] runs [child] from
+    step [resume_step x ~parent traj child], as {!run} does, and
+    returns exactly what {!exec} would: the same metric, fresh count,
+    fresh cells in the same order, iterations, and coverage bytes
+    afterwards. *)
 
 val make_batch_executor :
   ?code:Ir_vm.code ->

@@ -52,7 +52,7 @@ val set_field : t -> Bytes.t -> tuple:int -> field:int -> Value.t -> unit
 
 val load_tuple_vm : t -> Bytes.t -> tuple:int -> Ir_vm.t -> unit
 (** Fast path: decode tuple [tuple] directly into the VM's input
-    registers. *)
+    registers ({!Ir_vm.load_input}); allocates nothing. *)
 
 val run_case :
   ?observe:(unit -> unit) -> t -> Ir_vm.t -> max_tuples:int -> Bytes.t -> unit

@@ -5,7 +5,7 @@ open Cftcg_model
 
    Register file layout:  [ variables | temporaries | constants ]
    - variables sit at their [vid], so raw access by variable id
-     (set_input_raw / read_raw) needs no lookup;
+     (load_input / read_raw) needs no lookup;
    - temporaries are statement-scoped (reset per statement, watermark
      sizes the file);
    - constants are pooled by bit pattern and materialized once per

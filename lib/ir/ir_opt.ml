@@ -572,15 +572,16 @@ type liveness = {
 }
 
 (* Per-instruction backward dataflow over the runtime registers
-   [0, nregs). Roots at HALT are the caller-supplied [roots] set. The
-   reverse sweep repeats until nothing changes, so back edges are
-   handled; without back edges (generated code has none) every
-   successor is final before its predecessor is visited, and one sweep
-   is exact. *)
-let compute_liveness insts ~nregs ~roots =
-  let n = Array.length insts in
+   [0, nregs), on [n] instructions with successors [succ] in
+   [successor_table]'s layout. Instruction i, unless [dead i], has
+   opcode [op i] and holds [arg i k] in operand slot k. Live-out of
+   HALT is [roots]. The reverse sweep repeats until nothing changes,
+   so back edges are handled; without back edges (generated code has
+   none) every successor is final before its predecessor is visited,
+   and one sweep is exact. Returns the live-in sets, one of
+   [Array.length roots] words per instruction. *)
+let solve_liveness ~n ~succ ~nregs ~roots ~dead ~op ~arg =
   let w = Array.length roots in
-  let succ = successor_table insts in
   let back_edges = ref false in
   for k = 0 to (2 * n) - 1 do
     let s = succ.(k) in
@@ -592,8 +593,7 @@ let compute_liveness insts ~nregs ~roots =
   while !changed do
     changed := false;
     for i = n - 1 downto 0 do
-      let b = insts.(i) in
-      if not b.b_dead then begin
+      if not (dead i) then begin
         let s1 = succ.(2 * i) and s2 = succ.((2 * i) + 1) in
         for k = 0 to w - 1 do
           out.(k) <-
@@ -601,11 +601,11 @@ let compute_liveness insts ~nregs ~roots =
              else if s2 < 0 then live_in.((s1 * w) + k)
              else live_in.((s1 * w) + k) lor live_in.((s2 * w) + k))
         done;
-        let sh = shapes.(b.b_op) in
-        if sh.s_dst then bit_remove out b.b_args.(0);
+        let sh = shapes.(op i) in
+        if sh.s_dst then bit_remove out (arg i 1);
         let srcs = sh.s_srcs in
         for j = 0 to Array.length srcs - 1 do
-          let r = b.b_args.(srcs.(j) - 1) in
+          let r = arg i srcs.(j) in
           if r < nregs then bit_add out r
         done;
         let base = i * w in
@@ -618,7 +618,17 @@ let compute_liveness insts ~nregs ~roots =
       end
     done
   done;
-  { lv_words = w; lv_succ = succ; lv_in = live_in; lv_roots = roots }
+  live_in
+
+let compute_liveness insts ~nregs ~roots =
+  let succ = successor_table insts in
+  let live_in =
+    solve_liveness ~n:(Array.length insts) ~succ ~nregs ~roots
+      ~dead:(fun i -> insts.(i).b_dead)
+      ~op:(fun i -> insts.(i).b_op)
+      ~arg:(fun i k -> insts.(i).b_args.(k - 1))
+  in
+  { lv_words = Array.length roots; lv_succ = succ; lv_in = live_in; lv_roots = roots }
 
 (* Whether register r is live on exit from instruction i, from its
    successors' live-in sets as solved (later edits to the instruction
@@ -1166,3 +1176,58 @@ let disassemble ?hits (lin : L.t) =
   block "init" lin.L.l_init init_hits;
   block "step" lin.L.l_step step_hits;
   Buffer.contents buf
+
+(* --- entry liveness, for resuming a run mid-input --------------- *)
+
+(* The step block's entry-live registers: the live-in set of its first
+   instruction, with nothing live at HALT. Rooting the result at HALT,
+   as the dead-write roots are closed over the step loop, adds nothing:
+   liveness is per register, and a register the roots would make live
+   at the entry is one the step reads before writing, already in the
+   set. Solved on the encoded stream, not on [decode]'s copy: a
+   campaign asks once per prepared code, and the decoded copy's
+   garbage raised its major heap's high-water mark by about a sixth
+   (DESIGN.md §3). *)
+let step_entry_live (lin : L.t) =
+  let code = lin.L.l_step in
+  let nregs = lin.L.l_const_base in
+  let len = Array.length code in
+  (* instruction index of each instruction's first slot *)
+  let ix_of_pc = Array.make (len + 1) (-1) in
+  let n = ref 0 and pc = ref 0 in
+  while !pc < len do
+    ix_of_pc.(!pc) <- !n;
+    incr n;
+    pc := !pc + shapes.(code.(!pc)).s_size
+  done;
+  let n = !n in
+  let starts = Array.make n 0 in
+  for pc = 0 to len - 1 do
+    let i = ix_of_pc.(pc) in
+    if i >= 0 then starts.(i) <- pc
+  done;
+  let succ = Array.make (2 * n) (-1) in
+  for i = 0 to n - 1 do
+    let pc = starts.(i) in
+    let op = code.(pc) in
+    let t = shapes.(op).s_target in
+    let target = if t >= 0 then ix_of_pc.(code.(pc + t)) else -1 in
+    if op = L.op_halt then ()
+    else if is_uncond_jump op then succ.(2 * i) <- target
+    else if is_cond_jump op then begin
+      succ.(2 * i) <- target;
+      succ.((2 * i) + 1) <- i + 1
+    end
+    else succ.(2 * i) <- i + 1
+  done;
+  let live_in =
+    solve_liveness ~n ~succ ~nregs ~roots:(Array.make (words_for nregs) 0)
+      ~dead:(fun _ -> false)
+      ~op:(fun i -> code.(starts.(i)))
+      ~arg:(fun i k -> code.(starts.(i) + k))
+  in
+  let live = ref [] in
+  for r = nregs - 1 downto 0 do
+    if bit_mem live_in 0 r then live := r :: !live
+  done;
+  Array.of_list !live

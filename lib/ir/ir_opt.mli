@@ -61,6 +61,14 @@
 
 val optimize_bytecode : Ir_linearize.t -> Ir_linearize.t
 
+val step_entry_live : Ir_linearize.t -> int array
+(** The registers below the constant pool that the step block may
+    read before it writes them, in ascending order: the entry-live
+    set of one step, closed over the step loop as the
+    dead-write roots are (with no other root). Between two steps, no
+    other register's value can reach anything a later step computes,
+    fires or records. *)
+
 val static_count : Ir_linearize.t -> int
 (** Number of instructions (init + step) — counts instructions, not
     int slots like {!Ir_linearize.code_size}. *)
@@ -69,7 +77,7 @@ val dynamic_count : Ir_linearize.t -> float array array -> int
 (** [dynamic_count lin rows] executes init plus one step per row on a
     reference interpreter and returns the number of instructions
     dispatched. Each row holds the raw float per inport (in port
-    order, as fed to [Ir_vm.set_input_raw]). *)
+    order, as [Ir_vm.load_input] decodes them). *)
 
 val opcode_histogram : Ir_linearize.t -> int array
 (** Instruction count per opcode (init + step), indexed by opcode

@@ -54,10 +54,16 @@ type branches = private {
     instance's registers), so any number of instances may run over
     one code concurrently. *)
 
-type code = private Ir_linearize.t
+type code
 (** Bytecode without hook instructions: probe-only for the fuzzing
     loop and the campaign replayer; branch-recording for the
-    solver. *)
+    solver. It also holds the code's {e carried} registers (see
+    {!save_carried}), computed once, the first time any instance asks
+    for them, and shared read-only from then on. *)
+
+val code_linearized : code -> Ir_linearize.t
+(** The (optimized) bytecode of a code. *)
+
 
 type t
 
@@ -96,10 +102,10 @@ val step : t -> unit
 
 val set_input : t -> int -> Value.t -> unit
 
-val set_input_raw : t -> int -> float -> unit
-(** Fast path: the float must already be an exact member of the
-    inport dtype's value set (e.g. produced by {!Value.decode} +
-    {!Value.to_float}). *)
+val load_input : t -> int -> Dtype.t -> Bytes.t -> int -> unit
+(** [load_input vm i ty data off] sets input [i] to the [ty] value
+    encoded little-endian at [data.(off)], by {!Value.decode_into}:
+    without allocating. *)
 
 val get_output : t -> int -> Value.t
 val get_var : t -> Ir.var -> Value.t
@@ -142,6 +148,42 @@ val save_state : t -> state -> unit
 
 val restore_state : t -> state -> unit
 (** Copies the state back over the registers and branch minima. *)
+
+(** {1 Carried registers}
+
+    A fuzzing child that repeats its parent's first [s] tuples can
+    start at step [s] from the parent's state after step [s - 1]. Only
+    part of that state matters: the {e carried} registers, the step
+    block's entry-live set (registers some path through one step reads
+    before writing it, closed over the step loop as the optimizer's
+    dead-write roots are) minus the inputs, which are rewritten before
+    every step. Every other register below the constant pool is
+    written before it is read in any step, and the pool is never
+    written, so a state is fully described, for all later steps, by
+    its carried registers. The set is computed for optimized and
+    unoptimized code alike, once per code, on first use rather than in
+    {!prepare}: most codes (the solver's, the scoring replayer's) are
+    never resumed, so set-up does not pay for it.
+
+    Saving and restoring move one float per carried register between
+    the register file and a caller-owned flat array, allocate nothing,
+    and keep NaN payloads, ±inf and −0.0 bit for bit. Branch minima
+    are not carried; the fuzzing code records none. *)
+
+val carried : t -> int array
+(** This instance's carried registers, ascending (shared with its
+    code; do not mutate). Its length is the stride of one saved state.
+    Safe to call from several domains at once. *)
+
+val save_carried : t -> float array -> at:int -> unit
+(** [save_carried vm buf ~at] writes the carried registers, in
+    {!carried} order, to [buf.(at) ..]. Raises [Invalid_argument] if
+    they do not fit. *)
+
+val restore_carried : t -> float array -> at:int -> unit
+(** The inverse of {!save_carried}: after it, running steps gives the
+    same probes and carried registers as running on from where the
+    state was saved, whatever the instance executed in between. *)
 
 (** {1 Probe buffers}
 

@@ -138,19 +138,22 @@ let decode ty b off =
   | Dtype.Float32 -> VFloat (ty, Cftcg_util.Bytecodec.get_f32 b off)
   | Dtype.Float64 -> VFloat (ty, Cftcg_util.Bytecodec.get_f64 b off)
 
-(* to_float ∘ decode without the intermediate box — the fuzzer's
-   per-tuple input path runs this once per inport per model step. *)
-let decode_float ty b off =
-  match ty with
-  | Dtype.Bool -> if Cftcg_util.Bytecodec.get_u8 b off <> 0 then 1.0 else 0.0
-  | Dtype.Int8 -> float_of_int (Cftcg_util.Bytecodec.get_i8 b off)
-  | Dtype.UInt8 -> float_of_int (Cftcg_util.Bytecodec.get_u8 b off)
-  | Dtype.Int16 -> float_of_int (Cftcg_util.Bytecodec.get_i16 b off)
-  | Dtype.UInt16 -> float_of_int (Cftcg_util.Bytecodec.get_u16 b off)
-  | Dtype.Int32 -> float_of_int (Cftcg_util.Bytecodec.get_i32 b off)
-  | Dtype.UInt32 -> float_of_int (Cftcg_util.Bytecodec.get_u32 b off)
-  | Dtype.Float32 -> Cftcg_util.Bytecodec.get_f32 b off
-  | Dtype.Float64 -> Cftcg_util.Bytecodec.get_f64 b off
+(* to_float ∘ decode, written straight into [dst.(i)]: a float that
+   lands in a float array inside this function is never boxed, while
+   one returned across a module boundary is. The fuzzer's per-tuple
+   input path runs this once per inport per model step. *)
+let decode_into ty b off dst i =
+  dst.(i) <-
+    (match ty with
+    | Dtype.Bool -> if Bytes.get_uint8 b off <> 0 then 1.0 else 0.0
+    | Dtype.Int8 -> float_of_int (Bytes.get_int8 b off)
+    | Dtype.UInt8 -> float_of_int (Bytes.get_uint8 b off)
+    | Dtype.Int16 -> float_of_int (Bytes.get_int16_le b off)
+    | Dtype.UInt16 -> float_of_int (Bytes.get_uint16_le b off)
+    | Dtype.Int32 -> float_of_int (Int32.to_int (Bytes.get_int32_le b off))
+    | Dtype.UInt32 -> float_of_int (Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF)
+    | Dtype.Float32 -> Int32.float_of_bits (Bytes.get_int32_le b off)
+    | Dtype.Float64 -> Int64.float_of_bits (Bytes.get_int64_le b off))
 
 let encode v b off =
   match v with

@@ -85,9 +85,10 @@ val decode : Dtype.t -> Bytes.t -> int -> t
 val encode : t -> Bytes.t -> int -> unit
 (** Writes the little-endian representation at the offset. *)
 
-val decode_float : Dtype.t -> Bytes.t -> int -> float
-(** [to_float (decode ty b off)] without allocating the intermediate
-    value — the raw-float execution backends' input fast path. *)
+val decode_into : Dtype.t -> Bytes.t -> int -> float array -> int -> unit
+(** [decode_into ty b off dst i] stores [to_float (decode ty b off)] in
+    [dst.(i)] without allocating — the raw-float execution backends'
+    input fast path. *)
 
 (** {1 Raw-float helpers}
 

@@ -3,7 +3,9 @@
    failure, and the final stats — for the eight benchmark models and
    20 fixed-seed random models at the default config, plus one row
    fuzzing unoptimized code (handed in as [~code]), one
-   [field_aware = false] row and one small-corpus row. How the loop
+   [field_aware = false] row, one small-corpus row, one
+   [max_tuples = 3] row, one [iteration_metric = false] row and one
+   row with user seeds. How the loop
    executes its inputs may change; what a same-seed run finds must
    stay byte-identical. *)
 
@@ -56,6 +58,9 @@ let random_pin = "468994ff5857d85a15b5e7a563e7114d"
 let unoptimized_pin = "c3e6edcefd01f480a7c50eb5c1ea9ff6"
 let blind_pin = "295be9931ee9729bce87da188153d371"
 let small_corpus_pin = "7948d0c9b98294f6c1addc05810fb446"
+let short_inputs_pin = "6e9c0747655d892ade08194ef2df17ff"
+let no_metric_pin = "6ccc7d733c2d4e06fcf6734811237ec7"
+let user_seeds_pin = "a77f9acf73ce4dd8f988441093068eda"
 
 let test_bench_models () =
   Alcotest.(check int) "every bench model pinned" (List.length Models.all) (List.length bench_pins);
@@ -90,10 +95,45 @@ let test_blind () =
   Alcotest.(check string) "TCP+SolarPV, field_aware = false" blind_pin
     (digest ~config [ bench_prog "TCP"; bench_prog "SolarPV" ] ~seed:17L ~execs:4000)
 
+(* At most three model iterations per input: mutations that grow an
+   input past the cap leave a child whose tail the executor ignores. *)
+let test_short_inputs () =
+  let config = { Fuzzer.default_config with Fuzzer.max_tuples = 3 } in
+  Alcotest.(check string) "TCP+RAC, max_tuples = 3" short_inputs_pin
+    (digest ~config [ bench_prog "TCP"; bench_prog "RAC" ] ~seed:23L ~execs:4000)
+
+let test_no_metric () =
+  let config = { Fuzzer.default_config with Fuzzer.iteration_metric = false } in
+  Alcotest.(check string) "TCP+SolarPV, iteration_metric = false" no_metric_pin
+    (digest ~config [ bench_prog "TCP"; bench_prog "SolarPV" ] ~seed:29L ~execs:4000)
+
+(* User seeds run first and have no parent; they are random streams
+   of 1 to 24 tuples drawn from the model's own layout. *)
+let test_user_seeds () =
+  let prog_seeds prog =
+    let layout = Cftcg_fuzz.Layout.of_program prog in
+    let rng = Rng.create 31L in
+    List.init 6 (fun _ ->
+        Bytes.concat Bytes.empty
+          (List.init (1 + Rng.int rng 24) (fun _ -> Cftcg_fuzz.Layout.random_tuple_bytes layout rng)))
+  in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun name ->
+      let prog = bench_prog name in
+      let config = { Fuzzer.default_config with Fuzzer.seed = 37L; seeds = prog_seeds prog } in
+      add_result buf (Fuzzer.run ~config prog (Fuzzer.Exec_budget 4000)))
+    [ "TCP"; "RAC"; "SolarPV" ];
+  Alcotest.(check string) "TCP+RAC+SolarPV, user seeds" user_seeds_pin
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suites =
   [ ( "fuzzer.pin",
       [ Alcotest.test_case "bench models" `Quick test_bench_models;
         Alcotest.test_case "random models" `Quick test_random_models;
         Alcotest.test_case "optimize = false" `Quick test_unoptimized;
         Alcotest.test_case "field_aware = false" `Quick test_blind;
-        Alcotest.test_case "corpus_cap = 12" `Quick test_small_corpus ] ) ]
+        Alcotest.test_case "corpus_cap = 12" `Quick test_small_corpus;
+        Alcotest.test_case "max_tuples = 3" `Quick test_short_inputs;
+        Alcotest.test_case "iteration_metric = false" `Quick test_no_metric;
+        Alcotest.test_case "user seeds" `Quick test_user_seeds ] ) ]

@@ -195,13 +195,24 @@ let test_fuzzer_parity_obs_on_off () =
   let prog = solar_pv () in
   let config = { Fuzzer.default_config with Fuzzer.seed = 77L } in
   let run () = Fuzzer.run ~config prog (Fuzzer.Exec_budget 3000) in
+  (* process-wide counters: read this run's share as a delta *)
+  let iterations () = Metrics.value (Metrics.counter "cftcg_fuzz_iterations_total") in
+  let resumed () = Metrics.value (Metrics.counter "cftcg_fuzz_resumed_iterations_total") in
   Metrics.set_collect false;
   Trace.set_enabled false;
+  let before = (iterations (), resumed ()) in
   let off = run () in
+  Alcotest.(check (pair int int)) "nothing counted while off" before (iterations (), resumed ());
   Metrics.set_collect true;
   Trace.set_enabled true;
   let series = Series.create () in
   let on = Fuzzer.run ~config ~coverage_series:series prog (Fuzzer.Exec_budget 3000) in
+  let d_iterations = iterations () - fst before and d_resumed = resumed () - snd before in
+  Alcotest.(check int) "iterations counted" on.Fuzzer.stats.Fuzzer.iterations d_iterations;
+  Alcotest.(check bool)
+    (Printf.sprintf "resumed iterations counted: %d of %d" d_resumed d_iterations)
+    true
+    (d_resumed > 0 && d_resumed < d_iterations);
   Alcotest.(check (list bytes)) "same suite bytes" (suite_bytes off) (suite_bytes on);
   Alcotest.(check int) "same executions" off.Fuzzer.stats.Fuzzer.executions
     on.Fuzzer.stats.Fuzzer.executions;
@@ -324,8 +335,8 @@ let test_vm_profile_matches_reference () =
     Array.init 32 (fun tuple ->
         Array.map
           (fun (f : Layout.field) ->
-            Value.decode_float f.Layout.f_ty data
-              ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset))
+            Value.to_float
+              (Value.decode f.Layout.f_ty data ((tuple * layout.Layout.tuple_len) + f.Layout.f_offset)))
           layout.Layout.fields)
   in
   let vm = Cftcg_ir.Ir_vm.compile prog in

@@ -22,7 +22,7 @@ let example_model file =
   Cftcg_model.Slx.load_file path
 
 let add_code buf (code : Ir_vm.code) =
-  let lin = (code :> Ir_linearize.t) in
+  let lin = Ir_vm.code_linearized code in
   let ints a =
     Array.iter (fun x -> Buffer.add_string buf (string_of_int x); Buffer.add_char buf ',') a;
     Buffer.add_char buf ';'

@@ -67,32 +67,32 @@ let op_decision = 44
 let op_branch = 45
 let op_halt = 46
 
-(* Superinstructions 47..57 are never emitted by the linearizer —
-   only Ir_opt's bytecode fusion pass produces them. The fused
-   compare-and-jump forms replace a [cmp_*; jz] pair and take the
-   jump when the comparison is FALSE (bit-for-bit what the pair
+(* Superinstructions 47..63 and 71..79 are never emitted by the
+   linearizer — only Ir_opt's bytecode fusion pass produces them. The
+   fused compare-and-jump forms replace a [cmp_*; jz] pair and take
+   the jump when the comparison is FALSE (bit-for-bit what the pair
    computed, NaN behaviour included — [jlt a b L] is *not* the same
-   as [jge a b L] when an operand is NaN). *)
+   as "jge a b L" when an operand is NaN). [cmp_gt a b] / [cmp_ge a b]
+   fuse as [jlt b a] / [jle b a]: swapping the operands is exact for
+   IEEE compares, NaN and ±0 included, so no gt/ge forms exist. *)
 let op_jlt = 47
 let op_jle = 48
 let op_jeq = 49
 let op_jne = 50
-let op_jgt = 51
-let op_jge = 52
-let op_jnz = 53 (* [not; jz] pair: jump when the source is non-zero *)
+let op_jnz = 51 (* [not; jz] pair: jump when the source is non-zero *)
 
 (* float32 arithmetic: [add_f/…; round_f32] pair fused into one
    dispatch (result normalized to float32 before the store) *)
-let op_add_f32 = 54
-let op_sub_f32 = 55
-let op_mul_f32 = 56
-let op_div_f32 = 57
+let op_add_f32 = 52
+let op_sub_f32 = 53
+let op_mul_f32 = 54
+let op_div_f32 = 55
 
 (* branch-arm tails: a probe or mov immediately followed by an
    unconditional jmp (the common shape of a then-arm) collapse into
    one dispatch *)
-let op_probe_jmp = 58
-let op_mov_jmp = 59
+let op_probe_jmp = 56
+let op_mov_jmp = 57
 
 (* probe-carrying conditional branches: a fused compare-and-jump (or
    jz/jnz) immediately followed by a coverage [probe] collapses into
@@ -102,31 +102,56 @@ let op_mov_jmp = 59
    Semantics are exactly the pair's: when the branch falls through the
    probe fires, when it jumps the probe is skipped.
    Layout: [jlt.p a, b, id, L] / [jz.p r, id, L]. *)
-let op_jlt_p = 60
-let op_jle_p = 61
-let op_jeq_p = 62
-let op_jne_p = 63
-let op_jgt_p = 64
-let op_jge_p = 65
-let op_jz_p = 66
-let op_jnz_p = 67
+let op_jlt_p = 58
+let op_jle_p = 59
+let op_jeq_p = 60
+let op_jne_p = 61
+let op_jz_p = 62
+let op_jnz_p = 63
 
-(* branch-distance opcodes 68..74, emitted only under [branch]
+(* branch-distance opcodes 64..70, emitted only under [branch]
    instrumentation: each computes one side of a comparison's Korel
    distance (K = 1) into a single register, bit-for-bit the formula
    Ir_eval.branch_distances uses, so they are pure ALU ops to the
    optimizer. [gt]/[ge] reuse [lt]/[le] with swapped operands, [ne]
    swaps [eq]'s two sides, and [min.f] (Float.min, NaN-propagating)
    combines conjunctions and disjunctions. *)
-let op_dt_eq = 68 (* |a-b| *)
-let op_df_eq = 69 (* 1 if |a-b| = 0 else 0 *)
-let op_dt_lt = 70 (* d = a-b: 0 if d < 0 else d+1 *)
-let op_df_lt = 71 (* d = a-b: -d if d < 0 else 0 *)
-let op_dt_le = 72 (* d = a-b: 0 if d <= 0 else d *)
-let op_df_le = 73 (* d = a-b: -d+1 if d <= 0 else 0 *)
-let op_min_f = 74
+let op_dt_eq = 64 (* |a-b| *)
+let op_df_eq = 65 (* 1 if |a-b| = 0 else 0 *)
+let op_dt_lt = 66 (* d = a-b: 0 if d < 0 else d+1 *)
+let op_df_lt = 67 (* d = a-b: -d if d < 0 else 0 *)
+let op_dt_le = 68 (* d = a-b: 0 if d <= 0 else d *)
+let op_df_le = 69 (* d = a-b: -d+1 if d <= 0 else 0 *)
+let op_min_f = 70
 
-let n_opcodes = 75
+(* probe selects: a whole [if c then probe A else probe B] diamond in
+   one dispatch, with no jump — it fires A when the relation holds and
+   B otherwise, then falls through to the join. Layout
+   [psel.lt a, b, A, B] (fires A when a < b), [psel.le], [psel.eq],
+   and [psel.nz r, A, B] (fires A when r <> 0). A jump that takes its
+   branch when [eq]/[nz] holds selects with A and B swapped. The psel
+   and setp families list lt, le, eq in the order of jlt, jle, jeq:
+   Ir_opt maps between the three families by offset. *)
+let op_psel_lt = 71
+let op_psel_le = 72
+let op_psel_eq = 73
+let op_psel_nz = 74
+
+(* probe-firing sets: the boolean-materializing diamond
+   [if c then (probe A; r <- 1) else (probe B; r <- 0)] in one
+   dispatch. Layout [setp.lt r, a, b, A, B]: r <- 1.0 and A fires when
+   a < b, else r <- 0.0 and B fires; [setp.le], [setp.eq], [setp.ne]
+   and [setp.nz r, s, A, B] (on s <> 0) likewise. They write a
+   register yet are not pure: the optimizer may turn a setp whose
+   register is dead into the psel of the same relation, never delete
+   or fold it. *)
+let op_setp_lt = 75
+let op_setp_le = 76
+let op_setp_eq = 77
+let op_setp_ne = 78
+let op_setp_nz = 79
+
+let n_opcodes = 80
 
 type instrumentation = {
   probe_hook : bool;  (** emit [op_probe_h] (buffer write + hook call) per probe *)

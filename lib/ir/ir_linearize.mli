@@ -111,14 +111,15 @@ val op_halt : int
 
 (** Superinstructions — emitted only by {!Ir_opt}'s bytecode fusion
     pass, never by the linearizer. The compare-and-jump forms replace
-    a [cmp_*; jz] pair and jump when the comparison is {e false}. *)
+    a [cmp_*; jz] pair and jump when the comparison is {e false}.
+    There are no gt/ge forms: [cmp_gt a b] fuses as [jlt b a] and
+    [cmp_ge a b] as [jle b a], which is exact for IEEE compares (NaN
+    and ±0 included). *)
 
 val op_jlt : int
 val op_jle : int
 val op_jeq : int
 val op_jne : int
-val op_jgt : int
-val op_jge : int
 val op_jnz : int
 val op_add_f32 : int
 val op_sub_f32 : int
@@ -137,10 +138,33 @@ val op_jlt_p : int
 val op_jle_p : int
 val op_jeq_p : int
 val op_jne_p : int
-val op_jgt_p : int
-val op_jge_p : int
 val op_jz_p : int
 val op_jnz_p : int
+
+(** Probe selects: an [if c then probe A else probe B] diamond in one
+    dispatch and no jump. Layout [op, a, b, A, B] — fires [A] when
+    [a < b] ([op_psel_lt]), [a <= b] ([op_psel_le]) or [a = b]
+    ([op_psel_eq]) holds and [B] otherwise — and [op_psel_nz, r, A, B]
+    on [r <> 0]. Execution continues at the next instruction. *)
+
+val op_psel_lt : int
+val op_psel_le : int
+val op_psel_eq : int
+val op_psel_nz : int
+
+(** Probe-firing sets: the diamond
+    [if c then (probe A; r <- 1) else (probe B; r <- 0)] in one
+    dispatch. Layout [op, r, a, b, A, B] for [op_setp_lt], [op_setp_le],
+    [op_setp_eq] and [op_setp_ne]; [op_setp_nz, r, s, A, B] on
+    [s <> 0]. Operands are read before [r] is written. They write a
+    register but are not pure: an optimizer may only turn a setp
+    whose register is dead into the psel of its relation. *)
+
+val op_setp_lt : int
+val op_setp_le : int
+val op_setp_eq : int
+val op_setp_ne : int
+val op_setp_nz : int
 
 (** Branch-distance opcodes (layout [op, dst, a, b]), emitted only
     under [branch] instrumentation. Each writes one side of a

@@ -15,17 +15,23 @@ let span = Cftcg_obs.Trace.with_span
 (* instruction pairs. The passes work on the decoded instruction       *)
 (* stream:                                                             *)
 (*   1. constant folding + propagation through the register file       *)
-(*   2. copy propagation and move elimination                          *)
+(*   2. global copy propagation (forward over the whole block, copies  *)
+(*      meeting by intersection at jump targets) and move elimination  *)
 (*   3. unreachable-code elimination                                   *)
 (*   4. dead-register-write elimination (probe/cond/decision/branch    *)
 (*      ops, jumps, outputs, states, and cross-iteration reads are     *)
-(*      roots)                                                         *)
+(*      roots; a dead setp becomes a psel, never disappears)           *)
 (*   5. jump threading + fall-through elision                          *)
-(*   6. superinstruction fusion (cmp+jz -> jlt/…, not+jz -> jnz,       *)
-(*      arith_f+round_f32 -> *_f32)                                    *)
+(*   6. superinstruction fusion (cmp+jz -> jlt/…, with gt/ge           *)
+(*      canonicalized as lt/le on swapped operands; not+jz -> jnz;     *)
+(*      arith_f+round_f32 -> *_f32; arm tails -> probe.jmp/mov.jmp;    *)
+(*      branch+probe -> j*.p; whole two-probe diamonds -> psel, and    *)
+(*      0/1-materializing ones -> setp)                                *)
 (* Folding reuses the exact VM arm formulas (wrap masks, div-by-zero   *)
 (* guards, NaN handling, float32 normalization), so optimized code is  *)
 (* bit-identical to unoptimized — the differential suite enforces it.  *)
+(* Each call allocates its analysis arrays once ([scratch]) and every  *)
+(* pass reuses them.                                                   *)
 (* ================================================================== *)
 
 module L = Ir_linearize
@@ -38,7 +44,9 @@ module L = Ir_linearize
 type shape = {
   s_name : string;
   s_size : int;  (* total slots including the opcode *)
-  s_dst : bool;  (* slot 1 is a written register (all such ops are pure) *)
+  s_dst : bool;
+      (* slot 1 is a written register; all such ops are pure except
+         the setp forms, which also fire a probe (see [is_setp]) *)
   s_srcs : int array;  (* slot offsets read as registers *)
   s_target : int;  (* slot offset of a jump target, or -1 *)
 }
@@ -101,8 +109,6 @@ let shapes : shape array =
   def L.op_jle "jle" 4 false [ 1; 2 ] 3;
   def L.op_jeq "jeq" 4 false [ 1; 2 ] 3;
   def L.op_jne "jne" 4 false [ 1; 2 ] 3;
-  def L.op_jgt "jgt" 4 false [ 1; 2 ] 3;
-  def L.op_jge "jge" 4 false [ 1; 2 ] 3;
   def L.op_jnz "jnz" 3 false [ 1 ] 2;
   def L.op_add_f32 "add.f32" 4 true [ 2; 3 ] (-1);
   def L.op_sub_f32 "sub.f32" 4 true [ 2; 3 ] (-1);
@@ -114,8 +120,6 @@ let shapes : shape array =
   def L.op_jle_p "jle.p" 5 false [ 1; 2 ] 4;
   def L.op_jeq_p "jeq.p" 5 false [ 1; 2 ] 4;
   def L.op_jne_p "jne.p" 5 false [ 1; 2 ] 4;
-  def L.op_jgt_p "jgt.p" 5 false [ 1; 2 ] 4;
-  def L.op_jge_p "jge.p" 5 false [ 1; 2 ] 4;
   def L.op_jz_p "jz.p" 4 false [ 1 ] 3;
   def L.op_jnz_p "jnz.p" 4 false [ 1 ] 3;
   def L.op_dt_eq "dt.eq" 4 true [ 2; 3 ] (-1);
@@ -125,6 +129,15 @@ let shapes : shape array =
   def L.op_dt_le "dt.le" 4 true [ 2; 3 ] (-1);
   def L.op_df_le "df.le" 4 true [ 2; 3 ] (-1);
   def L.op_min_f "min.f" 4 true [ 2; 3 ] (-1);
+  def L.op_psel_lt "psel.lt" 5 false [ 1; 2 ] (-1);
+  def L.op_psel_le "psel.le" 5 false [ 1; 2 ] (-1);
+  def L.op_psel_eq "psel.eq" 5 false [ 1; 2 ] (-1);
+  def L.op_psel_nz "psel.nz" 4 false [ 1 ] (-1);
+  def L.op_setp_lt "setp.lt" 6 true [ 2; 3 ] (-1);
+  def L.op_setp_le "setp.le" 6 true [ 2; 3 ] (-1);
+  def L.op_setp_eq "setp.eq" 6 true [ 2; 3 ] (-1);
+  def L.op_setp_ne "setp.ne" 6 true [ 2; 3 ] (-1);
+  def L.op_setp_nz "setp.nz" 5 true [ 2 ] (-1);
   t
 
 (* --- decoded form ------------------------------------------------- *)
@@ -136,25 +149,41 @@ type binst = {
   mutable b_dead : bool;
 }
 
-let decode code =
+let count_insts code =
   let len = Array.length code in
   let rec count i n = if i >= len then n else count (i + shapes.(code.(i)).s_size) (n + 1) in
-  let n = count 0 0 in
+  count 0 0
+
+(* [starts] (at least one slot per instruction) receives each
+   instruction's pc; a jump target pc is resolved to its index by
+   binary search over it *)
+let decode ?starts code =
+  let len = Array.length code in
+  let n = count_insts code in
+  let starts = match starts with Some a -> a | None -> Array.make n 0 in
   let insts = Array.make n { b_op = L.op_halt; b_args = [||]; b_target = -1; b_dead = false } in
-  let pc2ix = Array.make (max len 1) (-1) in
   let i = ref 0 and k = ref 0 in
   while !i < len do
     let sh = shapes.(code.(!i)) in
-    pc2ix.(!i) <- !k;
+    starts.(!k) <- !i;
     insts.(!k) <-
       { b_op = code.(!i); b_args = Array.sub code (!i + 1) (sh.s_size - 1); b_target = -1; b_dead = false };
     i := !i + sh.s_size;
     incr k
   done;
+  let index_of pc =
+    let rec search lo hi =
+      if lo = hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if starts.(mid) < pc then search (mid + 1) hi else search lo mid
+    in
+    search 0 (n - 1)
+  in
   Array.iter
     (fun b ->
       let sh = shapes.(b.b_op) in
-      if sh.s_target >= 0 then b.b_target <- pc2ix.(b.b_args.(sh.s_target - 1)))
+      if sh.s_target >= 0 then b.b_target <- index_of b.b_args.(sh.s_target - 1))
     insts;
   insts
 
@@ -168,7 +197,7 @@ let next_live insts i = first_live insts (i + 1)
 
 let is_cond_jump op =
   op = L.op_jz || op = L.op_jnz
-  || (op >= L.op_jlt && op <= L.op_jge)
+  || (op >= L.op_jlt && op <= L.op_jne)
   || (op >= L.op_jlt_p && op <= L.op_jnz_p)
 
 (* conditional jumps that fire a probe on fall-through — they carry a
@@ -179,21 +208,103 @@ let is_probe_jump op = op >= L.op_jlt_p && op <= L.op_jnz_p
 (* jumps that never fall through *)
 let is_uncond_jump op = op = L.op_jmp || op = L.op_probe_jmp || op = L.op_mov_jmp
 
+let is_psel op = op >= L.op_psel_lt && op <= L.op_psel_nz
+
+(* register writes that also fire a probe: never deleted or folded *)
+let is_setp op = op >= L.op_setp_lt && op <= L.op_setp_nz
+
+(* --- scratch ------------------------------------------------------ *)
+
+(* Every array the passes work in, allocated once per
+   [optimize_bytecode] call and reused by every pass and cycle on both
+   blocks. Arrays this long bypass the minor heap, so allocating them
+   per pass call made the optimizer's major-heap traffic grow with its
+   pass count. Sized for the larger
+   block — passes never add instructions — and the runtime registers.
+   Per-instruction and per-register facts carry the tick they were
+   learned at and hold only while that tick is current, so forgetting
+   them all is one increment of [tick]; ticks are never reused. *)
+type scratch = {
+  mutable tick : int;
+  leaders : bool array;  (* per instruction *)
+  preds : int array;
+      (* per instruction: live predecessor edges while fusing; each
+         instruction's pc while decoding and encoding *)
+  stamp : int array;  (* per instruction: visited / followed / back-edge target *)
+  live_at : int array;  (* n + 1: the first live instruction at or after j *)
+  succ : int array;  (* 2n: see [successor_table] *)
+  live_in : int array;  (* n register sets: see [solve_liveness] *)
+  out : int array;  (* one register set *)
+  known_v : float array;  (* per register: constant propagation *)
+  known_at : int array;
+  bool_at : int array;
+  fired_at : int array;  (* per probe id: probe dedup *)
+  cp_src : int array;  (* per register: copy propagation *)
+  cp_at : int array;
+  cp_ver : int array;
+  version : int array;
+  last_read : int array;
+  active : int array;
+  active_at : int array;
+  pend_at : int array;  (* per instruction: copies pending at a jump target *)
+  pend_lo : int array;
+  pend_n : int array;
+  mutable pend : int array;  (* the [copy]-packed pairs of every pending set *)
+}
+
+let word_bits = 63
+
+let words_for nregs = (nregs + word_bits - 1) / word_bits
+
+let make_scratch ~n ~nregs ~n_probes =
+  let w = words_for nregs in
+  let per_reg () = Array.make (max nregs 1) (-1) in
+  {
+    tick = 0;
+    leaders = Array.make n false;
+    preds = Array.make n 0;
+    stamp = Array.make n (-1);
+    live_at = Array.make (n + 1) n;
+    succ = Array.make (2 * n) (-1);
+    live_in = Array.make (n * w) 0;
+    out = Array.make w 0;
+    known_v = Array.make (max nregs 1) 0.0;
+    known_at = per_reg ();
+    bool_at = per_reg ();
+    fired_at = Array.make (max n_probes 1) (-1);
+    cp_src = per_reg ();
+    cp_at = per_reg ();
+    cp_ver = per_reg ();
+    version = Array.make (max nregs 1) 0;
+    last_read = per_reg ();
+    active = per_reg ();
+    active_at = per_reg ();
+    pend_at = Array.make n (-1);
+    pend_lo = Array.make n 0;
+    pend_n = Array.make n 0;
+    pend = Array.make (2 * n) 0;
+  }
+
+let next_tick sc =
+  sc.tick <- sc.tick + 1;
+  sc.tick
+
 (* Leaders: instructions that can be reached from more than just the
    textually preceding instruction — straight-line dataflow state must
    be discarded there. Conservative superset is fine. *)
-let compute_leaders insts =
+let compute_leaders sc insts =
   let n = Array.length insts in
-  let leaders = Array.make n false in
+  let leaders = sc.leaders in
+  Array.fill leaders 0 n false;
   leaders.(first_live insts 0) <- true;
-  Array.iteri
-    (fun i b ->
-      if not b.b_dead then begin
-        if b.b_target >= 0 then leaders.(first_live insts b.b_target) <- true;
-        if (is_uncond_jump b.b_op || b.b_op = L.op_halt) && i + 1 < n then
-          leaders.(first_live insts (i + 1)) <- true
-      end)
-    insts;
+  for i = 0 to n - 1 do
+    let b = insts.(i) in
+    if not b.b_dead then begin
+      if b.b_target >= 0 then leaders.(first_live insts b.b_target) <- true;
+      if (is_uncond_jump b.b_op || b.b_op = L.op_halt) && i + 1 < n then
+        leaders.(first_live insts (i + 1)) <- true
+    end
+  done;
   leaders
 
 (* --- constant pool ------------------------------------------------ *)
@@ -311,60 +422,71 @@ let eval_pure op (a : int array) (v : int -> float) : float =
   | 36 (* and *) -> if v a.(1) <> 0.0 && v a.(2) <> 0.0 then 1.0 else 0.0
   | 37 (* or *) -> if v a.(1) <> 0.0 || v a.(2) <> 0.0 then 1.0 else 0.0
   | 38 (* select *) -> if v a.(1) <> 0.0 then v a.(2) else v a.(3)
-  | 54 (* add_f32 *) -> Value.normalize_float Dtype.Float32 (v a.(1) +. v a.(2))
-  | 55 (* sub_f32 *) -> Value.normalize_float Dtype.Float32 (v a.(1) -. v a.(2))
-  | 56 (* mul_f32 *) -> Value.normalize_float Dtype.Float32 (v a.(1) *. v a.(2))
-  | 57 (* div_f32 *) ->
+  | 52 (* add_f32 *) -> Value.normalize_float Dtype.Float32 (v a.(1) +. v a.(2))
+  | 53 (* sub_f32 *) -> Value.normalize_float Dtype.Float32 (v a.(1) -. v a.(2))
+  | 54 (* mul_f32 *) -> Value.normalize_float Dtype.Float32 (v a.(1) *. v a.(2))
+  | 55 (* div_f32 *) ->
     let y = v a.(2) in
     Value.normalize_float Dtype.Float32 (if y = 0.0 then 0.0 else v a.(1) /. y)
-  | 68 (* dt_eq *) -> Float.abs (v a.(1) -. v a.(2))
-  | 69 (* df_eq *) -> if Float.abs (v a.(1) -. v a.(2)) = 0.0 then 1.0 else 0.0
-  | 70 (* dt_lt *) ->
+  | 64 (* dt_eq *) -> Float.abs (v a.(1) -. v a.(2))
+  | 65 (* df_eq *) -> if Float.abs (v a.(1) -. v a.(2)) = 0.0 then 1.0 else 0.0
+  | 66 (* dt_lt *) ->
     let d = v a.(1) -. v a.(2) in
     if d < 0.0 then 0.0 else d +. 1.0
-  | 71 (* df_lt *) ->
+  | 67 (* df_lt *) ->
     let d = v a.(1) -. v a.(2) in
     if d < 0.0 then -.d else 0.0
-  | 72 (* dt_le *) ->
+  | 68 (* dt_le *) ->
     let d = v a.(1) -. v a.(2) in
     if d <= 0.0 then 0.0 else d
-  | 73 (* df_le *) ->
+  | 69 (* df_le *) ->
     let d = v a.(1) -. v a.(2) in
     if d <= 0.0 then -.d +. 1.0 else 0.0
-  | 74 (* min_f *) -> Float.min (v a.(1)) (v a.(2))
+  | 70 (* min_f *) -> Float.min (v a.(1)) (v a.(2))
+  (* the register a setp writes; its probe is not a value *)
+  | 75 (* setp_lt *) -> if v a.(1) < v a.(2) then 1.0 else 0.0
+  | 76 (* setp_le *) -> if v a.(1) <= v a.(2) then 1.0 else 0.0
+  | 77 (* setp_eq *) -> if v a.(1) = v a.(2) then 1.0 else 0.0
+  | 78 (* setp_ne *) -> if v a.(1) <> v a.(2) then 1.0 else 0.0
+  | 79 (* setp_nz *) -> if v a.(1) <> 0.0 then 1.0 else 0.0
   | _ -> assert false
 
 (* ops whose result is known to be exactly 0.0 or 1.0 *)
 let produces_bool op =
   op = L.op_not || op = L.op_to_bool
   || (op >= L.op_cmp_eq && op <= L.op_cmp_ge)
-  || op = L.op_and || op = L.op_or
+  || op = L.op_and || op = L.op_or || is_setp op
+
+(* whether a psel fires its first probe, given its operand values *)
+let psel_first op (a : int array) (v : int -> float) =
+  if op = L.op_psel_lt then v a.(0) < v a.(1)
+  else if op = L.op_psel_le then v a.(0) <= v a.(1)
+  else if op = L.op_psel_eq then v a.(0) = v a.(1)
+  else v a.(0) <> 0.0
 
 (* --- pass: constant folding + propagation ------------------------- *)
 
-(* The straight-line passes (this one, copy propagation, probe dedup)
-   learn facts per register or per probe id and forget them all at
-   every leader. Each fact sits in a flat array next to the number of
-   the region it was learned in and holds only while that number is
-   the current region's, so forgetting everything is one counter
-   increment. *)
+(* The straight-line passes (this one and probe dedup) learn facts per
+   register or per probe id and forget them all at every leader: a
+   fact holds while the tick it was learned at is the current
+   region's. *)
 
 (* Straight-line within basic blocks: per-register known values (and
    known-boolean facts) are tracked from each leader. Fully-known pure
-   ops become MOVs from a (possibly new) pool register; selects and
-   conditional jumps with a known condition are resolved. Saturation
-   bounds (f2i_sat's lo/hi) are register operands from the pool, so
-   they participate as ordinary known values — folding goes through
-   the same clamp the VM would apply rather than a naive conversion. *)
-let const_prop_pass ~pool ~const_base ~leaders insts =
+   ops become MOVs from a (possibly new) pool register; selects,
+   probe selects and conditional jumps with a known condition are
+   resolved. A setp with known operands keeps its probe: only its
+   register becomes a known value. Saturation bounds (f2i_sat's lo/hi)
+   are register operands from the pool, so they participate as
+   ordinary known values — folding goes through the same clamp the VM
+   would apply rather than a naive conversion. *)
+let const_prop_pass sc ~pool ~const_base ~leaders insts =
   let changed = ref false in
   (* runtime register r holds [known_v.(r)] while [known_at.(r)] is
      the current region, and is known to be 0.0 or 1.0 while
      [bool_at.(r)] is; pool registers are always known *)
-  let known_v = Array.make const_base 0.0 in
-  let known_at = Array.make const_base (-1) in
-  let bool_at = Array.make const_base (-1) in
-  let region = ref 0 in
+  let known_v = sc.known_v and known_at = sc.known_at and bool_at = sc.bool_at in
+  let region = ref (next_tick sc) in
   let known r = r >= const_base || known_at.(r) = !region in
   let value r = if r >= const_base then pool_get pool (r - const_base) else known_v.(r) in
   let is_bool r =
@@ -374,20 +496,20 @@ let const_prop_pass ~pool ~const_base ~leaders insts =
        let f = value r in
        f = 0.0 || f = 1.0)
   in
+  let all_known b = Array.for_all (fun slot -> known b.b_args.(slot - 1)) shapes.(b.b_op).s_srcs in
   let n = Array.length insts in
   for i = 0 to n - 1 do
-    if leaders.(i) then incr region;
+    if leaders.(i) then region := next_tick sc;
     let b = insts.(i) in
     if not b.b_dead then begin
       let sh = shapes.(b.b_op) in
       if sh.s_dst then begin
         let dst = b.b_args.(0) in
-        let all_known = Array.for_all (fun slot -> known b.b_args.(slot - 1)) sh.s_srcs in
         (* target-bearing writes (mov.jmp) transfer control: folding
            them to a plain MOV would drop the jump *)
-        if all_known && sh.s_target < 0 then begin
+        if all_known b && sh.s_target < 0 then begin
           let v = eval_pure b.b_op b.b_args value in
-          (if b.b_op = L.op_mov && b.b_args.(1) >= const_base then ()
+          (if is_setp b.b_op || (b.b_op = L.op_mov && b.b_args.(1) >= const_base) then ()
            else begin
              let creg = const_base + pool_find pool v in
              b.b_op <- L.op_mov;
@@ -429,68 +551,189 @@ let const_prop_pass ~pool ~const_base ~leaders insts =
         else b.b_dead <- true (* never taken *);
         changed := true
       end
+      else if is_psel b.b_op && all_known b then begin
+        (* the probe it fires is known: a plain probe *)
+        let k = Array.length b.b_args in
+        let id = if psel_first b.b_op b.b_args value then b.b_args.(k - 2) else b.b_args.(k - 1) in
+        b.b_op <- L.op_probe;
+        b.b_args <- [| id |];
+        changed := true
+      end
     end
   done;
   !changed
 
-(* --- pass: copy propagation + move elimination -------------------- *)
+(* --- pass: global copy propagation + move elimination ------------- *)
 
-let copy_prop_pass ~const_base ~leaders insts =
-  let changed = ref false in
-  (* runtime register d holds the same value as root register
-     [copy_src.(d)] while [copy_at.(d)] is the current region; stored
-     roots are themselves unmapped, so one lookup resolves.
-     [holders.(s)] lists the registers mapped to s in its region
-     (entries may since have been remapped), so a write to s drops
-     exactly its copies without scanning the whole map. *)
-  let copy_src = Array.make const_base 0 in
-  let copy_at = Array.make const_base (-1) in
-  let holders = Array.make const_base [] in
-  let holders_at = Array.make const_base (-1) in
-  let region = ref 0 in
-  let resolve r = if r < const_base && copy_at.(r) = !region then copy_src.(r) else r in
+(* Available copies (d holds the same value as s) flow forward through
+   the whole block in one walk. Step and init code only jump forward,
+   so stream order is a topological order: the copies on a jump edge
+   wait at its target as a pending set, and a target starts from the
+   intersection of its pending set and, if its predecessor falls
+   through, the copies reaching it in line. A back edge (possible only
+   in hand-written code) sends its target in with no copies at all.
+   Uses are rewritten to the copy's source; the dead MOVs are left to
+   DCE. Sources are themselves never mapped, so one lookup resolves,
+   and pool-register sources propagate constants.
+
+   A write to s drops every copy of s at once: copy (d, s) records
+   s's write count [version] when it was made, and holds only while
+   that count is unchanged. [active] lists the registers that may
+   hold a copy, for snapshotting the set at a jump; a snapshot leaves
+   out the copies whose register is never read at the target or
+   later. *)
+
+(* a copy (d, s) packed into one int for the pending sets *)
+let copy d s = (d lsl 31) lor s
+
+let copy_dst c = c lsr 31
+
+let copy_src c = c land 0x7fff_ffff
+
+let copy_prop_pass sc ~nregs insts =
   let n = Array.length insts in
+  let changed = ref false in
+  let cp_src = sc.cp_src and cp_at = sc.cp_at and cp_ver = sc.cp_ver and version = sc.version in
+  let active = sc.active and active_at = sc.active_at and last_read = sc.last_read in
+  let pend_at = sc.pend_at and pend_lo = sc.pend_lo and pend_n = sc.pend_n in
+  let stamp = sc.stamp in
+  let walk = next_tick sc in
+  (* back-edge targets, and the last instruction to read each register:
+     a copy is carried to a jump target only if its register is read
+     there or later *)
+  Array.fill last_read 0 nregs (-1);
   for i = 0 to n - 1 do
-    if leaders.(i) then incr region;
     let b = insts.(i) in
     if not b.b_dead then begin
-      let sh = shapes.(b.b_op) in
-      Array.iter
-        (fun slot ->
-          let k = slot - 1 in
-          let r = b.b_args.(k) in
-          let r' = resolve r in
-          if r' <> r then begin
-            b.b_args.(k) <- r';
-            changed := true
-          end)
-        sh.s_srcs;
-      if sh.s_dst then begin
-        let dst = b.b_args.(0) in
-        copy_at.(dst) <- -1;
-        if holders_at.(dst) = !region then begin
-          List.iter
-            (fun d -> if copy_at.(d) = !region && copy_src.(d) = dst then copy_at.(d) <- -1)
-            holders.(dst);
-          holders.(dst) <- []
-        end;
-        if b.b_op = L.op_mov then begin
-          let src = b.b_args.(1) in
-          if src = dst then begin
-            b.b_dead <- true;
-            changed := true
-          end
-          else begin
-            copy_src.(dst) <- src;
-            copy_at.(dst) <- !region;
-            if src < const_base then
-              if holders_at.(src) = !region then holders.(src) <- dst :: holders.(src)
-              else begin
-                holders.(src) <- [ dst ];
-                holders_at.(src) <- !region
-              end
-          end
+      if b.b_target >= 0 then begin
+        let t = first_live insts b.b_target in
+        if t <= i then stamp.(t) <- walk
+      end;
+      let srcs = shapes.(b.b_op).s_srcs in
+      for k = 0 to Array.length srcs - 1 do
+        let r = b.b_args.(srcs.(k) - 1) in
+        if r < nregs then last_read.(r) <- i
+      done
+    end
+  done;
+  let epoch = ref (next_tick sc) in
+  let n_active = ref 0 in
+  let pend_top = ref 0 in
+  let holds d =
+    cp_at.(d) = !epoch
+    &&
+    let s = cp_src.(d) in
+    s >= nregs || version.(s) = cp_ver.(d)
+  in
+  let push d =
+    if active_at.(d) <> !epoch then begin
+      active_at.(d) <- !epoch;
+      active.(!n_active) <- d;
+      incr n_active
+    end
+  in
+  let add d s =
+    cp_src.(d) <- s;
+    cp_at.(d) <- !epoch;
+    if s < nregs then cp_ver.(d) <- version.(s);
+    push d
+  in
+  let clear () =
+    epoch := next_tick sc;
+    n_active := 0
+  in
+  (* merge the copies holding now into target t's pending set *)
+  let edge_to t =
+    if pend_at.(t) <> walk then begin
+      let k = ref 0 in
+      for a = 0 to !n_active - 1 do
+        let d = active.(a) in
+        if holds d then begin
+          active.(!k) <- d;
+          incr k
         end
+        else active_at.(d) <- -1
+      done;
+      n_active := !k;
+      if !pend_top + !k > Array.length sc.pend then begin
+        let bigger = Array.make (2 * (!pend_top + !k)) 0 in
+        Array.blit sc.pend 0 bigger 0 !pend_top;
+        sc.pend <- bigger
+      end;
+      let pend = sc.pend and lo = !pend_top in
+      for a = 0 to !k - 1 do
+        let d = active.(a) in
+        if last_read.(d) >= t then begin
+          pend.(!pend_top) <- copy d cp_src.(d);
+          incr pend_top
+        end
+      done;
+      pend_at.(t) <- walk;
+      pend_lo.(t) <- lo;
+      pend_n.(t) <- !pend_top - lo
+    end
+    else begin
+      let pend = sc.pend and lo = pend_lo.(t) in
+      let k = ref 0 in
+      for e = lo to lo + pend_n.(t) - 1 do
+        let c = pend.(e) in
+        let d = copy_dst c in
+        if holds d && cp_src.(d) = copy_src c then begin
+          pend.(lo + !k) <- c;
+          incr k
+        end
+      done;
+      pend_n.(t) <- !k
+    end
+  in
+  (* the copies holding on entry to instruction i: a fall-through is
+     one more edge into a jump target *)
+  let join i ~falls =
+    if stamp.(i) = walk then clear ()
+    else if pend_at.(i) = walk then begin
+      if falls then edge_to i;
+      clear ();
+      let pend = sc.pend and lo = pend_lo.(i) in
+      for e = lo to lo + pend_n.(i) - 1 do
+        add (copy_dst pend.(e)) (copy_src pend.(e))
+      done
+    end
+    else if not falls then clear ()
+  in
+  let falls = ref true in
+  for i = 0 to n - 1 do
+    let b = insts.(i) in
+    if not b.b_dead then begin
+      join i ~falls:!falls;
+      let sh = shapes.(b.b_op) in
+      let srcs = sh.s_srcs in
+      for k = 0 to Array.length srcs - 1 do
+        let slot = srcs.(k) - 1 in
+        let r = b.b_args.(slot) in
+        if r < nregs && holds r then begin
+          b.b_args.(slot) <- cp_src.(r);
+          changed := true
+        end
+      done;
+      let op = b.b_op in
+      if op = L.op_mov && b.b_args.(1) = b.b_args.(0) then begin
+        (* a self-move: dead, and control falls through it *)
+        b.b_dead <- true;
+        changed := true;
+        falls := true
+      end
+      else begin
+        if sh.s_dst then begin
+          let d = b.b_args.(0) in
+          version.(d) <- version.(d) + 1;
+          cp_at.(d) <- -1;
+          if (op = L.op_mov || op = L.op_mov_jmp) && b.b_args.(1) <> d then add d b.b_args.(1)
+        end;
+        if b.b_target >= 0 then begin
+          let t = first_live insts b.b_target in
+          if t > i then edge_to t
+        end;
+        falls := not (is_uncond_jump op || op = L.op_halt)
       end
     end
   done;
@@ -501,42 +744,54 @@ let copy_prop_pass ~const_base ~leaders insts =
 (* [succ.(2i)] and [succ.(2i + 1)] are the live successors of live
    instruction i, or -1: a HALT has none, an unconditional jump only
    the first. *)
-let successor_table insts =
+let successor_table sc insts =
   let n = Array.length insts in
   (* live.(j): the first live instruction at or after j *)
-  let live = Array.make (n + 1) n in
+  let live = sc.live_at in
+  live.(n) <- n;
   for j = n - 1 downto 0 do
     live.(j) <- (if insts.(j).b_dead then live.(j + 1) else j)
   done;
-  let succ = Array.make (2 * n) (-1) in
-  Array.iteri
-    (fun i b ->
-      if (not b.b_dead) && b.b_op <> L.op_halt then
-        if is_uncond_jump b.b_op then succ.(2 * i) <- live.(b.b_target)
-        else begin
-          succ.(2 * i) <- (if is_cond_jump b.b_op then live.(b.b_target) else live.(i + 1));
-          if is_cond_jump b.b_op then succ.((2 * i) + 1) <- live.(i + 1)
-        end)
-    insts;
+  let succ = sc.succ in
+  Array.fill succ 0 (2 * n) (-1);
+  for i = 0 to n - 1 do
+    let b = insts.(i) in
+    if (not b.b_dead) && b.b_op <> L.op_halt then
+      if is_uncond_jump b.b_op then succ.(2 * i) <- live.(b.b_target)
+      else if is_cond_jump b.b_op then begin
+        succ.(2 * i) <- live.(b.b_target);
+        succ.((2 * i) + 1) <- live.(i + 1)
+      end
+      else succ.(2 * i) <- live.(i + 1)
+  done;
   succ
 
 (* --- pass: unreachable-code elimination --------------------------- *)
 
-let unreachable_pass insts =
+(* Marks reachability in stream order, sweeping again only when a
+   back edge reached an instruction already passed. *)
+let unreachable_pass sc insts =
   let n = Array.length insts in
-  let succ = successor_table insts in
-  let visited = Array.make n false in
-  let rec dfs i =
-    if i >= 0 && not visited.(i) then begin
-      visited.(i) <- true;
-      dfs succ.(2 * i);
-      dfs succ.((2 * i) + 1)
-    end
-  in
-  dfs (first_live insts 0);
+  let succ = successor_table sc insts in
+  let reached = sc.stamp and tk = next_tick sc in
+  reached.(first_live insts 0) <- tk;
+  let again = ref true in
+  while !again do
+    again := false;
+    for i = 0 to n - 1 do
+      if reached.(i) = tk then
+        for e = 2 * i to (2 * i) + 1 do
+          let s = succ.(e) in
+          if s >= 0 && reached.(s) <> tk then begin
+            reached.(s) <- tk;
+            if s <= i then again := true
+          end
+        done
+    done
+  done;
   let changed = ref false in
   for i = 0 to n - 2 (* keep the final HALT *) do
-    if (not insts.(i).b_dead) && not visited.(i) then begin
+    if (not insts.(i).b_dead) && reached.(i) <> tk then begin
       insts.(i).b_dead <- true;
       changed := true
     end
@@ -550,10 +805,6 @@ let unreachable_pass insts =
    register r is bit [r mod word_bits] of word [r / word_bits]. The
    width is a literal (OCaml 5 ints are 63-bit) so the divisions
    compile to multiplies. *)
-let word_bits = 63
-
-let words_for nregs = (nregs + word_bits - 1) / word_bits
-
 let[@inline] bit_mem set base r = set.(base + (r / word_bits)) land (1 lsl (r mod word_bits)) <> 0
 
 let[@inline] bit_add set r =
@@ -578,17 +829,17 @@ type liveness = {
    HALT is [roots]. The reverse sweep repeats until nothing changes,
    so back edges are handled; without back edges (generated code has
    none) every successor is final before its predecessor is visited,
-   and one sweep is exact. Returns the live-in sets, one of
-   [Array.length roots] words per instruction. *)
-let solve_liveness ~n ~succ ~nregs ~roots ~dead ~op ~arg =
+   and one sweep is exact. Writes the live-in sets, one of
+   [Array.length roots] words per instruction, into [live_in]; [out]
+   is one set of working space. *)
+let solve_liveness ~n ~succ ~nregs ~roots ~dead ~op ~arg ~live_in ~out =
   let w = Array.length roots in
   let back_edges = ref false in
   for k = 0 to (2 * n) - 1 do
     let s = succ.(k) in
     if s >= 0 && s <= k / 2 then back_edges := true
   done;
-  let live_in = Array.make (n * w) 0 in
-  let out = Array.make w 0 in
+  Array.fill live_in 0 (n * w) 0;
   let changed = ref true in
   while !changed do
     changed := false;
@@ -617,18 +868,16 @@ let solve_liveness ~n ~succ ~nregs ~roots ~dead ~op ~arg =
         done
       end
     done
-  done;
-  live_in
+  done
 
-let compute_liveness insts ~nregs ~roots =
-  let succ = successor_table insts in
-  let live_in =
-    solve_liveness ~n:(Array.length insts) ~succ ~nregs ~roots
-      ~dead:(fun i -> insts.(i).b_dead)
-      ~op:(fun i -> insts.(i).b_op)
-      ~arg:(fun i k -> insts.(i).b_args.(k - 1))
-  in
-  { lv_words = Array.length roots; lv_succ = succ; lv_in = live_in; lv_roots = roots }
+let compute_liveness sc insts ~nregs ~roots =
+  let succ = successor_table sc insts in
+  solve_liveness ~n:(Array.length insts) ~succ ~nregs ~roots
+    ~dead:(fun i -> insts.(i).b_dead)
+    ~op:(fun i -> insts.(i).b_op)
+    ~arg:(fun i k -> insts.(i).b_args.(k - 1))
+    ~live_in:sc.live_in ~out:sc.out;
+  { lv_words = Array.length roots; lv_succ = succ; lv_in = sc.live_in; lv_roots = roots }
 
 (* Whether register r is live on exit from instruction i, from its
    successors' live-in sets as solved (later edits to the instruction
@@ -640,16 +889,35 @@ let live_out lv i r =
     bit_mem lv.lv_in (s1 * lv.lv_words) r
     || (s2 >= 0 && bit_mem lv.lv_in (s2 * lv.lv_words) r)
 
-let dce_pass insts ~nregs ~roots =
-  let lv = compute_liveness insts ~nregs ~roots in
+(* the psel firing what a setp fires, for when its register is dead:
+   [setp.ne a, b, A, B] fires A exactly when [psel.eq a, b, B, A]
+   does *)
+let psel_of_setp (b : binst) =
+  let a = b.b_args in
+  if b.b_op = L.op_setp_nz then begin
+    b.b_op <- L.op_psel_nz;
+    b.b_args <- [| a.(1); a.(2); a.(3) |]
+  end
+  else if b.b_op = L.op_setp_ne then begin
+    b.b_op <- L.op_psel_eq;
+    b.b_args <- [| a.(1); a.(2); a.(4); a.(3) |]
+  end
+  else begin
+    b.b_op <- b.b_op - L.op_setp_lt + L.op_psel_lt;
+    b.b_args <- [| a.(1); a.(2); a.(3); a.(4) |]
+  end
+
+let dce_pass sc insts ~nregs ~roots =
+  let lv = compute_liveness sc insts ~nregs ~roots in
   let changed = ref false in
   Array.iteri
     (fun i b ->
       (* target-bearing writes (mov.jmp) transfer control and must
-         stay even when the written register is dead *)
+         stay even when the written register is dead; a setp keeps
+         its probe *)
       if (not b.b_dead) && shapes.(b.b_op).s_dst && shapes.(b.b_op).s_target < 0 then
         if not (live_out lv i b.b_args.(0)) then begin
-          b.b_dead <- true;
+          if is_setp b.b_op then psel_of_setp b else b.b_dead <- true;
           changed := true
         end)
     insts;
@@ -657,18 +925,19 @@ let dce_pass insts ~nregs ~roots =
 
 (* --- pass: jump threading ----------------------------------------- *)
 
-let thread_pass insts =
+let thread_pass sc insts =
   let changed = ref false in
   let n = Array.length insts in
   (* follow jmp chains (cycle-guarded; generated code is acyclic but
-     be safe) to the final destination index; [seen.(j) = i] marks
-     the jumps already followed while resolving instruction i *)
-  let seen = Array.make n (-1) in
-  let resolve i t =
+     be safe) to the final destination index; [seen.(j) = tk] marks
+     the jumps already followed while resolving one instruction *)
+  let seen = sc.stamp in
+  let resolve t =
+    let tk = next_tick sc in
     let rec go j =
       let j = first_live insts j in
-      if insts.(j).b_op = L.op_jmp && seen.(j) <> i then begin
-        seen.(j) <- i;
+      if insts.(j).b_op = L.op_jmp && seen.(j) <> tk then begin
+        seen.(j) <- tk;
         go insts.(j).b_target
       end
       else j
@@ -678,7 +947,7 @@ let thread_pass insts =
   for i = 0 to n - 1 do
     let b = insts.(i) in
     if (not b.b_dead) && b.b_target >= 0 then begin
-      let t' = resolve i b.b_target in
+      let t' = resolve b.b_target in
       if first_live insts b.b_target <> t' then begin
         b.b_target <- t';
         changed := true
@@ -719,13 +988,14 @@ let thread_pass insts =
 
 (* --- pass: superinstruction fusion -------------------------------- *)
 
+(* [cmp_gt a b] and [cmp_ge a b] fuse as [jlt b a] and [jle b a]:
+   swapping the operands is exact for IEEE compares, NaN and ±0
+   included, so every fused relation is lt, le, eq or ne *)
 let fused_of_cmp op =
   if op = L.op_cmp_eq then L.op_jeq
   else if op = L.op_cmp_ne then L.op_jne
-  else if op = L.op_cmp_lt then L.op_jlt
-  else if op = L.op_cmp_le then L.op_jle
-  else if op = L.op_cmp_gt then L.op_jgt
-  else L.op_jge
+  else if op = L.op_cmp_lt || op = L.op_cmp_gt then L.op_jlt
+  else L.op_jle
 
 let fused_of_arith op =
   if op = L.op_add_f then L.op_add_f32
@@ -733,86 +1003,203 @@ let fused_of_arith op =
   else if op = L.op_mul_f then L.op_mul_f32
   else L.op_div_f32
 
-let fuse_pass insts ~nregs ~roots =
-  let lv = compute_liveness insts ~nregs ~roots in
-  let leaders = compute_leaders insts in
-  let changed = ref false in
+(* A conditional branch as the relation its fall-through depends on:
+   [(rel, operands, negated, probe)] where the branch falls through
+   exactly when [rel] holds (or, when [negated], fails), [rel] is one
+   of the psel opcodes, and [probe] is the id a probe-carrying branch
+   fires on fall-through (-1 for a plain branch). [jne] falls through
+   when eq fails, [jz] when nz holds, [jnz] when it fails. *)
+let branch_relation (b : binst) =
+  let a = b.b_args in
+  let op = b.b_op in
+  if op >= L.op_jlt && op <= L.op_jne then
+    let rel = if op = L.op_jne then L.op_psel_eq else op - L.op_jlt + L.op_psel_lt in
+    Some (rel, [| a.(0); a.(1) |], op = L.op_jne, -1)
+  else if op >= L.op_jlt_p && op <= L.op_jne_p then
+    let rel = if op = L.op_jne_p then L.op_psel_eq else op - L.op_jlt_p + L.op_psel_lt in
+    Some (rel, [| a.(0); a.(1) |], op = L.op_jne_p, a.(2))
+  else if op = L.op_jz || op = L.op_jnz then Some (L.op_psel_nz, [| a.(0) |], op = L.op_jnz, -1)
+  else if op = L.op_jz_p || op = L.op_jnz_p then
+    Some (L.op_psel_nz, [| a.(0) |], op = L.op_jnz_p, a.(1))
+  else None
+
+(* Fusion walks the stream twice. A backward walk first closes
+   branch-arm tails ([probe; jmp] and [mov; jmp]), so that the forward
+   walk, which fuses each instruction with its successor again and
+   again until no rule applies, sees a then-arm as one instruction and
+   can close a whole [if] diamond in one walk. *)
+let fuse_pass sc ~pool ~const_base insts ~nregs ~roots =
+  let lv = compute_liveness sc insts ~nregs ~roots in
+  let leaders = compute_leaders sc insts in
+  let preds = sc.preds in
   let n = Array.length insts in
-  for i = 0 to n - 2 do
+  Array.fill preds 0 n 0;
+  for e = 0 to (2 * n) - 1 do
+    let s = lv.lv_succ.(e) in
+    if s >= 0 then preds.(s) <- preds.(s) + 1
+  done;
+  let changed = ref false in
+  (* the pool register r holds exactly the bits of [f] *)
+  let is_const r f =
+    r >= const_base
+    && Int64.equal (Int64.bits_of_float (pool_get pool (r - const_base))) (Int64.bits_of_float f)
+  in
+  let tail i =
     let b = insts.(i) in
-    if not b.b_dead then begin
-      let j = next_live insts i in
-      let f = insts.(j) in
-      let dst = if shapes.(b.b_op).s_dst then b.b_args.(0) else -1 in
-      (* a jump into the middle of the pair would skip the first half *)
-      let adjacent = j < n && not leaders.(j) in
-      if
-        adjacent && b.b_op >= L.op_cmp_eq && b.b_op <= L.op_cmp_ge
-        && f.b_op = L.op_jz && f.b_args.(0) = dst
-        && not (live_out lv j dst)
-      then begin
-        b.b_op <- fused_of_cmp b.b_op;
-        b.b_args <- [| b.b_args.(1); b.b_args.(2); 0 |];
-        b.b_target <- f.b_target;
-        f.b_dead <- true;
-        changed := true
-      end
-      else if
-        adjacent && b.b_op = L.op_not && f.b_op = L.op_jz && f.b_args.(0) = dst
-        && not (live_out lv j dst)
-      then begin
-        (* not t, s; jz t, L  ==  jump to L when s <> 0 *)
-        b.b_op <- L.op_jnz;
-        b.b_args <- [| b.b_args.(1); 0 |];
-        b.b_target <- f.b_target;
-        f.b_dead <- true;
-        changed := true
-      end
-      else if
-        adjacent && b.b_op >= L.op_add_f && b.b_op <= L.op_div_f
-        && f.b_op = L.op_round_f32 && f.b_args.(1) = dst
-        && (f.b_args.(0) = dst || not (live_out lv j dst))
-      then begin
-        b.b_op <- fused_of_arith b.b_op;
-        b.b_args <- [| f.b_args.(0); b.b_args.(1); b.b_args.(2) |];
-        f.b_dead <- true;
-        changed := true
-      end
-      else if adjacent && b.b_op = L.op_probe && f.b_op = L.op_jmp then begin
-        b.b_op <- L.op_probe_jmp;
-        b.b_args <- [| b.b_args.(0); 0 |];
-        b.b_target <- f.b_target;
-        f.b_dead <- true;
-        changed := true
-      end
-      else if
-        adjacent && b.b_op >= L.op_jlt && b.b_op <= L.op_jge && f.b_op = L.op_probe
-      then begin
-        (* branch + then-arm probe: the probe fires exactly when the
-           branch falls through, so it rides along in the branch's own
-           dispatch (leaders guard against jumps into the pair, so the
-           jump path never reached the probe either) *)
-        b.b_op <- b.b_op - L.op_jlt + L.op_jlt_p;
-        b.b_args <- [| b.b_args.(0); b.b_args.(1); f.b_args.(0); 0 |];
-        f.b_dead <- true;
-        changed := true
-      end
-      else if
-        adjacent && (b.b_op = L.op_jz || b.b_op = L.op_jnz) && f.b_op = L.op_probe
-      then begin
-        b.b_op <- (if b.b_op = L.op_jz then L.op_jz_p else L.op_jnz_p);
-        b.b_args <- [| b.b_args.(0); f.b_args.(0); 0 |];
-        f.b_dead <- true;
-        changed := true
-      end
-      else if adjacent && b.b_op = L.op_mov && f.b_op = L.op_jmp then begin
-        b.b_op <- L.op_mov_jmp;
-        b.b_args <- [| b.b_args.(0); b.b_args.(1); 0 |];
-        b.b_target <- f.b_target;
-        f.b_dead <- true;
-        changed := true
-      end
+    let j = next_live insts i in
+    let f = insts.(j) in
+    (* a jump into the middle of the pair would skip the first half *)
+    if (not leaders.(j)) && f.b_op = L.op_jmp && (b.b_op = L.op_probe || b.b_op = L.op_mov)
+    then begin
+      b.b_op <- (if b.b_op = L.op_probe then L.op_probe_jmp else L.op_mov_jmp);
+      b.b_args <- Array.append b.b_args [| 0 |];
+      b.b_target <- f.b_target;
+      f.b_dead <- true;
+      changed := true
     end
+  in
+  (* [if c then <then-arm at j> else <else-arm at l>] closed into one
+     psel or setp dispatch: b at i branches to l, the then-arm j (which
+     [pair] has checked no jump enters) is one jump-ending instruction,
+     l is an else-arm [probe] whose only predecessor is b, and both
+     arms join right after the else-arm *)
+  let diamond i =
+    let b = insts.(i) in
+    let j = next_live insts i in
+    match branch_relation b with
+    | None -> false
+    | Some (rel, xs, negated, probe_a) ->
+      let f = insts.(j) in
+      let l = first_live insts b.b_target in
+      (* checked in stream order, so [next_live] never runs past the
+         final HALT *)
+      let join_after k = first_live insts f.b_target = next_live insts k in
+      if
+        (not (is_uncond_jump f.b_op)) || l <> next_live insts j || insts.(l).b_op <> L.op_probe
+        || preds.(l) <> 1
+      then false
+      else begin
+        let probe_b = insts.(l).b_args.(0) in
+        let fire_a =
+          if probe_a >= 0 && f.b_op = L.op_jmp then probe_a
+          else if probe_a < 0 && f.b_op = L.op_probe_jmp then f.b_args.(0)
+          else -1
+        in
+        if fire_a >= 0 && join_after l then begin
+          (* psel fires its first probe when [rel] holds *)
+          let first, second = if negated then (probe_b, fire_a) else (fire_a, probe_b) in
+          b.b_op <- rel;
+          b.b_args <- Array.append xs [| first; second |];
+          b.b_target <- -1;
+          f.b_dead <- true;
+          insts.(l).b_dead <- true;
+          true
+        end
+        else begin
+          let l2 = next_live insts l in
+          let g = insts.(l2) in
+          if
+            probe_a >= 0 && f.b_op = L.op_mov_jmp && g.b_op = L.op_mov && (not leaders.(l2))
+            && g.b_args.(0) = f.b_args.(0) && join_after l2
+            && ((is_const f.b_args.(1) 1.0 && is_const g.b_args.(1) 0.0)
+               || (is_const f.b_args.(1) 0.0 && is_const g.b_args.(1) 1.0))
+          then begin
+            (* the register gets [rel] when the fall-through value is 1
+               and the branch is not negated, or 0 and it is *)
+            let gets_rel = is_const f.b_args.(1) 1.0 <> negated in
+            let setp =
+              if gets_rel then
+                Some
+                  ( (if rel = L.op_psel_nz then L.op_setp_nz
+                     else rel - L.op_psel_lt + L.op_setp_lt),
+                    if negated then (probe_b, probe_a) else (probe_a, probe_b) )
+              else if rel = L.op_psel_eq then
+                (* the register gets [ne]: its first probe fires when eq fails *)
+                Some (L.op_setp_ne, if negated then (probe_a, probe_b) else (probe_b, probe_a))
+              else None
+            in
+            match setp with
+            | None -> false
+            | Some (op, (first, second)) ->
+              b.b_op <- op;
+              b.b_args <- Array.concat [ [| f.b_args.(0) |]; xs; [| first; second |] ];
+              b.b_target <- -1;
+              f.b_dead <- true;
+              insts.(l).b_dead <- true;
+              g.b_dead <- true;
+              true
+          end
+          else false
+        end
+      end
+  in
+  (* fuse instruction i with its successor once; true if it did *)
+  let pair i =
+    let b = insts.(i) in
+    let j = next_live insts i in
+    let f = insts.(j) in
+    let dst = if shapes.(b.b_op).s_dst then b.b_args.(0) else -1 in
+    let adjacent = j < n && not leaders.(j) in
+    if not adjacent then false
+    else if
+      b.b_op >= L.op_cmp_eq && b.b_op <= L.op_cmp_ge
+      && f.b_op = L.op_jz && f.b_args.(0) = dst
+      && not (live_out lv j dst)
+    then begin
+      let x = b.b_args.(1) and y = b.b_args.(2) in
+      let swap = b.b_op = L.op_cmp_gt || b.b_op = L.op_cmp_ge in
+      b.b_op <- fused_of_cmp b.b_op;
+      b.b_args <- (if swap then [| y; x; 0 |] else [| x; y; 0 |]);
+      b.b_target <- f.b_target;
+      f.b_dead <- true;
+      true
+    end
+    else if b.b_op = L.op_not && f.b_op = L.op_jz && f.b_args.(0) = dst && not (live_out lv j dst)
+    then begin
+      (* not t, s; jz t, L  ==  jump to L when s <> 0 *)
+      b.b_op <- L.op_jnz;
+      b.b_args <- [| b.b_args.(1); 0 |];
+      b.b_target <- f.b_target;
+      f.b_dead <- true;
+      true
+    end
+    else if
+      b.b_op >= L.op_add_f && b.b_op <= L.op_div_f
+      && f.b_op = L.op_round_f32 && f.b_args.(1) = dst
+      && (f.b_args.(0) = dst || not (live_out lv j dst))
+    then begin
+      b.b_op <- fused_of_arith b.b_op;
+      b.b_args <- [| f.b_args.(0); b.b_args.(1); b.b_args.(2) |];
+      f.b_dead <- true;
+      true
+    end
+    else if diamond i then true
+    else if b.b_op >= L.op_jlt && b.b_op <= L.op_jne && f.b_op = L.op_probe then begin
+      (* branch + then-arm probe: the probe fires exactly when the
+         branch falls through, so it rides along in the branch's own
+         dispatch (leaders guard against jumps into the pair, so the
+         jump path never reached the probe either) *)
+      b.b_op <- b.b_op - L.op_jlt + L.op_jlt_p;
+      b.b_args <- [| b.b_args.(0); b.b_args.(1); f.b_args.(0); 0 |];
+      f.b_dead <- true;
+      true
+    end
+    else if (b.b_op = L.op_jz || b.b_op = L.op_jnz) && f.b_op = L.op_probe then begin
+      b.b_op <- (if b.b_op = L.op_jz then L.op_jz_p else L.op_jnz_p);
+      b.b_args <- [| b.b_args.(0); f.b_args.(0); 0 |];
+      f.b_dead <- true;
+      true
+    end
+    else false
+  in
+  for i = n - 2 downto 0 do
+    if not insts.(i).b_dead then tail i
+  done;
+  for i = 0 to n - 2 do
+    if not insts.(i).b_dead then
+      while pair i do
+        changed := true
+      done
   done;
   !changed
 
@@ -827,15 +1214,16 @@ let fuse_pass insts ~nregs ~roots =
    instruction in line implies the branch fell through, hence fired).
    [probe_h] is never removed (its hook must fire every time) and
    contributes no knowledge, since hook-instrumented code must keep
-   calling the hook even when the buffer byte is already set. *)
-let probe_dedup_pass ~n_probes ~leaders insts =
+   calling the hook even when the buffer byte is already set. A psel
+   or setp fires one of two cells, so it teaches nothing. *)
+let probe_dedup_pass sc ~leaders insts =
   let changed = ref false in
   (* probe id fired in the current region when [fired_at.(id)] is it *)
-  let fired_at = Array.make n_probes (-1) in
-  let region = ref 0 in
+  let fired_at = sc.fired_at in
+  let region = ref (next_tick sc) in
   Array.iteri
     (fun i b ->
-      if leaders.(i) then incr region;
+      if leaders.(i) then region := next_tick sc;
       if not b.b_dead then begin
         let op = b.b_op in
         if op = L.op_probe then begin
@@ -846,7 +1234,7 @@ let probe_dedup_pass ~n_probes ~leaders insts =
           end
           else fired_at.(id) <- !region
         end
-        else if op >= L.op_jlt_p && op <= L.op_jge_p then fired_at.(b.b_args.(2)) <- !region
+        else if op >= L.op_jlt_p && op <= L.op_jne_p then fired_at.(b.b_args.(2)) <- !region
         else if op = L.op_jz_p || op = L.op_jnz_p then fired_at.(b.b_args.(1)) <- !region
       end)
     insts;
@@ -854,9 +1242,9 @@ let probe_dedup_pass ~n_probes ~leaders insts =
 
 (* --- encode ------------------------------------------------------- *)
 
-let encode insts =
+(* [pcs] is working space of at least one slot per instruction *)
+let encode ~pcs insts =
   let n = Array.length insts in
-  let pcs = Array.make n (-1) in
   let pc = ref 0 in
   for i = 0 to n - 1 do
     if not insts.(i).b_dead then begin
@@ -886,8 +1274,13 @@ let optimize_bytecode (lin : L.t) : L.t =
   let nregs = const_base in
   let n_probes = prog.Ir.n_probes in
   let pool = pool_of lin.L.l_consts in
-  let init_i = decode lin.L.l_init in
-  let step_i = decode lin.L.l_step in
+  let sc =
+    make_scratch
+      ~n:(max (count_insts lin.L.l_init) (count_insts lin.L.l_step))
+      ~nregs ~n_probes
+  in
+  let init_i = decode ~starts:sc.preds lin.L.l_init in
+  let step_i = decode ~starts:sc.preds lin.L.l_step in
   (* DCE roots at block end: I/O and state variables, plus whatever
      the next step iteration reads before writing — the entry-live set
      of the current step code, taken to a fixpoint since rooting a
@@ -902,7 +1295,7 @@ let optimize_bytecode (lin : L.t) : L.t =
   let compute_roots () =
     let roots = Array.copy base_roots in
     let rec grow () =
-      let lv = compute_liveness step_i ~nregs ~roots in
+      let lv = compute_liveness sc step_i ~nregs ~roots in
       let entry = first_live step_i 0 * lv.lv_words in
       let grew = ref false in
       Array.iteri
@@ -918,21 +1311,19 @@ let optimize_bytecode (lin : L.t) : L.t =
     grow ();
     roots
   in
-  (* const_prop, copy_prop and probe_dedup all walk regions between
-     leaders; the leaders are rebuilt only after a pass changed the
-     stream *)
+  (* const_prop and probe_dedup walk regions between leaders; the
+     leaders are rebuilt only after a pass changed the stream *)
   let run_passes insts roots =
-    let leaders = compute_leaders insts in
+    let leaders = compute_leaders sc insts in
     let c1 =
-      span "ir_opt.bc.const_prop" (fun () -> const_prop_pass ~pool ~const_base ~leaders insts)
+      span "ir_opt.bc.const_prop" (fun () -> const_prop_pass sc ~pool ~const_base ~leaders insts)
     in
-    let leaders = if c1 then compute_leaders insts else leaders in
-    let c2 = span "ir_opt.bc.copy_prop" (fun () -> copy_prop_pass ~const_base ~leaders insts) in
-    let c3 = span "ir_opt.bc.unreachable" (fun () -> unreachable_pass insts) in
-    let c4 = span "ir_opt.bc.dce" (fun () -> dce_pass insts ~nregs ~roots) in
-    let c5 = span "ir_opt.bc.thread" (fun () -> thread_pass insts) in
-    let leaders = if c2 || c3 || c4 || c5 then compute_leaders insts else leaders in
-    let c6 = span "ir_opt.bc.probe_dedup" (fun () -> probe_dedup_pass ~n_probes ~leaders insts) in
+    let c2 = span "ir_opt.bc.copy_prop" (fun () -> copy_prop_pass sc ~nregs insts) in
+    let c3 = span "ir_opt.bc.unreachable" (fun () -> unreachable_pass sc insts) in
+    let c4 = span "ir_opt.bc.dce" (fun () -> dce_pass sc insts ~nregs ~roots) in
+    let c5 = span "ir_opt.bc.thread" (fun () -> thread_pass sc insts) in
+    let leaders = if c1 || c2 || c3 || c4 || c5 then compute_leaders sc insts else leaders in
+    let c6 = span "ir_opt.bc.probe_dedup" (fun () -> probe_dedup_pass sc ~leaders insts) in
     c1 || c2 || c3 || c4 || c5 || c6
   in
   (* run to a fixpoint: simplify, fuse, then — because fusion and
@@ -940,6 +1331,7 @@ let optimize_bytecode (lin : L.t) : L.t =
      set) — repeat until a whole cycle changes nothing. The bound is a
      backstop; real models settle in two or three cycles. Reaching the
      fixpoint makes optimize_bytecode idempotent. *)
+  let fuse insts = fuse_pass sc ~pool ~const_base insts ~nregs in
   let rec cycles k roots =
     if k > 0 then begin
       let rec rounds j =
@@ -950,10 +1342,10 @@ let optimize_bytecode (lin : L.t) : L.t =
         end
       in
       rounds 8;
-      let fa = span "ir_opt.bc.fuse" (fun () -> fuse_pass init_i ~nregs ~roots) in
-      let fb = span "ir_opt.bc.fuse" (fun () -> fuse_pass step_i ~nregs ~roots) in
-      if fa then ignore (thread_pass init_i);
-      if fb then ignore (thread_pass step_i);
+      let fa = span "ir_opt.bc.fuse" (fun () -> fuse init_i ~roots) in
+      let fb = span "ir_opt.bc.fuse" (fun () -> fuse step_i ~roots) in
+      if fa then ignore (thread_pass sc init_i);
+      if fb then ignore (thread_pass sc step_i);
       let roots' = compute_roots () in
       if fa || fb || roots' <> roots then cycles (k - 1) roots'
     end
@@ -1000,20 +1392,15 @@ let optimize_bytecode (lin : L.t) : L.t =
   remap step_i;
   {
     lin with
-    L.l_init = encode init_i;
-    l_step = encode step_i;
+    L.l_init = encode ~pcs:sc.preds init_i;
+    l_step = encode ~pcs:sc.preds step_i;
     l_n_regs = const_base + !n_used;
     l_consts = consts';
   }
 
 (* --- instruction counting + disassembly --------------------------- *)
 
-let static_count (lin : L.t) =
-  let count code =
-    let rec go i n = if i >= Array.length code then n else go (i + shapes.(code.(i)).s_size) (n + 1) in
-    go 0 0
-  in
-  count lin.L.l_init + count lin.L.l_step
+let static_count (lin : L.t) = count_insts lin.L.l_init + count_insts lin.L.l_step
 
 (* --- bytecode profiling ------------------------------------------- *)
 
@@ -1039,6 +1426,15 @@ type bytecode_profile = {
 let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
   let regs = Array.make (max lin.L.l_n_regs 1) 0.0 in
   let opcode_dyn = Array.make L.n_opcodes 0 in
+  (* relation k of lt, le, eq, ne on the first two operand slots *)
+  let rel_holds k (a : int array) =
+    let x = regs.(a.(0)) and y = regs.(a.(1)) in
+    match k with
+    | 0 -> x < y
+    | 1 -> x <= y
+    | 2 -> x = y
+    | _ -> x <> y
+  in
   let run insts hits =
     let dispatched = ref 0 in
     let rec go i =
@@ -1057,30 +1453,10 @@ let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
         if regs.(b.b_args.(0)) = 0.0 then go b.b_target else go (i + 1)
       else if op = L.op_jnz then
         if regs.(b.b_args.(0)) <> 0.0 then go b.b_target else go (i + 1)
-      else if op >= L.op_jlt && op <= L.op_jge then begin
-        let x = regs.(b.b_args.(0)) and y = regs.(b.b_args.(1)) in
-        let holds =
-          if op = L.op_jlt then x < y
-          else if op = L.op_jle then x <= y
-          else if op = L.op_jeq then x = y
-          else if op = L.op_jne then x <> y
-          else if op = L.op_jgt then x > y
-          else x >= y
-        in
-        if holds then go (i + 1) else go b.b_target
-      end
-      else if op >= L.op_jlt_p && op <= L.op_jge_p then begin
-        let x = regs.(b.b_args.(0)) and y = regs.(b.b_args.(1)) in
-        let holds =
-          if op = L.op_jlt_p then x < y
-          else if op = L.op_jle_p then x <= y
-          else if op = L.op_jeq_p then x = y
-          else if op = L.op_jne_p then x <> y
-          else if op = L.op_jgt_p then x > y
-          else x >= y
-        in
-        if holds then go (i + 1) else go b.b_target
-      end
+      else if op >= L.op_jlt && op <= L.op_jne then
+        if rel_holds (op - L.op_jlt) b.b_args then go (i + 1) else go b.b_target
+      else if op >= L.op_jlt_p && op <= L.op_jne_p then
+        if rel_holds (op - L.op_jlt_p) b.b_args then go (i + 1) else go b.b_target
       else if op = L.op_jz_p then
         if regs.(b.b_args.(0)) = 0.0 then go b.b_target else go (i + 1)
       else if op = L.op_jnz_p then
@@ -1089,7 +1465,7 @@ let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
         regs.(b.b_args.(0)) <- eval_pure op b.b_args (fun r -> regs.(r));
         go (i + 1)
       end
-      else go (i + 1) (* probe / cond / decision / branch record *)
+      else go (i + 1) (* probe / psel / cond / decision / branch record *)
     in
     go 0;
     !dispatched
@@ -1220,12 +1596,13 @@ let step_entry_live (lin : L.t) =
     end
     else succ.(2 * i) <- i + 1
   done;
-  let live_in =
-    solve_liveness ~n ~succ ~nregs ~roots:(Array.make (words_for nregs) 0)
-      ~dead:(fun _ -> false)
-      ~op:(fun i -> code.(starts.(i)))
-      ~arg:(fun i k -> code.(starts.(i) + k))
-  in
+  let w = words_for nregs in
+  let live_in = Array.make (n * w) 0 in
+  solve_liveness ~n ~succ ~nregs ~roots:(Array.make w 0)
+    ~dead:(fun _ -> false)
+    ~op:(fun i -> code.(starts.(i)))
+    ~arg:(fun i k -> code.(starts.(i) + k))
+    ~live_in ~out:(Array.make w 0);
   let live = ref [] in
   for r = nregs - 1 downto 0 do
     if bit_mem live_in 0 r then live := r :: !live

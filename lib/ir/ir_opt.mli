@@ -19,7 +19,12 @@
       from pool registers, integer wrap masks, division guards and
       float32 rounding — so a naive "just compute it" fold can never
       diverge from runtime behaviour;
-    + {b copy propagation / move elimination} within basic blocks;
+    + {b global copy propagation / move elimination} — available
+      copies flow forward over the whole block (init and step code
+      only jump forward, so stream order is topological) and meet by
+      intersection at each jump target, so a copy whose uses sit in
+      later blocks is still propagated; pool-register sources
+      propagate constants;
     + {b unreachable-code elimination};
     + {b dead-register-write elimination} — roots are probe / cond /
       decision / branch-record instructions (never removed), jumps,
@@ -27,21 +32,28 @@
       set of the step block (whatever the next iteration reads before
       writing — exact cross-iteration and init->step dataflow).
       Branch distances are ordinary pure ops whose results the branch
-      record reads, so they fold, propagate and die like any ALU op;
+      record reads, so they fold, propagate and die like any ALU op.
+      A [setp] whose register is dead becomes the [psel] of its
+      relation: its probe stays;
     + {b jump threading} — branch-to-branch chains are shortcut,
       jumps to the fall-through are elided, jumps to HALT become
       HALT;
     + {b superinstruction fusion} — [cmp_*; jz] pairs whose compare
       register dies become fused compare-and-jump opcodes
-      ([op_jlt]..[op_jge]), [not; jz] becomes [op_jnz], float32
-      [arith; round_f32] pairs become [op_*_f32], and branch-arm
-      tails [probe; jmp] / [mov; jmp] become [op_probe_jmp] /
-      [op_mov_jmp]. Probe-aware fusion then folds a branch's
-      then-arm [probe] into the branch itself
-      ([op_jlt_p]..[op_jge_p], [op_jz_p], [op_jnz_p]) — the probe
-      fires exactly when the branch falls through, so the
-      instrumented hot path pays no extra dispatch for coverage on
-      taken branch arms;
+      ([op_jlt]..[op_jne]; [gt]/[ge] compares fuse as [lt]/[le] on
+      swapped operands, which is exact for IEEE compares), [not; jz]
+      becomes [op_jnz], float32 [arith; round_f32] pairs become
+      [op_*_f32], and branch-arm tails [probe; jmp] / [mov; jmp]
+      become [op_probe_jmp] / [op_mov_jmp]. Probe-aware fusion then
+      folds a branch's then-arm [probe] into the branch itself
+      ([op_jlt_p]..[op_jne_p], [op_jz_p], [op_jnz_p]) — the probe
+      fires exactly when the branch falls through — and closes a
+      whole [if c then probe A else probe B] diamond into one
+      [op_psel_*] dispatch, or one [op_setp_*] when the arms also
+      write 1 / 0 to one register. A diamond fuses only when its
+      else-arm probe has the branch as sole predecessor. Const-prop
+      resolves a [psel] on known operands to the probe it fires but
+      never folds a [setp]'s probe away;
     + {b probe dedup} — within straight-line regions, [probe]
       instructions whose cell is already known fired (an earlier
       probe, or the fall-through of a probe-carrying branch) are
@@ -50,7 +62,10 @@
       touched.
 
     The pipeline iterates simplify-then-fuse cycles until a whole
-    cycle changes nothing, so [optimize_bytecode] is idempotent.
+    cycle changes nothing, so [optimize_bytecode] is idempotent. A
+    call allocates its analysis arrays once and every pass and cycle
+    reuses them; it keeps no state between calls, so domains may
+    optimize concurrently.
 
     The optimized program is bit-identical in observable behaviour
     (outputs, states, probe sets, hook events) to the unoptimized

@@ -161,7 +161,7 @@ let[@inline] wrap n mask half =
   let m = n land mask in
   if m >= half then m - (mask + 1) else m
 
-(* Opcode numbers match Ir_linearize.op_* (dense 0..74, so the match
+(* Opcode numbers match Ir_linearize.op_* (dense 0..79, so the match
    compiles to a jump table). All register and code accesses are
    unsafe: the linearizer only ever emits in-range indices, and every
    block ends in HALT so dispatch needs no bounds check — each arm
@@ -486,7 +486,7 @@ let rec go vm regs pb code i =
         (Array.unsafe_get regs (Array.unsafe_get code (i + 4))));
     go vm regs pb code (i + 5)
   | 46 (* halt *) -> ()
-  (* superinstructions 47..57, emitted only by Ir_opt's fusion pass.
+  (* superinstructions 47..63, emitted only by Ir_opt's fusion pass.
      The compare-and-jump arms take the branch when the comparison
      is FALSE — exactly what the replaced [cmp_*; jz] pair did,
      including the NaN behaviour (any ordered compare with NaN is
@@ -515,44 +515,32 @@ let rec go vm regs pb code i =
       <> Array.unsafe_get regs (Array.unsafe_get code (i + 2))
     then go vm regs pb code (i + 4)
     else go vm regs pb code (Array.unsafe_get code (i + 3))
-  | 51 (* jgt *) ->
-    if
-      Array.unsafe_get regs (Array.unsafe_get code (i + 1))
-      > Array.unsafe_get regs (Array.unsafe_get code (i + 2))
-    then go vm regs pb code (i + 4)
-    else go vm regs pb code (Array.unsafe_get code (i + 3))
-  | 52 (* jge *) ->
-    if
-      Array.unsafe_get regs (Array.unsafe_get code (i + 1))
-      >= Array.unsafe_get regs (Array.unsafe_get code (i + 2))
-    then go vm regs pb code (i + 4)
-    else go vm regs pb code (Array.unsafe_get code (i + 3))
-  | 53 (* jnz *) ->
+  | 51 (* jnz *) ->
     if Array.unsafe_get regs (Array.unsafe_get code (i + 1)) <> 0.0 then
       go vm regs pb code (Array.unsafe_get code (i + 2))
     else go vm regs pb code (i + 3)
-  | 54 (* add_f32 *) ->
+  | 52 (* add_f32 *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (Value.normalize_float Dtype.Float32
          (Array.unsafe_get regs (Array.unsafe_get code (i + 2))
          +. Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
     go vm regs pb code (i + 4)
-  | 55 (* sub_f32 *) ->
+  | 53 (* sub_f32 *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (Value.normalize_float Dtype.Float32
          (Array.unsafe_get regs (Array.unsafe_get code (i + 2))
          -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
     go vm regs pb code (i + 4)
-  | 56 (* mul_f32 *) ->
+  | 54 (* mul_f32 *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (Value.normalize_float Dtype.Float32
          (Array.unsafe_get regs (Array.unsafe_get code (i + 2))
          *. Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
     go vm regs pb code (i + 4)
-  | 57 (* div_f32 *) ->
+  | 55 (* div_f32 *) ->
     let y = Array.unsafe_get regs (Array.unsafe_get code (i + 3)) in
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
@@ -560,20 +548,20 @@ let rec go vm regs pb code i =
          (if y = 0.0 then 0.0
           else Array.unsafe_get regs (Array.unsafe_get code (i + 2)) /. y));
     go vm regs pb code (i + 4)
-  | 58 (* probe + jmp *) ->
+  | 56 (* probe + jmp *) ->
     let id = Array.unsafe_get code (i + 1) in
     fire pb id;
     go vm regs pb code (Array.unsafe_get code (i + 2))
-  | 59 (* mov + jmp *) ->
+  | 57 (* mov + jmp *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (Array.unsafe_get regs (Array.unsafe_get code (i + 2)));
     go vm regs pb code (Array.unsafe_get code (i + 3))
-  (* probe-carrying conditional branches 60..67: the branch-arm
+  (* probe-carrying conditional branches 58..63: the branch-arm
      probe fused into the branch itself. Fall through => the probe
      fires; jump => it is skipped — bit-identical to the unfused
      [j..; probe] pair, NaN behaviour included. *)
-  | 60 (* jlt.p *) ->
+  | 58 (* jlt.p *) ->
     if
       Array.unsafe_get regs (Array.unsafe_get code (i + 1))
       < Array.unsafe_get regs (Array.unsafe_get code (i + 2))
@@ -583,7 +571,7 @@ let rec go vm regs pb code i =
       go vm regs pb code (i + 5)
     end
     else go vm regs pb code (Array.unsafe_get code (i + 4))
-  | 61 (* jle.p *) ->
+  | 59 (* jle.p *) ->
     if
       Array.unsafe_get regs (Array.unsafe_get code (i + 1))
       <= Array.unsafe_get regs (Array.unsafe_get code (i + 2))
@@ -593,7 +581,7 @@ let rec go vm regs pb code i =
       go vm regs pb code (i + 5)
     end
     else go vm regs pb code (Array.unsafe_get code (i + 4))
-  | 62 (* jeq.p *) ->
+  | 60 (* jeq.p *) ->
     if
       Array.unsafe_get regs (Array.unsafe_get code (i + 1))
       = Array.unsafe_get regs (Array.unsafe_get code (i + 2))
@@ -603,7 +591,7 @@ let rec go vm regs pb code i =
       go vm regs pb code (i + 5)
     end
     else go vm regs pb code (Array.unsafe_get code (i + 4))
-  | 63 (* jne.p *) ->
+  | 61 (* jne.p *) ->
     if
       Array.unsafe_get regs (Array.unsafe_get code (i + 1))
       <> Array.unsafe_get regs (Array.unsafe_get code (i + 2))
@@ -613,27 +601,7 @@ let rec go vm regs pb code i =
       go vm regs pb code (i + 5)
     end
     else go vm regs pb code (Array.unsafe_get code (i + 4))
-  | 64 (* jgt.p *) ->
-    if
-      Array.unsafe_get regs (Array.unsafe_get code (i + 1))
-      > Array.unsafe_get regs (Array.unsafe_get code (i + 2))
-    then begin
-      let id = Array.unsafe_get code (i + 3) in
-      fire pb id;
-      go vm regs pb code (i + 5)
-    end
-    else go vm regs pb code (Array.unsafe_get code (i + 4))
-  | 65 (* jge.p *) ->
-    if
-      Array.unsafe_get regs (Array.unsafe_get code (i + 1))
-      >= Array.unsafe_get regs (Array.unsafe_get code (i + 2))
-    then begin
-      let id = Array.unsafe_get code (i + 3) in
-      fire pb id;
-      go vm regs pb code (i + 5)
-    end
-    else go vm regs pb code (Array.unsafe_get code (i + 4))
-  | 66 (* jz.p *) ->
+  | 62 (* jz.p *) ->
     if Array.unsafe_get regs (Array.unsafe_get code (i + 1)) = 0.0 then
       go vm regs pb code (Array.unsafe_get code (i + 3))
     else begin
@@ -641,7 +609,7 @@ let rec go vm regs pb code i =
       fire pb id;
       go vm regs pb code (i + 4)
     end
-  | 67 (* jnz.p *) ->
+  | 63 (* jnz.p *) ->
     if Array.unsafe_get regs (Array.unsafe_get code (i + 1)) <> 0.0 then
       go vm regs pb code (Array.unsafe_get code (i + 3))
     else begin
@@ -649,16 +617,16 @@ let rec go vm regs pb code i =
       fire pb id;
       go vm regs pb code (i + 4)
     end
-  (* branch distances 68..74 (see Ir_linearize): one side of a
+  (* branch distances 64..70 (see Ir_linearize): one side of a
      comparison's Korel distance each, K = 1 *)
-  | 68 (* dt_eq *) ->
+  | 64 (* dt_eq *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (Float.abs
          (Array.unsafe_get regs (Array.unsafe_get code (i + 2))
          -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
     go vm regs pb code (i + 4)
-  | 69 (* df_eq *) ->
+  | 65 (* df_eq *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (if
@@ -669,28 +637,28 @@ let rec go vm regs pb code i =
        then 1.0
        else 0.0);
     go vm regs pb code (i + 4)
-  | 70 (* dt_lt *) ->
+  | 66 (* dt_lt *) ->
     let d =
       Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
     in
     Array.unsafe_set regs (Array.unsafe_get code (i + 1)) (if d < 0.0 then 0.0 else d +. 1.0);
     go vm regs pb code (i + 4)
-  | 71 (* df_lt *) ->
+  | 67 (* df_lt *) ->
     let d =
       Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
     in
     Array.unsafe_set regs (Array.unsafe_get code (i + 1)) (if d < 0.0 then -.d else 0.0);
     go vm regs pb code (i + 4)
-  | 72 (* dt_le *) ->
+  | 68 (* dt_le *) ->
     let d =
       Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
     in
     Array.unsafe_set regs (Array.unsafe_get code (i + 1)) (if d <= 0.0 then 0.0 else d);
     go vm regs pb code (i + 4)
-  | 73 (* df_le *) ->
+  | 69 (* df_le *) ->
     let d =
       Array.unsafe_get regs (Array.unsafe_get code (i + 2))
       -. Array.unsafe_get regs (Array.unsafe_get code (i + 3))
@@ -699,13 +667,108 @@ let rec go vm regs pb code i =
       (Array.unsafe_get code (i + 1))
       (if d <= 0.0 then -.d +. 1.0 else 0.0);
     go vm regs pb code (i + 4)
-  | 74 (* min_f *) ->
+  | 70 (* min_f *) ->
     Array.unsafe_set regs
       (Array.unsafe_get code (i + 1))
       (Float.min
          (Array.unsafe_get regs (Array.unsafe_get code (i + 2)))
          (Array.unsafe_get regs (Array.unsafe_get code (i + 3))));
     go vm regs pb code (i + 4)
+  (* probe selects 71..74 and probe-firing sets 75..79: a whole
+     two-probe diamond in one dispatch (see Ir_linearize). The
+     relation reads its operands before a setp writes its register. *)
+  | 71 (* psel.lt *) ->
+    fire pb
+      (if
+         Array.unsafe_get regs (Array.unsafe_get code (i + 1))
+         < Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+       then Array.unsafe_get code (i + 3)
+       else Array.unsafe_get code (i + 4));
+    go vm regs pb code (i + 5)
+  | 72 (* psel.le *) ->
+    fire pb
+      (if
+         Array.unsafe_get regs (Array.unsafe_get code (i + 1))
+         <= Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+       then Array.unsafe_get code (i + 3)
+       else Array.unsafe_get code (i + 4));
+    go vm regs pb code (i + 5)
+  | 73 (* psel.eq *) ->
+    fire pb
+      (if
+         Array.unsafe_get regs (Array.unsafe_get code (i + 1))
+         = Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+       then Array.unsafe_get code (i + 3)
+       else Array.unsafe_get code (i + 4));
+    go vm regs pb code (i + 5)
+  | 74 (* psel.nz *) ->
+    fire pb
+      (if Array.unsafe_get regs (Array.unsafe_get code (i + 1)) <> 0.0 then
+         Array.unsafe_get code (i + 2)
+       else Array.unsafe_get code (i + 3));
+    go vm regs pb code (i + 4)
+  | 75 (* setp.lt *) ->
+    if
+      Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+      < Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+    then begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 1.0;
+      fire pb (Array.unsafe_get code (i + 4))
+    end
+    else begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 0.0;
+      fire pb (Array.unsafe_get code (i + 5))
+    end;
+    go vm regs pb code (i + 6)
+  | 76 (* setp.le *) ->
+    if
+      Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+      <= Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+    then begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 1.0;
+      fire pb (Array.unsafe_get code (i + 4))
+    end
+    else begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 0.0;
+      fire pb (Array.unsafe_get code (i + 5))
+    end;
+    go vm regs pb code (i + 6)
+  | 77 (* setp.eq *) ->
+    if
+      Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+      = Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+    then begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 1.0;
+      fire pb (Array.unsafe_get code (i + 4))
+    end
+    else begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 0.0;
+      fire pb (Array.unsafe_get code (i + 5))
+    end;
+    go vm regs pb code (i + 6)
+  | 78 (* setp.ne *) ->
+    if
+      Array.unsafe_get regs (Array.unsafe_get code (i + 2))
+      <> Array.unsafe_get regs (Array.unsafe_get code (i + 3))
+    then begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 1.0;
+      fire pb (Array.unsafe_get code (i + 4))
+    end
+    else begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 0.0;
+      fire pb (Array.unsafe_get code (i + 5))
+    end;
+    go vm regs pb code (i + 6)
+  | 79 (* setp.nz *) ->
+    if Array.unsafe_get regs (Array.unsafe_get code (i + 2)) <> 0.0 then begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 1.0;
+      fire pb (Array.unsafe_get code (i + 3))
+    end
+    else begin
+      Array.unsafe_set regs (Array.unsafe_get code (i + 1)) 0.0;
+      fire pb (Array.unsafe_get code (i + 4))
+    end;
+    go vm regs pb code (i + 5)
   | _ -> assert false
 
 let exec vm code = go vm vm.regs vm.probes code 0

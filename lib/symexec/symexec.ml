@@ -63,11 +63,11 @@ let fitness chains target (br : Ir_vm.branches) probe_hit =
 
 (* Branch-recording bytecode: the VM folds every If visit's distances
    into its minima, so an execution allocates nothing for them.
-   Unoptimized: with the optimizer, traced hybrid campaigns spend about
-   a fifth less time in solver phases, but each campaign then optimizes
-   a second code, and the extra allocation raises a campaign's peak
-   RSS by more than that is worth (measured in DESIGN §3 "Code vs
-   instance"). *)
+   Unoptimized: with the optimizer, perfbench campaign-hybrid reads
+   time_to_cov_s -7.5% (faster in 10 of 10 pairs), but each campaign
+   then optimizes and keeps a second code, and peak_rss_mb reads
+   +11.5% (higher in 10 of 10), outside the unoptimized runs' spread
+   (measured in DESIGN §3 "Code vs instance"). *)
 let prepare_code prog = Ir_vm.prepare ~optimize:false ~branches:true prog
 
 let covered_bitmap ?initial_coverage (prog : Ir.program) =

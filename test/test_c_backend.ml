@@ -2,13 +2,18 @@
    gcc -O2 and check it computes exactly what the reference IR
    evaluator computes over random tuple streams. This validates the
    paper's core premise — the generated C faithfully implements the
-   model — end to end. Skipped when no C compiler is installed. *)
+   model — end to end. The optimized VM code the fuzzer runs (probe
+   only, and with branch records) must print the same outputs too:
+   gcc shares no code with the bytecode optimizer, so this is an
+   independent oracle for it. Skipped when no C compiler is
+   installed. *)
 
 open Cftcg_model
 module Codegen = Cftcg_codegen.Codegen
 module Layout = Cftcg_fuzz.Layout
 module Cemit = Cftcg_ir.Cemit
 module Ir_eval = Cftcg_ir.Ir_eval
+module Ir_vm = Cftcg_ir.Ir_vm
 
 let gcc_available =
   lazy (Sys.command "command -v gcc > /dev/null 2>&1" = 0)
@@ -26,29 +31,50 @@ let run_command cmd =
   | Unix.WEXITED n -> Error (Printf.sprintf "exit %d" n)
   | Unix.WSIGNALED n | Unix.WSTOPPED n -> Error (Printf.sprintf "signal %d" n)
 
-(* Expected output computed by the reference evaluator, formatted
-   exactly like the C harness prints it. *)
-let ocaml_reference prog layout data =
-  let e = Ir_eval.create prog in
-  Ir_eval.reset e;
+(* The outputs after each tuple of [data], formatted exactly like the
+   C harness prints them: [step tuple] runs one model iteration on
+   tuple [tuple], [output o] reads output [o] back. *)
+let run_outputs prog layout data ~step ~output =
   let buf = Buffer.create 1024 in
   for tuple = 0 to Layout.n_tuples layout data - 1 do
-    Array.iteri (Ir_eval.set_input e) (Layout.load_tuple_values layout data ~tuple);
-    Ir_eval.step e;
+    step tuple;
     Array.iteri
-      (fun o (_ : Cftcg_ir.Ir.var) ->
-        let v = Value.to_float (Ir_eval.get_output e o) in
-        Buffer.add_string buf (Printf.sprintf "%.17g " v))
+      (fun o (_ : Cftcg_ir.Ir.var) -> Buffer.add_string buf (Printf.sprintf "%.17g " (output o)))
       prog.Cftcg_ir.Ir.outputs;
     Buffer.add_string buf "\n"
   done;
   Buffer.contents buf
+
+(* Expected output computed by the reference evaluator. *)
+let ocaml_reference prog layout data =
+  let e = Ir_eval.create prog in
+  Ir_eval.reset e;
+  run_outputs prog layout data
+    ~step:(fun tuple ->
+      Array.iteri (Ir_eval.set_input e) (Layout.load_tuple_values layout data ~tuple);
+      Ir_eval.step e)
+    ~output:(fun o -> Value.to_float (Ir_eval.get_output e o))
+
+(* The same, from a fresh VM instance of optimized [code], fed the way
+   the fuzzer feeds it. *)
+let vm_outputs code prog layout data =
+  let vm = Ir_vm.of_code code in
+  Ir_vm.reset vm;
+  run_outputs prog layout data
+    ~step:(fun tuple ->
+      Layout.load_tuple_vm layout data ~tuple vm;
+      Ir_vm.step vm)
+    ~output:(fun o -> Value.to_float (Ir_vm.get_output vm o))
 
 let differential name m =
   if not (Lazy.force gcc_available) then ()
   else begin
     let prog = Codegen.lower ~mode:Codegen.Full m in
     let layout = Layout.of_program prog in
+    let vm_codes =
+      [ ("optimized VM", Ir_vm.prepare prog);
+        ("optimized branch-recording VM", Ir_vm.prepare ~branches:true prog) ]
+    in
     let c_source = Cemit.emit_program prog ^ Cemit.emit_test_harness prog in
     let dir = Filename.temp_file "cftcg_cdiff" "" in
     Sys.remove dir;
@@ -79,12 +105,19 @@ let differential name m =
           in
           let hex = Cftcg_util.Bytecodec.hex_of_bytes data in
           let expected = ocaml_reference prog layout data in
+          let head s = String.sub s 0 (min 200 (String.length s)) in
           match run_command (Printf.sprintf "%s %s" (Filename.quote exe_path) hex) with
           | Ok actual ->
             if String.trim actual <> String.trim expected then
-              Alcotest.failf "%s: trial %d diverges\nC:     %s\nOCaml: %s" name trial
-                (String.sub actual 0 (min 200 (String.length actual)))
-                (String.sub expected 0 (min 200 (String.length expected)))
+              Alcotest.failf "%s: trial %d diverges\nC:     %s\nOCaml: %s" name trial (head actual)
+                (head expected);
+            List.iter
+              (fun (label, code) ->
+                let vm = vm_outputs code prog layout data in
+                if String.trim actual <> String.trim vm then
+                  Alcotest.failf "%s: trial %d: the %s diverges from C\nC:  %s\nVM: %s" name trial
+                    label (head actual) (head vm))
+              vm_codes
           | Error msg -> Alcotest.failf "%s: C binary failed: %s" name msg
         done)
   end

@@ -135,8 +135,9 @@ let test_bc_constant_branch () =
     List.fold_left
       (fun acc op -> acc + h.(op))
       0
-      L.[ op_jz; op_jnz; op_jlt; op_jle; op_jeq; op_jne; op_jgt; op_jge; op_jlt_p; op_jle_p;
-          op_jeq_p; op_jne_p; op_jgt_p; op_jge_p; op_jz_p; op_jnz_p ]
+      L.[ op_jz; op_jnz; op_jlt; op_jle; op_jeq; op_jne; op_jlt_p; op_jle_p; op_jeq_p; op_jne_p;
+          op_jz_p; op_jnz_p; op_psel_lt; op_psel_le; op_psel_eq; op_psel_nz; op_setp_lt;
+          op_setp_le; op_setp_eq; op_setp_ne; op_setp_nz ]
   in
   let h = histogram Codegen.Plain in
   Alcotest.(check int) "no select" 0 h.(L.op_select);
@@ -194,28 +195,34 @@ let test_bc_dce_respects_roots () =
   (* the delayed feedback still works: outputs must track history *)
   same_outputs "bc dce" prog ~steps:80
 
-(* Parse the disassembly into (index, opname, target option) rows so
-   structural properties can be asserted without re-exposing the
-   decoder. Lines look like "   12: jmp        -> 29". *)
-let disasm_insts lin =
+(* The disassembly as (index, instruction text) rows, so structural
+   properties can be asserted without re-exposing the decoder. Lines
+   look like "   12: jmp        -> 29"; the text is what follows the
+   colon, trimmed. *)
+let disasm_lines lin =
   Ir_opt.disassemble lin |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
          match String.index_opt line ':' with
-         | Some colon when colon > 0 && String.trim (String.sub line 0 colon) <> "" -> (
+         | Some colon when colon > 0 -> (
            match int_of_string_opt (String.trim (String.sub line 0 colon)) with
            | None -> None (* "init:" / "step:" headers *)
            | Some ix ->
-             let rest = String.sub line (colon + 1) (String.length line - colon - 1) in
-             let name = List.hd (String.split_on_char ' ' (String.trim rest)) in
-             let target =
-               match String.index_opt rest '>' with
-               | Some gt ->
-                 int_of_string_opt
-                   (String.trim (String.sub rest (gt + 1) (String.length rest - gt - 1)))
-               | None -> None
-             in
-             Some (ix, name, target))
+             Some (ix, String.trim (String.sub line (colon + 1) (String.length line - colon - 1))))
          | _ -> None)
+
+(* (index, opname, target option) rows *)
+let disasm_insts lin =
+  List.map
+    (fun (ix, text) ->
+      let name = List.hd (String.split_on_char ' ' text) in
+      let target =
+        match String.index_opt text '>' with
+        | Some gt ->
+          int_of_string_opt (String.trim (String.sub text (gt + 1) (String.length text - gt - 1)))
+        | None -> None
+      in
+      (ix, name, target))
+    (disasm_lines lin)
 
 let test_bc_jump_threading () =
   (* nested switches create jmp-to-jmp chains at the joins; after
@@ -245,11 +252,28 @@ let test_bc_jump_threading () =
     insts;
   same_outputs "bc jump threading" prog ~steps:50
 
-(* every fused opcode appears when its source pattern is present, and
-   behaviour is unchanged *)
+(* the opcodes a fused relation may end up in: its compare-and-jump,
+   probe-carrying jump, probe select and probe-firing set. gt and ge
+   fuse as lt and le with swapped operands; ne as eq with swapped
+   probes, except for the register a setp writes *)
+let relation_family rel =
+  match rel with
+  | Graph.R_lt | Graph.R_gt -> L.[ op_jlt; op_jlt_p; op_psel_lt; op_setp_lt ]
+  | Graph.R_le | Graph.R_ge -> L.[ op_jle; op_jle_p; op_psel_le; op_setp_le ]
+  | Graph.R_eq -> L.[ op_jeq; op_jeq_p; op_psel_eq; op_setp_eq; op_setp_ne ]
+  | Graph.R_ne -> L.[ op_jne; op_jne_p; op_psel_eq; op_setp_ne; op_setp_eq ]
+
+let count_ops h ops = List.fold_left (fun acc op -> acc + h.(op)) 0 ops
+
+let all_relations =
+  [ (Graph.R_lt, "lt"); (Graph.R_le, "le"); (Graph.R_eq, "eq"); (Graph.R_ne, "ne");
+    (Graph.R_gt, "gt"); (Graph.R_ge, "ge") ]
+
+(* every compare that feeds a branch fuses into its relation's family,
+   so no materialized compare is left, and behaviour is unchanged *)
 let test_bc_fused_compare_jumps () =
   List.iter
-    (fun (rel, fused, label) ->
+    (fun (rel, label) ->
       let b = Build.create ("BFC" ^ label) in
       let u = Build.inport b "u" Dtype.Float64 in
       let v = Build.inport b "v" Dtype.Float64 in
@@ -258,10 +282,12 @@ let test_bc_fused_compare_jumps () =
       let prog = Codegen.lower ~mode:Codegen.Full (Build.finish b) in
       let opt = Ir_opt.optimize_bytecode (L.linearize prog) in
       let h = Ir_opt.opcode_histogram opt in
-      Alcotest.(check bool) (label ^ " fused compare emitted") true (h.(fused) > 0);
+      Alcotest.(check bool) (label ^ " fused compare emitted") true
+        (count_ops h (relation_family rel) > 0);
+      Alcotest.(check int) (label ^ " no compare left") 0
+        (count_ops h L.[ op_cmp_eq; op_cmp_ne; op_cmp_lt; op_cmp_le; op_cmp_gt; op_cmp_ge ]);
       same_outputs ("fused " ^ label) prog ~steps:60)
-    [ (Graph.R_lt, L.op_jlt, "jlt"); (Graph.R_le, L.op_jle, "jle"); (Graph.R_eq, L.op_jeq, "jeq");
-      (Graph.R_ne, L.op_jne, "jne"); (Graph.R_gt, L.op_jgt, "jgt"); (Graph.R_ge, L.op_jge, "jge") ]
+    all_relations
 
 (* a negated chart guard is the one construct that lowers to an [If]
    with a top-level NOT — i.e. a [not t; jz t] pair — so it is where
@@ -312,7 +338,10 @@ let test_bc_fused_f32_arith () =
   same_outputs "fused f32" prog ~steps:60
 
 let test_bc_fused_arm_tails () =
-  (* then-arms end in [probe; jmp] / [mov; jmp]; both collapse *)
+  (* then-arms end in [probe; jmp] / [mov; jmp]: each collapses into
+     one dispatch, and where the else-arm is a lone probe (plus the
+     matching 0/1 write) the whole diamond collapses further into a
+     psel / setp — either way no unconditional jmp is left *)
   let b = Build.create "BTAIL" in
   let u = Build.inport b "u" Dtype.Float64 in
   let c = Build.compare_const b Graph.R_gt 0.0 u in
@@ -320,8 +349,12 @@ let test_bc_fused_arm_tails () =
   let prog = Codegen.lower ~mode:Codegen.Full (Build.finish b) in
   let opt = Ir_opt.optimize_bytecode (L.linearize prog) in
   let h = Ir_opt.opcode_histogram opt in
-  Alcotest.(check bool) "probe.jmp or mov.jmp emitted" true
-    (h.(L.op_probe_jmp) > 0 || h.(L.op_mov_jmp) > 0);
+  Alcotest.(check bool) "arm tails fused" true
+    (count_ops h
+       L.[ op_probe_jmp; op_mov_jmp; op_psel_lt; op_psel_le; op_psel_eq; op_psel_nz; op_setp_lt;
+           op_setp_le; op_setp_eq; op_setp_ne; op_setp_nz ]
+    > 0);
+  Alcotest.(check int) "no jmp left" 0 h.(L.op_jmp);
   same_outputs "fused arm tails" prog ~steps:60
 
 (* probe parity for the probe-aware rules: the optimized bytecode must
@@ -351,9 +384,11 @@ let same_probes name prog ~steps =
 
 let test_bc_probe_compare_jumps () =
   (* instrumented switch: the decision probe on the fall-through arm
-     rides along in the compare-jump's own dispatch (jlt.p .. jge.p) *)
+     rides along in the compare's own dispatch — a probe-carrying jump
+     (jlt.p .. jne.p), or a psel / setp when the other arm is a lone
+     probe *)
   List.iter
-    (fun (rel, fused_p, label) ->
+    (fun (rel, label) ->
       let b = Build.create ("BPC" ^ label) in
       let u = Build.inport b "u" Dtype.Float64 in
       let v = Build.inport b "v" Dtype.Float64 in
@@ -362,16 +397,17 @@ let test_bc_probe_compare_jumps () =
       let prog = Codegen.lower ~mode:Codegen.Full (Build.finish b) in
       let opt = Ir_opt.optimize_bytecode (L.linearize prog) in
       let h = Ir_opt.opcode_histogram opt in
-      Alcotest.(check bool) (label ^ " probe-carrying compare emitted") true (h.(fused_p) > 0);
+      let plain = L.[ op_jlt; op_jle; op_jeq; op_jne ] in
+      Alcotest.(check bool) (label ^ " probe-carrying compare emitted") true
+        (count_ops h (List.filter (fun op -> not (List.mem op plain)) (relation_family rel)) > 0);
       same_outputs ("probe fused " ^ label) prog ~steps:60;
       same_probes ("probe fused " ^ label) prog ~steps:60)
-    [ (Graph.R_lt, L.op_jlt_p, "jlt.p"); (Graph.R_le, L.op_jle_p, "jle.p");
-      (Graph.R_eq, L.op_jeq_p, "jeq.p"); (Graph.R_ne, L.op_jne_p, "jne.p");
-      (Graph.R_gt, L.op_jgt_p, "jgt.p"); (Graph.R_ge, L.op_jge_p, "jge.p") ]
+    all_relations
 
 let test_bc_probe_logic_jumps () =
   (* a logic-op condition keeps its jz (no compare to fuse with), so
-     the arm probe lands in jz.p / jnz.p *)
+     the arm probe lands in jz.p / jnz.p, or the whole diamond in
+     psel.nz / setp.nz *)
   let b = Build.create "BPL" in
   let u = Build.inport b "u" Dtype.Float64 in
   let v = Build.inport b "v" Dtype.Float64 in
@@ -380,7 +416,8 @@ let test_bc_probe_logic_jumps () =
   let prog = Codegen.lower ~mode:Codegen.Full (Build.finish b) in
   let opt = Ir_opt.optimize_bytecode (L.linearize prog) in
   let h = Ir_opt.opcode_histogram opt in
-  Alcotest.(check bool) "jz.p or jnz.p emitted" true (h.(L.op_jz_p) > 0 || h.(L.op_jnz_p) > 0);
+  Alcotest.(check bool) "jz.p, jnz.p, psel.nz or setp.nz emitted" true
+    (count_ops h L.[ op_jz_p; op_jnz_p; op_psel_nz; op_setp_nz ] > 0);
   same_outputs "probe fused jz" prog ~steps:60;
   same_probes "probe fused jz" prog ~steps:60
 
@@ -425,13 +462,13 @@ let test_bc_probe_dedup_uses_branch_knowledge () =
   let lin = dedup_base () in
   let carried =
     { lin with L.l_init = [| L.op_halt |];
-               l_step = [| L.op_jgt_p; 0; 0; 0; 8; L.op_probe; 0; L.op_halt;
+               l_step = [| L.op_jlt_p; 0; 0; 0; 8; L.op_probe; 0; L.op_halt;
                            L.op_probe; 0; L.op_halt |] }
   in
   let opt = Ir_opt.optimize_bytecode carried in
   let h = Ir_opt.opcode_histogram opt in
   Alcotest.(check int) "fall-through re-fire dropped" 1 h.(L.op_probe);
-  Alcotest.(check int) "branch keeps its probe" 1 h.(L.op_jgt_p)
+  Alcotest.(check int) "branch keeps its probe" 1 h.(L.op_jlt_p)
 
 let test_bc_liveness_back_edge () =
   (* pc0: mov t, u;  pc3: cond 0, 0, t (loop head);  pc7: mov t, k0;
@@ -457,6 +494,202 @@ let test_bc_liveness_back_edge () =
   let opt = Ir_opt.optimize_bytecode looped in
   Alcotest.(check int) "both writes of t survive" 2 (Ir_opt.opcode_histogram opt).(L.op_mov)
 
+(* Hand-written step code over [dedup_base]'s registers: its input u,
+   its output y, a scratch register t outside I/O and state, and a
+   two-entry constant pool k0 = 0.0, k1 = 1.0. *)
+let hand_base step =
+  let lin = dedup_base () in
+  let prog = lin.L.l_prog in
+  let u = prog.Ir.inputs.(0).Ir.vid and y = prog.Ir.outputs.(0).Ir.vid in
+  let io =
+    Array.to_list
+      (Array.map (fun (v : Ir.var) -> v.Ir.vid)
+         (Array.concat [ prog.Ir.inputs; prog.Ir.outputs; prog.Ir.states ]))
+  in
+  let t = List.find (fun r -> not (List.mem r io)) (List.init lin.L.l_const_base Fun.id) in
+  let k0 = lin.L.l_const_base and k1 = lin.L.l_const_base + 1 in
+  let code = step ~u ~y ~t ~k0 ~k1 in
+  let lin =
+    { lin with L.l_init = [| L.op_halt |]; l_step = code; l_consts = [| 0.0; 1.0 |];
+               l_n_regs = lin.L.l_const_base + 2 }
+  in
+  (lin, u, y, t)
+
+(* the disassembled instructions, both blocks, as "name operands"
+   with the name padded as [Ir_opt.disassemble] prints it *)
+let listing lin = List.map snd (disasm_lines lin)
+
+let has_inst lin text = List.mem text (listing lin)
+
+let test_bc_global_copy_prop () =
+  (* pc0: mov t, u;  pc3: jz u -> 10;  pc6: probe 0;  pc8: jmp -> 12;
+     pc10: probe 1;  pc12: mov y, t;  pc15: halt. The copy t = u holds
+     on both paths into the join at pc12, so y reads u and t's write
+     dies *)
+  let both, u, y, t =
+    hand_base (fun ~u ~y ~t ~k0:_ ~k1:_ ->
+        [| L.op_mov; t; u; L.op_jz; u; 10; L.op_probe; 0; L.op_jmp; 12; L.op_probe; 1;
+           L.op_mov; y; t; L.op_halt |])
+  in
+  let opt = Ir_opt.optimize_bytecode both in
+  Alcotest.(check bool) "y reads u across the join" true
+    (has_inst opt (Printf.sprintf "%-10s r%d, r%d" "mov" y u));
+  Alcotest.(check bool) "t is never written" false
+    (List.exists (fun l -> has_inst opt l) [ Printf.sprintf "%-10s r%d, r%d" "mov" t u ]);
+  (* pc0: mov t, u;  pc3: jz u -> 11;  pc6: mov u, k0;  pc9: jmp -> 13;
+     pc11: probe 0;  pc13: mov y, t;  pc16: halt. The then-path
+     rewrites u, so at the join t no longer equals u *)
+  let killed, u, y, t =
+    hand_base (fun ~u ~y ~t ~k0 ~k1:_ ->
+        [| L.op_mov; t; u; L.op_jz; u; 11; L.op_mov; u; k0; L.op_jmp; 13; L.op_probe; 0;
+           L.op_mov; y; t; L.op_halt |])
+  in
+  let opt = Ir_opt.optimize_bytecode killed in
+  Alcotest.(check bool) "y keeps reading t" true
+    (has_inst opt (Printf.sprintf "%-10s r%d, r%d" "mov" y t));
+  Alcotest.(check bool) "the copy is not propagated" false
+    (has_inst opt (Printf.sprintf "%-10s r%d, r%d" "mov" y u))
+
+(* the operand values the relation tests feed, every pair of them *)
+let edge_values = [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1.0; -1.0 ]
+
+(* the optimized and unoptimized code of [prog] step through every pair
+   of [edge_values] on inputs 0 and 1; outputs and probe sets must
+   agree bit for bit at every step *)
+let same_on_edge_values name prog =
+  let vm_opt = Ir_vm.compile prog and vm_raw = Ir_vm.compile ~optimize:false prog in
+  Ir_vm.reset vm_opt;
+  Ir_vm.reset vm_raw;
+  let po = Ir_vm.probes vm_opt and pr = Ir_vm.probes vm_raw in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          List.iter
+            (fun vm ->
+              Ir_vm.set_input vm 0 (Value.of_float Dtype.Float64 x);
+              Ir_vm.set_input vm 1 (Value.of_float Dtype.Float64 y))
+            [ vm_opt; vm_raw ];
+          Ir_vm.clear_probes po;
+          Ir_vm.clear_probes pr;
+          Ir_vm.step vm_opt;
+          Ir_vm.step vm_raw;
+          Array.iteri
+            (fun o _ ->
+              let a = Value.to_float (Ir_vm.get_output vm_raw o) in
+              let b = Value.to_float (Ir_vm.get_output vm_opt o) in
+              if Int64.bits_of_float a <> Int64.bits_of_float b then
+                Alcotest.failf "%s: output %d diverges on (%g, %g): %h vs %h" name o x y a b)
+            prog.Ir.outputs;
+          if fired_ids po <> fired_ids pr then
+            Alcotest.failf "%s: probe sets diverge on (%g, %g)" name x y)
+        edge_values)
+    edge_values
+
+let test_bc_probe_selects () =
+  (* a materialized relation is a [probe A; r <- 1 | probe B; r <- 0]
+     diamond (a setp) plus its condition probes (a psel); gt and ge
+     fuse as lt and le with swapped operands, ne's register as setp.ne *)
+  List.iter
+    (fun (rel, label) ->
+      let b = Build.create ("BPS" ^ label) in
+      let u = Build.inport b "u" Dtype.Float64 in
+      let v = Build.inport b "v" Dtype.Float64 in
+      Build.outport b "y" (Build.relational b rel u v);
+      let prog = Codegen.lower ~mode:Codegen.Full (Build.finish b) in
+      let opt = Ir_opt.optimize_bytecode (L.linearize prog) in
+      let h = Ir_opt.opcode_histogram opt in
+      let psel, setp =
+        match rel with
+        | Graph.R_lt | Graph.R_gt -> (L.op_psel_lt, L.op_setp_lt)
+        | Graph.R_le | Graph.R_ge -> (L.op_psel_le, L.op_setp_le)
+        | Graph.R_eq -> (L.op_psel_eq, L.op_setp_eq)
+        | Graph.R_ne -> (L.op_psel_eq, L.op_setp_ne)
+      in
+      Alcotest.(check bool) (label ^ ": psel emitted") true (h.(psel) > 0);
+      Alcotest.(check bool) (label ^ ": setp emitted") true (h.(setp) > 0);
+      (* the profiler and the disassembler know them too: one step
+         dispatches each once *)
+      let bp = Ir_opt.profile_bytecode opt [| [| 1.0; 2.0 |] |] in
+      Alcotest.(check int) (label ^ ": one psel dispatch") h.(psel) bp.Ir_opt.bp_opcode_dyn.(psel);
+      Alcotest.(check int) (label ^ ": one setp dispatch") h.(setp) bp.Ir_opt.bp_opcode_dyn.(setp);
+      Alcotest.(check bool) (label ^ ": listed") true
+        (List.exists (String.starts_with ~prefix:(Ir_opt.opcode_name setp ^ " ")) (listing opt));
+      same_on_edge_values ("relation " ^ label) prog)
+    all_relations;
+  (* a logic condition selects on a register: psel.nz / setp.nz *)
+  let b = Build.create "BPSNZ" in
+  let u = Build.inport b "u" Dtype.Float64 in
+  let v = Build.inport b "v" Dtype.Float64 in
+  Build.outport b "y"
+    (Build.and_ b
+       (Build.compare_const b Graph.R_gt 0.0 u)
+       (Build.compare_const b Graph.R_le 0.0 v));
+  let prog = Codegen.lower ~mode:Codegen.Full (Build.finish b) in
+  let h = Ir_opt.opcode_histogram (Ir_opt.optimize_bytecode (L.linearize prog)) in
+  Alcotest.(check bool) "psel.nz emitted" true (h.(L.op_psel_nz) > 0);
+  Alcotest.(check bool) "setp.nz emitted" true (h.(L.op_setp_nz) > 0);
+  same_on_edge_values "logic" prog
+
+let test_bc_psel_needs_sole_predecessor () =
+  (* pc0: jz u -> 12;  pc3: probe 2;  pc5: jz t -> 12;  pc8: probe 0;
+     pc10: jmp -> 14;  pc12: probe 1;  pc14: probe 3;  pc16: halt. The
+     else-arm probe at pc12 is also the first branch's target, so the
+     second branch's diamond must not absorb it *)
+  let shared, _, _, _ =
+    hand_base (fun ~u ~y:_ ~t ~k0:_ ~k1:_ ->
+        [| L.op_jz; u; 12; L.op_probe; 2; L.op_jz; t; 12; L.op_probe; 0; L.op_jmp; 14; L.op_probe;
+           1; L.op_probe; 3; L.op_halt |])
+  in
+  let opt = Ir_opt.optimize_bytecode shared in
+  let h = Ir_opt.opcode_histogram opt in
+  Alcotest.(check int) "no psel" 0
+    (count_ops h L.[ op_psel_lt; op_psel_le; op_psel_eq; op_psel_nz ]);
+  Alcotest.(check bool) "the shared else-arm probe survives" true
+    (has_inst opt (Printf.sprintf "%-10s 1" "probe"));
+  (* the same diamond with the else-arm probe to itself does fuse *)
+  let own, _, _, t =
+    hand_base (fun ~u ~y:_ ~t ~k0:_ ~k1:_ ->
+        [| L.op_jz; u; 14; L.op_probe; 2; L.op_jz; t; 12; L.op_probe; 0; L.op_jmp; 14; L.op_probe;
+           1; L.op_probe; 3; L.op_halt |])
+  in
+  Alcotest.(check bool) "sole predecessor: psel" true
+    (has_inst (Ir_opt.optimize_bytecode own) (Printf.sprintf "%-10s r%d, 0, 1" "psel.nz" t))
+
+let test_bc_dead_setp_keeps_probe () =
+  (* pc0: setp.lt t, u, k0, 0, 1;  pc6: halt — t is never read, yet
+     the setp fires a probe: it must become the psel of its relation *)
+  let lin, u, _, _ =
+    hand_base (fun ~u ~y:_ ~t ~k0 ~k1:_ -> [| L.op_setp_lt; t; u; k0; 0; 1; L.op_halt |])
+  in
+  let opt = Ir_opt.optimize_bytecode lin in
+  Alcotest.(check bool) "psel.lt u, k0, 0, 1" true
+    (has_inst opt (Printf.sprintf "%-10s r%d, k0(0), 0, 1" "psel.lt" u));
+  (* setp.ne fires its first probe when eq fails: psel.eq swaps them *)
+  let lin, u, _, _ =
+    hand_base (fun ~u ~y:_ ~t ~k0 ~k1:_ -> [| L.op_setp_ne; t; u; k0; 0; 1; L.op_halt |])
+  in
+  Alcotest.(check bool) "psel.eq u, k0, 1, 0" true
+    (has_inst (Ir_opt.optimize_bytecode lin) (Printf.sprintf "%-10s r%d, k0(0), 1, 0" "psel.eq" u))
+
+let test_bc_const_prop_keeps_fused_probe () =
+  (* a setp on known operands writing the output: its register folds
+     to a known value but the setp, and with it the probe, stays *)
+  let lin, _, y, _ =
+    hand_base (fun ~u:_ ~y ~t:_ ~k0 ~k1 -> [| L.op_setp_lt; y; k0; k1; 0; 1; L.op_halt |])
+  in
+  let opt = Ir_opt.optimize_bytecode lin in
+  Alcotest.(check bool) "setp kept" true
+    (has_inst opt (Printf.sprintf "%-10s r%d, k0(0), k1(1), 0, 1" "setp.lt" y));
+  (* dead and known: the psel it becomes resolves to the probe it fires *)
+  let lin, _, _, _ =
+    hand_base (fun ~u:_ ~y:_ ~t ~k0 ~k1 -> [| L.op_setp_lt; t; k1; k0; 0; 1; L.op_halt |])
+  in
+  let opt = Ir_opt.optimize_bytecode lin in
+  Alcotest.(check (list string)) "the else probe fires"
+    [ "halt"; Printf.sprintf "%-10s 1" "probe"; "halt" ]
+    (listing opt)
+
 let test_bc_shrinks_bench_models () =
   List.iter
     (fun (e : Cftcg_bench_models.Bench_models.entry) ->
@@ -477,6 +710,32 @@ let test_bc_idempotent () =
   let once = Ir_opt.optimize_bytecode (L.linearize prog) in
   let twice = Ir_opt.optimize_bytecode once in
   Alcotest.(check int) "fixpoint" (Ir_opt.static_count once) (Ir_opt.static_count twice)
+
+(* The optimizer's analysis arrays are allocated once per call and
+   reused by every pass: arrays that long skip the minor heap, so
+   allocating them per pass made each call's direct major-heap
+   allocation grow with its pass count. Pinned at a quarter of what
+   the per-pass allocation cost (fewest words over 20 calls, x86-64):
+   116,800 words on RAC and 71,200 on TCP. *)
+let test_opt_alloc () =
+  List.iter
+    (fun (name, before) ->
+      let e = Option.get (Cftcg_bench_models.Bench_models.find name) in
+      let model = Lazy.force e.Cftcg_bench_models.Bench_models.model in
+      let lin = L.linearize (Codegen.lower ~mode:Codegen.Full model) in
+      ignore (Ir_opt.optimize_bytecode lin);
+      let direct (s : Gc.stat) = s.Gc.major_words -. s.Gc.promoted_words in
+      let call_words () =
+        let s0 = Gc.quick_stat () in
+        ignore (Sys.opaque_identity (Ir_opt.optimize_bytecode lin));
+        int_of_float (direct (Gc.quick_stat ()) -. direct s0)
+      in
+      let words = List.fold_left min max_int (List.init 5 (fun _ -> call_words ())) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d direct major words <= %d" name words (before / 4))
+        true
+        (words <= before / 4))
+    [ ("RAC", 116_800); ("TCP", 71_200) ]
 
 let suites =
   [ ( "ir.opt",
@@ -499,5 +758,13 @@ let suites =
         Alcotest.test_case "probe dedup uses branch knowledge" `Quick
           test_bc_probe_dedup_uses_branch_knowledge;
         Alcotest.test_case "liveness across a back edge" `Quick test_bc_liveness_back_edge;
+        Alcotest.test_case "global copy propagation" `Quick test_bc_global_copy_prop;
+        Alcotest.test_case "probe selects on edge values" `Quick test_bc_probe_selects;
+        Alcotest.test_case "psel needs a sole predecessor" `Quick
+          test_bc_psel_needs_sole_predecessor;
+        Alcotest.test_case "dead setp keeps its probe" `Quick test_bc_dead_setp_keeps_probe;
+        Alcotest.test_case "const-prop keeps a fused probe" `Quick
+          test_bc_const_prop_keeps_fused_probe;
         Alcotest.test_case "shrinks bench bytecode" `Quick test_bc_shrinks_bench_models;
-        Alcotest.test_case "idempotent" `Quick test_bc_idempotent ] ) ]
+        Alcotest.test_case "idempotent" `Quick test_bc_idempotent ] );
+    ("ir_opt.alloc", [ Alcotest.test_case "optimizer major-heap words" `Quick test_opt_alloc ]) ]

@@ -39,17 +39,17 @@ let code_digest ~branches progs =
 
 (* (name, probe-only digest, branch-recording digest) *)
 let bench_pins =
-  [ ("CPUTask", "fb0da65b955215d357ebba58a63ffaf3", "d9e397428e298a476c1b8913817e365c");
-    ("AFC", "b926c2a51c7bd357280b42e05977b101", "8740fd327699cb9fba2d744c3bbcbbf8");
-    ("TCP", "a92dc84f8547ae2a122b247144932be6", "44f96176d6971b874faf7168aa8aa8fe");
-    ("RAC", "000a8a1c4caf4f344eaa0f9c4aa9206b", "30cdb7bf3a6d98ca0bb1720a69fe3495");
-    ("EVCS", "a6be080e1a0568d33d21dbfcb08ee95b", "ddfdbe024ec48751ef423971cb8b539a");
-    ("TWC", "f2fc9633fd7b14a8ef4daadda9aa5ece", "6b66a5b34ea0b6414b96eb3c54890d02");
-    ("UTPC", "ada7ae90f9c299a24191c7d07118a82e", "5b14a7dfd6d452500c724351479c4b51");
-    ("SolarPV", "f02ee48cc67edac172b7d084d81696b9", "97e39e2e24a797d5f2b3afa7b36f497b") ]
+  [ ("CPUTask", "33137f6c4eadf609340268f7cdd5e404", "24a83a5b36e89e4cddd13228c896bda8");
+    ("AFC", "4963f435d61f1b5204fdcb3d8b99798d", "59a64f3937366f5e0589ab7129e750e2");
+    ("TCP", "69d85b260bfc5445f6b80f9bd023958b", "ccc9c31c729feeec132b223cfbe2e4aa");
+    ("RAC", "00244a2bc61a456349573e6814f34aa4", "b7b25f15ea8058057335251d5381dda5");
+    ("EVCS", "4bee6aaf3489406df133b2f8b9373d78", "202cabf06f08a0388b8fab9c01f8a577");
+    ("TWC", "0ac228d581592c83242a2fe3dbcedfc5", "6274a6848317e95fa31474bd091503e9");
+    ("UTPC", "04d5d1522a39e74fa8763ca81ca7eaac", "b1e76bd890b7720d8f53167245193af4");
+    ("SolarPV", "2bf0aaa766b7c97a69ea98b82d66f1c3", "b6acc32483ff2a95060fb749e2eb3932") ]
 
-let rolling_code_pin = ("4ae2b975c9cd7a6b9f2f69fc7ef849e9", "e5e066e04502f709fb0f4a210fb16f4d")
-let random_pin = ("78d0f6e697f425567edd48c1fef8b871", "3628a6b16a1f9d1cae22655f8f663ed4")
+let rolling_code_pin = ("348937f823fd43cccc9511aae6ed046b", "2bb1ee3ddfcc60cdcd95ceb3ecb1a11b")
+let random_pin = ("f71d3dc1cee7fc957e5b2c1fe5ba6c75", "08e604c6fe65f6b49dd378209678dd81")
 
 let check name progs (plain, branching) =
   Alcotest.(check string) (name ^ " probe-only code") plain (code_digest ~branches:false progs);

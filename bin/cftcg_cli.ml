@@ -208,6 +208,13 @@ let fuzz_cmd =
         seeds
       }
     in
+    (* a range on no inport would constrain nothing: refuse it before
+       any fuzzing, in either mode *)
+    (match Layout.with_ranges (Layout.of_inports (Graph.inports model)) config.Fuzzer.ranges with
+    | _ -> ()
+    | exception Invalid_argument msg ->
+      Printf.eprintf "bad range: %s\n" msg;
+      exit 1);
     (* --hybrid needs the campaign machinery (plateau detection and
        the coordinator's merged coverage map), so it forces the
        campaign path even single-worker *)
@@ -316,11 +323,15 @@ let fuzz_cmd =
           | Some n, None -> Fuzzer.Exec_budget n
           | None, s -> Fuzzer.Time_budget (Option.value s ~default:seconds)
         in
+        (* a wall clock: under an exec budget [stats.elapsed] is the
+           execution count, not seconds *)
+        let t0 = Unix.gettimeofday () in
         let campaign = Cftcg.Pipeline.run_campaign ~config ?coverage_series:series model budget in
+        let wall = Unix.gettimeofday () -. t0 in
         let stats = campaign.Cftcg.Pipeline.fuzz.Fuzzer.stats in
         Printf.printf "executions: %d\nmodel iterations: %d\niteration rate: %.0f/s\n"
           stats.Fuzzer.executions stats.Fuzzer.iterations
-          (float_of_int stats.Fuzzer.iterations /. Float.max stats.Fuzzer.elapsed 1e-9);
+          (float_of_int stats.Fuzzer.iterations /. Float.max wall 1e-9);
         Format.printf "coverage: %a@." Recorder.pp_report campaign.Cftcg.Pipeline.coverage;
         ( campaign.Cftcg.Pipeline.gen.Cftcg.Pipeline.layout,
           campaign.Cftcg.Pipeline.gen.Cftcg.Pipeline.program,

@@ -241,8 +241,10 @@ let start ?(config = default_config) (prog : Ir.program) =
   (match validate config with
   | Error msg -> invalid_arg ("Campaign.start: " ^ msg)
   | Ok () -> ());
-  if (Layout.of_program prog).Layout.tuple_len = 0 then
-    invalid_arg "Campaign.start: model has no inports";
+  let layout = Layout.of_program prog in
+  if layout.Layout.tuple_len = 0 then invalid_arg "Campaign.start: model has no inports";
+  (* a bad range fails here, not as a crash in every worker *)
+  ignore (Layout.with_ranges layout config.fuzzer.Fuzzer.ranges);
   let n_probes = max prog.Ir.n_probes 1 in
   let code = Ir_vm.prepare prog in
   let replay = make_replayer ~code prog ~max_tuples:config.fuzzer.Fuzzer.max_tuples in

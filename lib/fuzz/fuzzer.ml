@@ -66,16 +66,19 @@ type result = {
    Checkpoint [j] holds the state after step [(j + 1) * t_every - 1]:
    the VM's carried registers (stride: the carried-set size), that
    step's probe bit-words (stride: the bit-word count) and Algorithm
-   1's metric summed through it. *)
+   1's metric summed through it. [t_total] is the metric summed
+   through all [t_n] steps. *)
 type trajectory = {
   t_n : int;
   t_every : int;
   t_regs : float array;
   t_bits : int array;
   t_metric : int array;
+  mutable t_total : int;
 }
 
-let no_trajectory = { t_n = 0; t_every = 1; t_regs = [||]; t_bits = [||]; t_metric = [||] }
+let no_trajectory =
+  { t_n = 0; t_every = 1; t_regs = [||]; t_bits = [||]; t_metric = [||]; t_total = 0 }
 
 type entry = {
   data : Bytes.t;
@@ -111,7 +114,55 @@ type executor = {
   g_total : Bytes.t;
   max_tuples : int;
   use_metric : bool;
+  mutable rejoined : int;  (* steps the last run skipped by rejoining *)
 }
+
+(* The whole tuples that end the first [na] tuples of [a] and the
+   first [nb] of [b] alike, at most [limit] (at most both counts):
+   [common_tuples] below, compared from the ends. *)
+let common_tail_tuples ~tuple_len a na b nb limit =
+  let ea = na * tuple_len and eb = nb * tuple_len in
+  let len = limit * tuple_len in
+  let i = ref 0 in
+  while
+    !i + 8 <= len
+    && Int64.equal (Bytes.get_int64_ne a (ea - !i - 8)) (Bytes.get_int64_ne b (eb - !i - 8))
+  do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.unsafe_get a (ea - !i - 1) = Bytes.unsafe_get b (eb - !i - 1) do
+    incr i
+  done;
+  !i / tuple_len
+
+(* The first child step whose state a child of [parent] (trajectory
+   [from]) compares against its parent's: child step [t] can rejoin
+   when it ran ([t >= start]), has steps after it ([t <= n - 2]), maps
+   onto a parent checkpoint [p = t - delta >= 0], and every tuple
+   after it lies in the tail the two inputs share, where child tuple
+   [i] is parent tuple [i - delta]. [max_int] when no step can. *)
+let first_rejoin x ~parent ~(from : trajectory) ~start ~n child =
+  let delta = n - from.t_n in
+  let lo = max start delta in
+  (* a tail longer than [n - 1 - lo] tuples moves no step earlier *)
+  let limit = min (min n from.t_n) (n - 1 - lo) in
+  if limit <= 0 then max_int
+  else begin
+    let k = common_tail_tuples ~tuple_len:x.layout.Layout.tuple_len child n parent from.t_n limit in
+    let e = from.t_every in
+    (* the first checkpointed parent step at or after the first step
+       both bounds allow *)
+    let p = (((max lo (n - 1 - k) - delta) + e) / e * e) - 1 in
+    if p + delta > n - 2 then max_int else p + delta
+  end
+
+(* [a.(0 ..)] and [b.(at ..)] agree on [n] words; bounds-checked *)
+let words_equal (a : int array) (b : int array) ~at n =
+  let w = ref 0 in
+  while !w < n && a.(!w) = b.(at + !w) do
+    incr w
+  done;
+  !w = n
 
 (* Executes one input through the fuzz driver: Algorithm 1, from step
    [start]. Returns (iteration-difference metric, newly covered probe
@@ -135,12 +186,27 @@ type executor = {
    no fresh cell — that input already set every probe they fire —
    and each metric term reads only two consecutive steps, so the
    result equals a run from reset. [record] receives this run's own
-   checkpoints. *)
-let run_one x ~fresh_cells ~from ~start ~record data =
+   checkpoints.
+
+   Suffix rejoin: when [from] is [parent]'s trajectory and child step
+   [t] ends where parent step [t - delta] did — the same probe
+   bit-words and bit-identical carried registers at a checkpoint —
+   and every later child tuple is the parent's, the remaining steps
+   would replay the parent's, whose probes are all in [g_total] and
+   whose metric terms sum to [t_total] less the checkpoint's sum. The
+   run adds that, stops and returns [n] iterations, and leaves the
+   skipped step count in [x.rejoined]. A run with no trajectory compares
+   one integer per step and never rejoins. *)
+let run_one x ~fresh_cells ~parent ~from ~start ~record data =
   let vm = x.vm and pa = x.pa and pb = x.pb and g_total = x.g_total in
   let n = min (Layout.n_tuples x.layout data) x.max_tuples in
   let n_words = Array.length pa.Ir_vm.p_bits in
   let metric = ref 0 in
+  let delta = n - from.t_n in
+  let next_check =
+    ref (if from.t_n = 0 then max_int else first_rejoin x ~parent ~from ~start ~n data)
+  in
+  x.rejoined <- 0;
   Ir_vm.set_probes vm pa;
   if start = 0 then begin
     Ir_vm.reset vm;
@@ -156,7 +222,10 @@ let run_one x ~fresh_cells ~from ~start ~record data =
   let curr = ref pa in
   let last = ref pb in
   let fresh = ref 0 in
-  for tuple = start to n - 1 do
+  let next = ref start and stop = ref n in
+  while !next < !stop do
+    let tuple = !next in
+    next := tuple + 1;
     let c = !curr in
     let l = !last in
     Ir_vm.set_probes vm c;
@@ -186,11 +255,27 @@ let run_one x ~fresh_cells ~from ~start ~record data =
       Array.blit cw 0 r.t_bits (j * n_words) n_words;
       r.t_metric.(j) <- !metric
     | _ -> ());
+    if tuple = !next_check then begin
+      let j = ((tuple - delta + 1) / from.t_every) - 1 in
+      if
+        Ir_vm.carried_equal vm from.t_regs ~at:(j * Array.length (Ir_vm.carried vm))
+        && words_equal cw from.t_bits ~at:(j * n_words) n_words
+      then begin
+        metric := !metric + from.t_total - from.t_metric.(j);
+        x.rejoined <- n - 1 - tuple;
+        stop := tuple + 1
+      end
+      else begin
+        let t = tuple + from.t_every in
+        next_check := if t <= n - 2 then t else max_int
+      end
+    end;
     Ir_vm.clear_probes l;
     curr := l;
     last := c
   done;
   Ir_vm.clear_probes !last;
+  (match record with Some r -> r.t_total <- !metric | None -> ());
   ((if x.use_metric then !metric else 0), !fresh, n)
 
 (* The whole tuples [a] and [b] share from the start, at most
@@ -219,9 +304,11 @@ let code_for ~fn ?code (prog : Ir.program) =
 
 let executor ?code ~layout ~prog ~g_total ~max_tuples ~use_metric () =
   let vm = Ir_vm.of_code (code_for ~fn:"Fuzzer.executor" ?code prog) in
-  { layout; vm; pa = Ir_vm.probes vm; pb = Ir_vm.fresh_probes vm; g_total; max_tuples; use_metric }
+  { layout; vm; pa = Ir_vm.probes vm; pb = Ir_vm.fresh_probes vm; g_total; max_tuples; use_metric;
+    rejoined = 0 }
 
-let exec x ~fresh_cells data = run_one x ~fresh_cells ~from:no_trajectory ~start:0 ~record:None data
+let exec x ~fresh_cells data =
+  run_one x ~fresh_cells ~parent:Bytes.empty ~from:no_trajectory ~start:0 ~record:None data
 
 (* How many checkpoints a trajectory keeps at most: as many as fit in
    arrays of [Max_young_wosize] (256) words, so that a trajectory is
@@ -245,9 +332,13 @@ let record x data =
       t_every = every;
       t_regs = Array.make (points * Array.length (Ir_vm.carried x.vm)) 0.0;
       t_bits = Array.make (points * Array.length x.pa.Ir_vm.p_bits) 0;
-      t_metric = Array.make points 0 }
+      t_metric = Array.make points 0;
+      t_total = 0 }
   in
-  let _, fresh, _ = run_one x ~fresh_cells:(ref []) ~from:no_trajectory ~start:0 ~record:(Some t) data in
+  let _, fresh, _ =
+    run_one x ~fresh_cells:(ref []) ~parent:Bytes.empty ~from:no_trajectory ~start:0
+      ~record:(Some t) data
+  in
   if fresh > 0 then invalid_arg "Fuzzer.record: the input had not run against this coverage";
   t
 
@@ -256,7 +347,10 @@ let resume_step x ~parent traj child =
   s - (s mod traj.t_every)
 
 let exec_child x ~fresh_cells ~parent traj child =
-  run_one x ~fresh_cells ~from:traj ~start:(resume_step x ~parent traj child) ~record:None child
+  run_one x ~fresh_cells ~parent ~from:traj ~start:(resume_step x ~parent traj child) ~record:None
+    child
+
+let rejoined x = x.rejoined
 
 (* Builds the per-input execution function; it returns (metric,
    fresh, iterations). [backend] has one value and selects nothing. *)
@@ -320,6 +414,7 @@ type obs_handles = {
   ob_executions : Metrics.counter;
   ob_iterations : Metrics.counter;
   ob_resumed : Metrics.counter;  (* iterations skipped by parent-prefix resume *)
+  ob_rejoined : Metrics.counter;  (* ... and by parent-suffix rejoin *)
   ob_execs_per_s : Metrics.gauge;
   ob_covered : Metrics.gauge;
   ob_corpus : Metrics.gauge;
@@ -350,6 +445,10 @@ let make_obs_handles () =
       Metrics.counter
         ~help:"Model iterations of cftcg_fuzz_iterations_total skipped by resuming from a parent's saved state"
         "cftcg_fuzz_resumed_iterations_total";
+    ob_rejoined =
+      Metrics.counter
+        ~help:"Model iterations of cftcg_fuzz_iterations_total skipped by rejoining a parent's saved state on a shared input tail"
+        "cftcg_fuzz_rejoined_iterations_total";
     ob_execs_per_s =
       Metrics.gauge ~help:"Recent fuzzing throughput (wall clock)" "cftcg_fuzz_execs_per_second";
     ob_covered = Metrics.gauge ~help:"Probe cells covered" "cftcg_fuzz_probes_covered";
@@ -510,11 +609,11 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       if interesting then Metrics.inc ob.ob_kept.(strat)
     | _ -> ()
   in
-  (* Parent-prefix resume. A corpus entry records its trajectory the
-     first time a child of it runs, by running the entry again from
-     reset; that leaves [g_total] as it is, since the entry set every
-     probe it fires when it ran. *)
-  let resumed = ref 0 in
+  (* Parent-prefix resume and suffix rejoin. A corpus entry records
+     its trajectory the first time a child of it runs, by running the
+     entry again from reset; that leaves [g_total] as it is, since the
+     entry set every probe it fires when it ran. *)
+  let resumed = ref 0 and rejoined = ref 0 in
   (* one input through the executor, then its accounting; [parent] is
      the corpus entry it was mutated from, [no_parent] if none *)
   let execute ~strat ~parent data =
@@ -531,7 +630,10 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
       end
     in
     resumed := !resumed + start;
-    let metric, fresh, iters = run_one x ~fresh_cells ~from:parent.traj ~start ~record:None data in
+    let metric, fresh, iters =
+      run_one x ~fresh_cells ~parent:parent.data ~from:parent.traj ~start ~record:None data
+    in
+    rejoined := !rejoined + x.rejoined;
     let t1 = if timed then Unix.gettimeofday () else 0.0 in
     account data ~metric ~fresh ~iters ~strat;
     match obs with
@@ -621,6 +723,7 @@ let run ?(config = default_config) ?code ?(on_test_case = fun _ -> ())
     Metrics.add ob.ob_executions !executions;
     Metrics.add ob.ob_iterations !iterations;
     Metrics.add ob.ob_resumed !resumed;
+    Metrics.add ob.ob_rejoined !rejoined;
     let wall = Unix.gettimeofday () -. start in
     Metrics.set ob.ob_execs_per_s (float_of_int !executions /. Float.max wall 1e-9);
     Metrics.set ob.ob_covered (float_of_int !covered_run);

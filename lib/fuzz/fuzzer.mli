@@ -173,7 +173,7 @@ val make_executor :
     benchmarks and tooling that need per-execution costs without a
     whole campaign. *)
 
-(** {1 Parent-prefix resume}
+(** {1 Parent-prefix resume and suffix rejoin}
 
     Every Table 1 mutation except shuffle rewrites an input from some
     tuple onward, so a child usually repeats its parent's first
@@ -181,9 +181,10 @@ val make_executor :
     Each corpus entry keeps a {e trajectory} of its from-reset
     execution: checkpoints holding, after a step, the VM's carried
     registers ({!Ir_vm.save_carried}), that step's probe bit-words
-    and Algorithm 1's metric summed through it. An entry records its
-    trajectory by running once more, from reset, the first time it is
-    drafted as a parent; an entry never drafted records nothing. An
+    and Algorithm 1's metric summed through it, plus the metric summed
+    over the whole run. An entry records its trajectory by running
+    once more, from reset, the first time it is drafted as a parent;
+    an entry never drafted records nothing. An
     input of up to [c] steps keeps a checkpoint after every step, a
     longer one after every [ceil (n / c)]-th, where [c] (at most 32)
     is as many checkpoints as keep each of the trajectory's arrays
@@ -199,6 +200,31 @@ val make_executor :
     every probe of the prefix in the coverage bytes when it ran, so
     the prefix holds no fresh cell; each metric term reads only two
     consecutive steps; and only carried registers reach later steps.
+
+    Most mutations also leave the {e end} of the parent in place: a
+    field rewrite keeps every tuple after it, and inserting, erasing
+    or copying tuples keeps the parent's tail shifted by
+    [delta = n - t_n], where [n] and [t_n] are the child's and the
+    parent's step counts. Comparing the child's first [n] tuples with
+    the parent's first [t_n] from their ends gives [k] shared whole
+    tuples, so for every child step [t >= n - k - 1], child steps
+    [t + 1 ..] read exactly the tuples parent steps [t - delta + 1 ..]
+    read. After each such step [t < n - 1] whose [p = t - delta >= 0]
+    is a checkpointed parent step, the child compares that step's
+    probe bit-words and its carried registers ({!Ir_vm.carried_equal},
+    bit for bit) with the checkpoint's. When both match, the child
+    {e rejoins} its parent: it adds the parent's metric after step [p]
+    to its own and stops, reporting [n] iterations. The result is
+    still the from-reset result, bit for bit: from equal carried
+    registers on equal tuples the remaining steps fire the parent's
+    probes, all of which the parent set in the coverage bytes, so they
+    hold no fresh cell; and each remaining metric term reads two
+    consecutive steps, the first of them step [t], whose set equals
+    step [p]'s. So the metric, fresh count, fresh cells and their
+    order, iterations and coverage bytes afterwards all equal a run
+    from reset. A run with no trajectory ({!exec}, {!record}) compares
+    one integer per step and never rejoins.
+
     The functions below expose that path for tests and tools. *)
 
 type executor
@@ -238,10 +264,14 @@ val resume_step : executor -> parent:Bytes.t -> trajectory -> Bytes.t -> int
 val exec_child :
   executor -> fresh_cells:int list ref -> parent:Bytes.t -> trajectory -> Bytes.t -> int * int * int
 (** [exec_child x ~fresh_cells ~parent traj child] runs [child] from
-    step [resume_step x ~parent traj child], as {!run} does, and
-    returns exactly what {!exec} would: the same metric, fresh count,
-    fresh cells in the same order, iterations, and coverage bytes
-    afterwards. *)
+    step [resume_step x ~parent traj child] until it ends or rejoins
+    [parent]'s trajectory, as {!run} does, and returns exactly what
+    {!exec} would: the same metric, fresh count, fresh cells in the
+    same order, iterations, and coverage bytes afterwards. *)
+
+val rejoined : executor -> int
+(** The model steps the last run on this executor skipped by
+    rejoining its parent's trajectory; [0] when it ran to its end. *)
 
 val make_batch_executor :
   ?code:Ir_vm.code ->

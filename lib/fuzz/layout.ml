@@ -51,7 +51,9 @@ let with_ranges t ranges =
          into every sampled value *)
       if not (Float.is_finite lo && Float.is_finite hi) then
         invalid_arg (Printf.sprintf "Layout.with_ranges: %s: non-finite bound" name);
-      if lo > hi then invalid_arg (Printf.sprintf "Layout.with_ranges: %s: empty range" name))
+      if lo > hi then invalid_arg (Printf.sprintf "Layout.with_ranges: %s: empty range" name);
+      if not (Array.exists (fun f -> f.f_name = name) t.fields) then
+        invalid_arg (Printf.sprintf "Layout.with_ranges: %s: no such inport" name))
     ranges;
   let fields =
     Array.map

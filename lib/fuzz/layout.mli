@@ -34,9 +34,9 @@ val of_inports : (string * Dtype.t) array -> t
 val of_program : Ir.program -> t
 
 val with_ranges : t -> (string * float * float) list -> t
-(** Attaches [(port name, lo, hi)] ranges. Unknown names are ignored;
+(** Attaches [(port name, lo, hi)] ranges. A name that is no inport,
     an inverted range or a NaN or infinite bound raises
-    [Invalid_argument]. *)
+    [Invalid_argument] naming the port. *)
 
 val clamp_field : t -> field:int -> Value.t -> Value.t
 (** Clamps a value into the field's range (identity without one). *)

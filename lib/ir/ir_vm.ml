@@ -880,6 +880,26 @@ let restore_carried vm (buf : float array) ~at =
     Array.unsafe_set regs (Array.unsafe_get c k) (Array.unsafe_get buf (at + k))
   done
 
+(* float equality bit for bit, without leaving registers: [=] decides
+   every pair but zeros, where the sign of [1 / x] tells -0.0 from
+   +0.0, and NaNs, equal only with the same bits *)
+let[@inline] same_bits a b =
+  if a = b then a <> 0.0 || 1.0 /. a = 1.0 /. b
+  else a <> a && b <> b && Int64.bits_of_float a = Int64.bits_of_float b
+
+let carried_equal vm (buf : float array) ~at =
+  let regs = vm.regs and c = carried vm in
+  check_carried c buf at;
+  let n = Array.length c in
+  let k = ref 0 in
+  while
+    !k < n
+    && same_bits (Array.unsafe_get regs (Array.unsafe_get c !k)) (Array.unsafe_get buf (at + !k))
+  do
+    incr k
+  done;
+  !k = n
+
 let probes vm = vm.probes
 
 let set_probes vm p = vm.probes <- p

@@ -185,6 +185,13 @@ val restore_carried : t -> float array -> at:int -> unit
     same probes and carried registers as running on from where the
     state was saved, whatever the instance executed in between. *)
 
+val carried_equal : t -> float array -> at:int -> bool
+(** [carried_equal vm buf ~at]: whether the carried registers equal
+    [buf.(at) ..], as {!save_carried} would write them, bit for bit:
+    −0.0 differs from +0.0, and a NaN equals only a NaN with the same
+    bits. Allocates nothing. Raises [Invalid_argument] as
+    {!save_carried} does. *)
+
 (** {1 Probe buffers}
 
     The VM writes into whichever buffer is currently installed, which

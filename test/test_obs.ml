@@ -198,21 +198,26 @@ let test_fuzzer_parity_obs_on_off () =
   (* process-wide counters: read this run's share as a delta *)
   let iterations () = Metrics.value (Metrics.counter "cftcg_fuzz_iterations_total") in
   let resumed () = Metrics.value (Metrics.counter "cftcg_fuzz_resumed_iterations_total") in
+  let rejoined () = Metrics.value (Metrics.counter "cftcg_fuzz_rejoined_iterations_total") in
   Metrics.set_collect false;
   Trace.set_enabled false;
-  let before = (iterations (), resumed ()) in
+  let before = (iterations (), resumed (), rejoined ()) in
   let off = run () in
-  Alcotest.(check (pair int int)) "nothing counted while off" before (iterations (), resumed ());
+  Alcotest.(check (triple int int int)) "nothing counted while off" before
+    (iterations (), resumed (), rejoined ());
+  let it0, re0, rj0 = before in
   Metrics.set_collect true;
   Trace.set_enabled true;
   let series = Series.create () in
   let on = Fuzzer.run ~config ~coverage_series:series prog (Fuzzer.Exec_budget 3000) in
-  let d_iterations = iterations () - fst before and d_resumed = resumed () - snd before in
+  let d_iterations = iterations () - it0 and d_resumed = resumed () - re0 in
+  let d_rejoined = rejoined () - rj0 in
   Alcotest.(check int) "iterations counted" on.Fuzzer.stats.Fuzzer.iterations d_iterations;
   Alcotest.(check bool)
-    (Printf.sprintf "resumed iterations counted: %d of %d" d_resumed d_iterations)
+    (Printf.sprintf "resumed and rejoined iterations counted: %d + %d of %d" d_resumed d_rejoined
+       d_iterations)
     true
-    (d_resumed > 0 && d_resumed < d_iterations);
+    (d_resumed > 0 && d_rejoined > 0 && d_resumed + d_rejoined < d_iterations);
   Alcotest.(check (list bytes)) "same suite bytes" (suite_bytes off) (suite_bytes on);
   Alcotest.(check int) "same executions" off.Fuzzer.stats.Fuzzer.executions
     on.Fuzzer.stats.Fuzzer.executions;

@@ -82,9 +82,17 @@ let test_with_ranges_validation () =
       | _ -> Alcotest.failf "range %g:%g accepted" lo hi)
     [ (Float.nan, 5.); (0., Float.nan); (Float.neg_infinity, 5.); (0., Float.infinity);
       (Float.neg_infinity, Float.infinity) ];
-  (* unknown names are ignored *)
-  let l = Layout.with_ranges layout [ ("nope", 0., 1.) ] in
-  Alcotest.(check bool) "unknown ignored" true (l.Layout.fields.(0).Layout.f_range = None)
+  (* a range on no inport constrains nothing, so it is an error *)
+  Alcotest.check_raises "unknown rejected"
+    (Invalid_argument "Layout.with_ranges: nope: no such inport")
+    (fun () -> ignore (Layout.with_ranges layout [ ("nope", 0., 1.) ]));
+  (* and a campaign refuses it at start, before any worker runs *)
+  let module Campaign = Cftcg_campaign.Campaign in
+  let prog = Codegen.lower (opcode_model ()) in
+  let fuzzer = { Fuzzer.default_config with Fuzzer.ranges = [ ("Op", 0., 4.); ("nope", 0., 1.) ] } in
+  Alcotest.check_raises "campaign rejects it"
+    (Invalid_argument "Layout.with_ranges: nope: no such inport")
+    (fun () -> ignore (Campaign.start ~config:{ Campaign.default_config with Campaign.fuzzer } prog))
 
 let coverage_with ranges seed execs =
   let prog = Codegen.lower (opcode_model ()) in

@@ -329,7 +329,13 @@ let fuzz_cmd =
         let campaign = Cftcg.Pipeline.run_campaign ~config ?coverage_series:series model budget in
         let wall = Unix.gettimeofday () -. t0 in
         let stats = campaign.Cftcg.Pipeline.fuzz.Fuzzer.stats in
-        Printf.printf "executions: %d\nmodel iterations: %d\niteration rate: %.0f/s\n"
+        (* [iterations] counts each input's steps as if it ran from
+           reset: the VM steps fewer, since prefix resume and suffix
+           rejoin skip some (--metrics counts those) *)
+        Printf.printf
+          "executions: %d\n\
+           model iterations: %d (input steps, incl. those resume and rejoin skip)\n\
+           iteration rate: %.0f/s (input steps per wall-clock second)\n"
           stats.Fuzzer.executions stats.Fuzzer.iterations
           (float_of_int stats.Fuzzer.iterations /. Float.max wall 1e-9);
         Format.printf "coverage: %a@." Recorder.pp_report campaign.Cftcg.Pipeline.coverage;

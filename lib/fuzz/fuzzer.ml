@@ -440,7 +440,8 @@ let make_obs_handles () =
     ob_executions =
       Metrics.counter ~help:"Inputs executed by the fuzzing loop" "cftcg_fuzz_executions_total";
     ob_iterations =
-      Metrics.counter ~help:"Model iterations executed" "cftcg_fuzz_iterations_total";
+      Metrics.counter ~help:"Model iterations of every input, counted as if each ran from reset"
+        "cftcg_fuzz_iterations_total";
     ob_resumed =
       Metrics.counter
         ~help:"Model iterations of cftcg_fuzz_iterations_total skipped by resuming from a parent's saved state"

@@ -82,7 +82,10 @@ type failure = {
 
 type stats = {
   executions : int;  (** fuzzer inputs run *)
-  iterations : int;  (** total model steps across all inputs *)
+  iterations : int;
+      (** total model steps across all inputs, counted as if each ran
+          from reset: steps that prefix resume and suffix rejoin skip
+          are included *)
   elapsed : float;
       (** wall-clock seconds under a {!Time_budget}; the execution
           count under an {!Exec_budget} or {!Wall_budget} (virtual

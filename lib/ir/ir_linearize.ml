@@ -3,9 +3,14 @@ open Cftcg_model
 (* Flattens an [Ir.program] into three-address bytecode over an
    int-indexed register file of unboxed floats.
 
-   Register file layout:  [ variables | temporaries | constants ]
+   Register file layout:  [ variables | watches | temporaries | constants ]
    - variables sit at their [vid], so raw access by variable id
      (load_input / read_raw) needs no lookup;
+   - under [branch] instrumentation, [If] [if_ix] reads its watch
+     register at [n_vars + if_ix]: nonzero records the [If]'s
+     distances, zero runs its plain compare. No code writes them
+     (Ir_vm loads them at reset), so to the optimizer they are state
+     registers it never knows the value of. Other code has none;
    - temporaries are statement-scoped (reset per statement, watermark
      sizes the file);
    - constants are pooled by bit pattern and materialized once per
@@ -157,7 +162,7 @@ type instrumentation = {
   probe_hook : bool;  (** emit [op_probe_h] (buffer write + hook call) per probe *)
   cond : bool;  (** emit [op_cond] for [Record_cond] *)
   decision : bool;  (** emit [op_decision] for [Record_decision] *)
-  branch : bool;  (** emit distance code + [op_branch] before every [If] *)
+  branch : bool;  (** emit distance code + [op_branch] before every watched [If] *)
 }
 
 let no_instrumentation = { probe_hook = false; cond = false; decision = false; branch = false }
@@ -188,11 +193,13 @@ type emitter = {
   mutable cur_temp : int;
   mutable max_temp : int;
   mutable n_ifs : int;
+  n_watch : int;  (* watch registers between the variables and the temporaries *)
 }
 
-let create_emitter n_vars instrument =
+let create_emitter n_vars n_watch instrument =
   {
     n_vars;
+    n_watch;
     instrument;
     code = Array.make 64 0;
     len = 0;
@@ -232,7 +239,7 @@ let const_reg em f =
     -(ix + 1)
 
 let temp em =
-  let t = em.n_vars + em.cur_temp in
+  let t = em.n_vars + em.n_watch + em.cur_temp in
   em.cur_temp <- em.cur_temp + 1;
   if em.cur_temp > em.max_temp then em.max_temp <- em.cur_temp;
   t
@@ -543,22 +550,33 @@ let rec lower_stmt em (s : Ir.stmt) =
   | Ir.If { cond; dec = _; then_; else_ } ->
     let if_ix = em.n_ifs in
     em.n_ifs <- if_ix + 1;
-    let rc =
+    (* the jumps to the else-arm *)
+    let else_ats =
       if em.instrument.branch then begin
+        (* jz w -> PLAIN; <distances; branch record>; jz rc -> ELSE;
+           jmp THEN; PLAIN: <cond>; jz rp -> ELSE; THEN: ... — an
+           unwatched visit computes the condition alone, on the
+           recording path's temps *)
+        let plain_at = emit_jz em (em.n_vars + if_ix) in
         let rc, dt, df = lower_cond em cond in
         push em op_branch;
         push em if_ix;
         push_reg em rc;
         push_reg em dt;
         push_reg em df;
-        rc
+        let rec_at = emit_jz em rc in
+        let then_at = emit_jmp em in
+        patch em plain_at;
+        em.cur_temp <- 0;
+        let rp_at = emit_jz em (lower_expr em cond) in
+        patch em then_at;
+        [ rec_at; rp_at ]
       end
-      else lower_expr em cond
+      else [ emit_jz em (lower_expr em cond) ]
     in
-    let jz_at = emit_jz em rc in
     List.iter (lower_stmt em) then_;
     let jmp_at = emit_jmp em in
-    patch em jz_at;
+    List.iter (patch em) else_ats;
     List.iter (lower_stmt em) else_;
     patch em jmp_at
   | Ir.Probe id ->
@@ -586,13 +604,24 @@ let rec lower_stmt em (s : Ir.stmt) =
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let rec count_ifs stmts =
+  List.fold_left
+    (fun n (s : Ir.stmt) ->
+      match s with
+      | Ir.If { then_; else_; _ } -> n + 1 + count_ifs then_ + count_ifs else_
+      | _ -> n)
+    0 stmts
+
 let linearize ?(instrument = no_instrumentation) (prog : Ir.program) =
-  let em = create_emitter prog.Ir.n_vars instrument in
+  let n_watch =
+    if instrument.branch then count_ifs prog.Ir.init + count_ifs prog.Ir.step else 0
+  in
+  let em = create_emitter prog.Ir.n_vars n_watch instrument in
   List.iter (lower_stmt em) prog.Ir.init;
   let init_code, init_slots = take em in
   List.iter (lower_stmt em) prog.Ir.step;
   let step_code, step_slots = take em in
-  let const_base = prog.Ir.n_vars + em.max_temp in
+  let const_base = prog.Ir.n_vars + n_watch + em.max_temp in
   let remap code slots =
     List.iter (fun at -> code.(at) <- const_base + (-code.(at) - 1)) slots;
     code

@@ -7,12 +7,24 @@
     - variables keep their [vid] as register index, temporaries and a
       deduplicated constant pool sit above them;
     - [If] statements become resolved conditional jumps;
+    - under [branch] instrumentation, the register file is
+      [[ variables | watches | temporaries | constants ]]: [If] site
+      [if_ix] reads {e watch register} [n_vars + if_ix] (one per site,
+      [l_branch_sites] of them). When it is nonzero the [If] lowers its
+      condition with its distances and records them; when it is zero
+      it runs the plain compare probe-only code would, on the same
+      temporaries. No instruction writes a watch register: {!Ir_vm}
+      loads them at reset from its watch mask, and to the optimizer
+      they are state registers of unknown value, never folded.
+      Probe-only code has no watch registers, so its layout and
+      bytecode do not depend on this;
     - probe / condition / decision records become dedicated
       instructions (emitted only when the chosen instrumentation
       needs them, so uninstrumented execution pays nothing);
     - under [branch] instrumentation every [If] condition is lowered
       together with its Korel branch distances as register code
-      (pure distance opcodes), closed by one [op_branch] record;
+      (pure distance opcodes), closed by one [op_branch] record, on
+      the path its watch register selects;
     - dtype-dependent semantics (integer wrap masks, saturation
       bounds, float32 rounding) are baked into operand slots at
       lowering time.
@@ -28,7 +40,8 @@ type instrumentation = {
   decision : bool;  (** emit [Record_decision] instructions *)
   branch : bool;
       (** lower every [If]'s branch distances and emit an [op_branch]
-          record before its jump *)
+          record before its jump, on the path taken while the [If]'s
+          watch register is nonzero *)
 }
 
 val no_instrumentation : instrumentation
@@ -37,7 +50,7 @@ type t = {
   l_prog : Ir.program;
   l_init : int array;
   l_step : int array;
-  l_n_regs : int;  (** register-file size: vars + temps + consts *)
+  l_n_regs : int;  (** register-file size: vars + watches + temps + consts *)
   l_const_base : int;  (** first constant register *)
   l_consts : float array;  (** pool values, blitted in at reset *)
   l_branch_sites : int;
@@ -45,7 +58,8 @@ type t = {
           under [branch] instrumentation, none otherwise. Sites are
           numbered depth-first (init before step, then-arm before
           else-arm) — the numbering {!Ir_eval} reports through
-          [Hooks.on_branch] *)
+          [Hooks.on_branch]. Site [if_ix]'s watch register is
+          [l_prog.n_vars + if_ix] *)
 }
 
 val linearize : ?instrument:instrumentation -> Ir.program -> t

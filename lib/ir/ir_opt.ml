@@ -1475,6 +1475,8 @@ let profile_bytecode (lin : L.t) (rows : float array array) : bytecode_profile =
   let step_hits = Array.make (max (Array.length step_i) 1) 0 in
   Array.fill regs 0 (Array.length regs) 0.0;
   Array.blit lin.L.l_consts 0 regs lin.L.l_const_base (Array.length lin.L.l_consts);
+  (* every If site watched, as on a fresh Ir_vm instance *)
+  Array.fill regs lin.L.l_prog.Ir.n_vars lin.L.l_branch_sites 1.0;
   let init_n = run init_i init_hits in
   let inputs = lin.L.l_prog.Ir.inputs in
   let step_n = ref 0 in

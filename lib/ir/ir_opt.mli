@@ -121,7 +121,8 @@ type bytecode_profile = {
 val profile_bytecode : Ir_linearize.t -> float array array -> bytecode_profile
 (** [profile_bytecode lin rows] executes init plus one step per row
     (raw floats per inport, as for {!dynamic_count}) and returns the
-    execution profile. *)
+    execution profile. Branch-recording code runs with every [If]
+    site watched, as a fresh {!Ir_vm} instance does. *)
 
 val disassemble : ?hits:int array * int array -> Ir_linearize.t -> string
 (** Human-readable listing of both blocks; constants print as

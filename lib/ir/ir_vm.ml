@@ -47,6 +47,9 @@ type t = {
   on_decision : int -> int -> unit;
   on_branch : (int -> bool -> float -> float -> unit) option;
   branches : branches;
+  watch : float array;
+      (* per [If] site, 1.0 when it records, 0.0 when it runs its plain
+         compare: what [reset] loads into the watch registers *)
 }
 
 let make_probes n = { p_fired = Bytes.make n '\000'; p_bits = Array.make ((n + 31) / 32) 0 }
@@ -120,6 +123,8 @@ let instantiate ~(hooks : Hooks.t) ({ c_lin = lin; _ } as code) =
   let regs = Array.make (max lin.Ir_linearize.l_n_regs 1) 0.0 in
   Array.blit lin.Ir_linearize.l_consts 0 regs lin.Ir_linearize.l_const_base
     (Array.length lin.Ir_linearize.l_consts);
+  let watch = Array.make n_sites 1.0 in
+  Array.blit watch 0 regs lin.Ir_linearize.l_prog.Ir.n_vars n_sites;
   {
     lin;
     code;
@@ -137,6 +142,7 @@ let instantiate ~(hooks : Hooks.t) ({ c_lin = lin; _ } as code) =
         b_min_dt = Array.make n_sites Float.infinity;
         b_min_df = Array.make n_sites Float.infinity;
       };
+    watch;
   }
 
 let of_code code = instantiate ~hooks:Hooks.none code
@@ -780,17 +786,28 @@ let exec vm code = go vm vm.regs vm.probes code 0
 let program vm = vm.lin.Ir_linearize.l_prog
 
 let reset vm =
+  Array.fill vm.regs 0 (Array.length vm.regs) 0.0;
+  Array.blit vm.lin.Ir_linearize.l_consts 0 vm.regs vm.lin.Ir_linearize.l_const_base
+    (Array.length vm.lin.Ir_linearize.l_consts);
   let br = vm.branches in
   let n_sites = Bytes.length br.b_reached in
   if n_sites > 0 then begin
     Bytes.fill br.b_reached 0 n_sites '\000';
     Array.fill br.b_min_dt 0 n_sites Float.infinity;
-    Array.fill br.b_min_df 0 n_sites Float.infinity
+    Array.fill br.b_min_df 0 n_sites Float.infinity;
+    Array.blit vm.watch 0 vm.regs vm.lin.Ir_linearize.l_prog.Ir.n_vars n_sites
   end;
-  Array.fill vm.regs 0 (Array.length vm.regs) 0.0;
-  Array.blit vm.lin.Ir_linearize.l_consts 0 vm.regs vm.lin.Ir_linearize.l_const_base
-    (Array.length vm.lin.Ir_linearize.l_consts);
   exec vm vm.lin.Ir_linearize.l_init
+
+(* the mask and the live watch registers both: a later [reset] reloads
+   it, and the next [If] visit already obeys it *)
+let set_watch vm f =
+  let base = vm.lin.Ir_linearize.l_prog.Ir.n_vars in
+  for ix = 0 to Array.length vm.watch - 1 do
+    let w = if f ix then 1.0 else 0.0 in
+    vm.watch.(ix) <- w;
+    vm.regs.(base + ix) <- w
+  done
 
 let step vm = exec vm vm.lin.Ir_linearize.l_step
 

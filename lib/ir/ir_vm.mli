@@ -12,8 +12,9 @@
     against gcc-compiled emitted C). Hooks are fixed at compile time:
     instrumentation that wasn't requested is simply never emitted as
     bytecode. Branch distances are bytecode
-    too: branch-recording code folds every [If] visit's distances
-    into per-instance minima ({!branches}) without allocating. *)
+    too: branch-recording code folds the distances of every visit to
+    a watched [If] ({!set_watch}) into per-instance minima
+    ({!branches}) without allocating. *)
 
 open Cftcg_model
 
@@ -27,10 +28,11 @@ type probes = private {
 }
 
 (** Per-[If] branch-distance minima since the last {!reset}, indexed
-    by [If] site (the [if_ix] of [Hooks.on_branch]). Empty unless the
+    by [If] site (the [if_ix] of [Hooks.on_branch]), over the visits
+    made while the site was watched ({!set_watch}). Empty unless the
     code records branches. *)
 type branches = private {
-  b_reached : Bytes.t;  (** ['\001'] at [if_ix] iff the [If] executed *)
+  b_reached : Bytes.t;  (** ['\001'] at [if_ix] iff the [If] executed watched *)
   b_min_dt : float array;
       (** least distance-to-then over its visits ([infinity] when
           unreached; a NaN distance never lowers it) *)
@@ -93,9 +95,21 @@ val program : t -> Ir.program
 
 val reset : t -> unit
 (** Zeroes the registers and the branch minima, reloads the constant
-    pool and runs [init]. Probes fired by [init] land in the current
-    probe buffer; clear it afterwards if init coverage should be
-    discarded. Branches recorded by [init] count like any other. *)
+    pool and the watch mask ({!set_watch}) and runs [init]. Probes
+    fired by [init] land in the current probe buffer; clear it
+    afterwards if init coverage should be discarded. Branches recorded
+    by [init] count like any other. *)
+
+val set_watch : t -> (int -> bool) -> unit
+(** [set_watch vm f] records branch distances, from now on, only at
+    the [If] sites [if_ix] with [f if_ix]: a visit to any other site
+    runs the plain compare probe-only code runs and leaves its
+    {!branches} entry as it is. Outputs, states and probe sets do not
+    depend on the mask, nor do the minima of watched sites. The mask
+    is the instance's: it holds for every [If] visited after the call,
+    whether or not {!reset} comes in between, until the next call.
+    A new instance watches every site. No effect on code that records
+    no branches. *)
 
 val step : t -> unit
 (** One model iteration. *)
@@ -127,7 +141,13 @@ val read_raw : t -> int -> float
     A state does not hold the probe buffer: the caller decides what a
     resumed run's probes are measured against (usually it clears the
     buffer first, and the suffix's probes are all it sees). Nor does
-    it hold the hooks, which are fixed with the code. *)
+    it hold the hooks, which are fixed with the code.
+
+    The register file includes the watch registers, so a state saved
+    under one {!set_watch} mask brings that mask's registers back with
+    {!restore_state}: the resumed steps record the sites the saved run
+    recorded, whatever mask was set in between (the instance's mask
+    itself, which the next {!reset} loads, is not changed). *)
 
 type state = private {
   s_regs : float array;  (** the register file *)

@@ -61,13 +61,13 @@ let fitness chains target (br : Ir_vm.branches) probe_hit =
     walk 0 chain
   end
 
-(* Branch-recording bytecode: the VM folds every If visit's distances
-   into its minima, so an execution allocates nothing for them.
-   Unoptimized: with the optimizer, perfbench campaign-hybrid reads
-   time_to_cov_s -7.5% (faster in 10 of 10 pairs), but each campaign
-   then optimizes and keeps a second code, and peak_rss_mb reads
-   +11.5% (higher in 10 of 10), outside the unoptimized runs' spread
-   (measured in DESIGN §3 "Code vs instance"). *)
+(* Branch-recording bytecode: the VM folds every watched If visit's
+   distances into its minima, so an execution allocates nothing for
+   them. Unoptimized: with the optimizer, perfbench campaign-hybrid
+   reads time_to_cov_s -6.0% (faster in 8 of 10 pairs), but each
+   campaign then optimizes and keeps a second code, and peak_rss_mb
+   reads +7.5% (higher in 8 of 10), outside the unoptimized runs'
+   spread (measured in DESIGN §3 "Code vs instance"). *)
 let prepare_code prog = Ir_vm.prepare ~optimize:false ~branches:true prog
 
 let covered_bitmap ?initial_coverage (prog : Ir.program) =
@@ -300,6 +300,12 @@ let run ?(config = default_config) ?initial_coverage ?(shard = (0, 1)) ?code ?ch
   let consider target =
     if Bytes.get g_total target <> '\000' then incr solved (* already covered incidentally *)
     else begin
+      (* [fitness] reads the minima of the chain's sites only: the
+         other Ifs run their plain compare. Every state in
+         [best_states] is saved after a [reset] under this mask, so a
+         resumed suffix records the same sites. *)
+      let chain = chains.(target) in
+      Ir_vm.set_watch vm (fun ix -> List.mem_assoc ix chain);
       let rec try_bounds = function
         | [] -> ()
         | bound :: rest ->

@@ -60,7 +60,10 @@ type result = {
 val prepare_code : Ir.program -> Ir_vm.code
 (** The unoptimized, branch-recording code {!run} executes. Prepare it
     once and pass it as [?code] to every run over the same program:
-    it is immutable and runs share it read-only, across domains too. *)
+    it is immutable and runs share it read-only, across domains too.
+    A run records branch distances only at the [If]s on the guard
+    chain of the target it is searching ({!Ir_vm.set_watch} on its
+    own instance), since the fitness reads no other site. *)
 
 val shard_targets : ?shard:int * int -> ?initial_coverage:Bytes.t -> Ir.program -> int list
 (** The targets {!run} considers, in the order it considers them:

@@ -39,17 +39,17 @@ let code_digest ~branches progs =
 
 (* (name, probe-only digest, branch-recording digest) *)
 let bench_pins =
-  [ ("CPUTask", "33137f6c4eadf609340268f7cdd5e404", "24a83a5b36e89e4cddd13228c896bda8");
-    ("AFC", "4963f435d61f1b5204fdcb3d8b99798d", "59a64f3937366f5e0589ab7129e750e2");
-    ("TCP", "69d85b260bfc5445f6b80f9bd023958b", "ccc9c31c729feeec132b223cfbe2e4aa");
-    ("RAC", "00244a2bc61a456349573e6814f34aa4", "b7b25f15ea8058057335251d5381dda5");
-    ("EVCS", "4bee6aaf3489406df133b2f8b9373d78", "202cabf06f08a0388b8fab9c01f8a577");
-    ("TWC", "0ac228d581592c83242a2fe3dbcedfc5", "6274a6848317e95fa31474bd091503e9");
-    ("UTPC", "04d5d1522a39e74fa8763ca81ca7eaac", "b1e76bd890b7720d8f53167245193af4");
-    ("SolarPV", "2bf0aaa766b7c97a69ea98b82d66f1c3", "b6acc32483ff2a95060fb749e2eb3932") ]
+  [ ("CPUTask", "33137f6c4eadf609340268f7cdd5e404", "8930430b8f8b9f3607ad4b7853ad1a68");
+    ("AFC", "4963f435d61f1b5204fdcb3d8b99798d", "0539da0cee1929717ae7df22fad3b3aa");
+    ("TCP", "69d85b260bfc5445f6b80f9bd023958b", "a72c1868bbbff90bf7b94d48ef0085ac");
+    ("RAC", "00244a2bc61a456349573e6814f34aa4", "e9004f726f16cc33634e114b790f385a");
+    ("EVCS", "4bee6aaf3489406df133b2f8b9373d78", "75e352566e2bfb1247e617ebf5d1da33");
+    ("TWC", "0ac228d581592c83242a2fe3dbcedfc5", "c7f850ba5973f04b3f0ba9f1fa53a3bc");
+    ("UTPC", "04d5d1522a39e74fa8763ca81ca7eaac", "6c3809f8a438a489a3bc2b1cb2ddbd1d");
+    ("SolarPV", "2bf0aaa766b7c97a69ea98b82d66f1c3", "9c7b7c72f74b6fb10e4195f93a1dca00") ]
 
-let rolling_code_pin = ("348937f823fd43cccc9511aae6ed046b", "2bb1ee3ddfcc60cdcd95ceb3ecb1a11b")
-let random_pin = ("f71d3dc1cee7fc957e5b2c1fe5ba6c75", "08e604c6fe65f6b49dd378209678dd81")
+let rolling_code_pin = ("348937f823fd43cccc9511aae6ed046b", "db5edea0185ff5fb1faf99c895ab9f29")
+let random_pin = ("f71d3dc1cee7fc957e5b2c1fe5ba6c75", "eac95aa97b9c70c0ce5217ff554956ac")
 
 let check name progs (plain, branching) =
   Alcotest.(check string) (name ^ " probe-only code") plain (code_digest ~branches:false progs);
